@@ -89,6 +89,12 @@ def _write_manifest(out_path: str, seed, config: dict) -> None:
         out.write("\n")
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _parse_lambda(text: str):
     if text == "auto":
         return None
@@ -142,6 +148,11 @@ def _cmd_train(args) -> int:
     originals_family, originals = read_dataset(args.originals)
     if originals_family.kind is not family.kind:
         raise DataFormatError("pseudo-example and originals files declare different families")
+    if originals_family.d != family.d:
+        raise DataFormatError(
+            f"pseudo-example file has d={family.d} but originals file has "
+            f"d={originals_family.d}"
+        )
     cfg = TrainConfig(
         ridge_lambda=_parse_lambda(args.ridge_lambda),
         n_folds=args.folds,
@@ -297,7 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="scale pseudo-feature columns to unit variance before the ridge fit",
     )
-    sim.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sim.add_argument(
+        "--jobs",
+        type=int,
+        default=_usable_cores(),
+        help="worker processes for the sweep's cells (default: the cores this process may use)",
+    )
     sim.add_argument("--plot", default=None, help="also render an SVG chart here")
     sim.add_argument(
         "--timing",

@@ -30,6 +30,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
+from ._blas import single_thread
 from .errors import (
     DataFormatError,
     DegenerateDataError,
@@ -237,8 +238,8 @@ def _minimize_lbfgs(fun_grad, x0: np.ndarray, tol: float, max_iter: int, what: s
     grad_norm = float(np.abs(fun_grad(sol)[1]).max())
     if grad_norm > tol:
         raise OptimizationError(
-            f"{what} did not converge within {max_iter} iterations "
-            f"(gradient max-norm {grad_norm:.3e} > tol {tol:.1e})",
+            f"{what} did not converge: L-BFGS-B stopped after {res.nit} iterations "
+            f"({res.message}) with gradient max-norm {grad_norm:.3e} > tol {tol:.1e}",
             grad_norm=grad_norm,
         )
     return sol, grad_norm
@@ -320,49 +321,50 @@ def fit_logistic_detailed(
     feature_map: FeatureMap | None = None,
 ) -> tuple[LogisticModel, FitReport]:
     """Fit, with the CV table and convergence diagnostics alongside."""
-    X, Y, groups, feature_map = _design(pseudo, feature_map)
-    k = _check_classes(Y)
-    lam_cfg = cfg.ridge_lambda
-    if lam_cfg is not None and np.isscalar(lam_cfg):
-        lambdas = (float(lam_cfg),)
-    elif lam_cfg is None:
-        lambdas = default_lambda_grid(X, Y)
-    else:
-        lambdas = lam_cfg
+    with single_thread():
+        X, Y, groups, feature_map = _design(pseudo, feature_map)
+        k = _check_classes(Y)
+        lam_cfg = cfg.ridge_lambda
+        if lam_cfg is not None and np.isscalar(lam_cfg):
+            lambdas = (float(lam_cfg),)
+        elif lam_cfg is None:
+            lambdas = default_lambda_grid(X, Y)
+        else:
+            lambdas = lam_cfg
 
-    cv_table: tuple[tuple[float, float, float], ...] = ()
-    if len(lambdas) == 1:
-        chosen = lambdas[0]
-    else:
-        folds = grouped_fold_assignment(groups, cfg.n_folds)
-        scores = np.zeros((len(lambdas), 2, cfg.n_folds))
-        for f in range(cfg.n_folds):
-            mask = folds != f
-            if len(np.unique(Y[mask])) < k:
-                raise DegenerateDataError(f"fold {f} lost a class; use fewer folds")
-            path = _fit_path(X[mask], Y[mask], k, lambdas, cfg.tol, cfg.max_iter)
-            for j, (_, beta) in enumerate(path):
-                scores[j, :, f] = _heldout_metrics(beta, X[~mask], Y[~mask])
-        mean_loss = scores[:, 0, :].mean(axis=1)
-        mean_err = scores[:, 1, :].mean(axis=1)
-        cv_table = tuple(
-            (lam, float(l), float(e)) for lam, l, e in zip(lambdas, mean_loss, mean_err)
+        cv_table: tuple[tuple[float, float, float], ...] = ()
+        if len(lambdas) == 1:
+            chosen = lambdas[0]
+        else:
+            folds = grouped_fold_assignment(groups, cfg.n_folds)
+            scores = np.zeros((len(lambdas), 2, cfg.n_folds))
+            for f in range(cfg.n_folds):
+                mask = folds != f
+                if len(np.unique(Y[mask])) < k:
+                    raise DegenerateDataError(f"fold {f} lost a class; use fewer folds")
+                path = _fit_path(X[mask], Y[mask], k, lambdas, cfg.tol, cfg.max_iter)
+                for j, (_, beta) in enumerate(path):
+                    scores[j, :, f] = _heldout_metrics(beta, X[~mask], Y[~mask])
+            mean_loss = scores[:, 0, :].mean(axis=1)
+            mean_err = scores[:, 1, :].mean(axis=1)
+            cv_table = tuple(
+                (lam, float(l), float(e)) for lam, l, e in zip(lambdas, mean_loss, mean_err)
+            )
+            crit = mean_loss if cfg.cv_rule == "loss" else mean_err
+            chosen = lambdas[int(np.argmin(crit))]
+
+        path = _fit_path(
+            X, Y, k, [lam for lam in lambdas if lam >= chosen], cfg.tol, cfg.max_iter
         )
-        crit = mean_loss if cfg.cv_rule == "loss" else mean_err
-        chosen = lambdas[int(np.argmin(crit))]
-
-    path = _fit_path(
-        X, Y, k, [lam for lam in lambdas if lam >= chosen], cfg.tol, cfg.max_iter
-    )
-    beta = path[-1][1]
-    _, grad = _batch_loss_grad(beta, X, Y, chosen)
-    model = LogisticModel(beta=center_columns(beta), feature_map=feature_map)
-    report = FitReport(
-        chosen_lambda=float(chosen),
-        cv_table=cv_table,
-        grad_max_norm=float(np.abs(grad).max()),
-    )
-    return model, report
+        beta = path[-1][1]
+        _, grad = _batch_loss_grad(beta, X, Y, chosen)
+        model = LogisticModel(beta=center_columns(beta), feature_map=feature_map)
+        report = FitReport(
+            chosen_lambda=float(chosen),
+            cv_table=cv_table,
+            grad_max_norm=float(np.abs(grad).max()),
+        )
+        return model, report
 
 
 def fit_logistic(
@@ -406,72 +408,73 @@ def calibrate(
     calibration set would send ``s`` to infinity; the scale is capped at
     1e3 (with a warning) instead.
     """
-    if len(originals) == 0:
-        raise DegenerateDataError("calibration needs at least one original example")
-    X, Y = _examples_design(originals, model.feature_map)
-    k = model.n_classes
-    if int(Y.max()) > k:
-        raise ShapeError("calibration data contains labels beyond the model's classes")
-    _check_classes(Y)
-    U = X @ model.beta  # per-class raw scores
-    counts = np.bincount(Y, minlength=k + 1)[1:].astype(float)
+    with single_thread():
+        if len(originals) == 0:
+            raise DegenerateDataError("calibration needs at least one original example")
+        X, Y = _examples_design(originals, model.feature_map)
+        k = model.n_classes
+        if int(Y.max()) > k:
+            raise ShapeError("calibration data contains labels beyond the model's classes")
+        _check_classes(Y)
+        U = X @ model.beta  # per-class raw scores
+        counts = np.bincount(Y, minlength=k + 1)[1:].astype(float)
 
-    centered = U - U.mean(axis=1, keepdims=True)
-    if np.ptp(centered) < 1e-12:
-        # Degenerate scores carry no information: scale 0, intercepts from
-        # class frequencies.
-        c = np.log(counts / counts.sum())
+        centered = U - U.mean(axis=1, keepdims=True)
+        if np.ptp(centered) < 1e-12:
+            # Degenerate scores carry no information: scale 0, intercepts from
+            # class frequencies.
+            c = np.log(counts / counts.sum())
+            return LogisticModel(
+                beta=model.beta,
+                calib_c=c - c.mean(),
+                calib_scale=0.0,
+                feature_map=model.feature_map,
+            )
+
+        n = X.shape[0]
+        idx = np.arange(n)
+
+        def fun_grad(params):
+            s = params[0]
+            c = np.concatenate([params[1:], [0.0]])
+            scores = s * U + c
+            lse = logsumexp(scores, axis=1)
+            value = float((lse - scores[idx, Y - 1]).mean())
+            p = np.exp(scores - lse[:, None])
+            p[idx, Y - 1] -= 1.0
+            gs = float((p * U).sum() / n)
+            gc = p.mean(axis=0)[:-1]
+            return value, np.concatenate([[gs], gc])
+
+        x0 = np.zeros(k)
+        x0[0] = 1.0
+        lo = -_SCALE_CAP if k == 2 else 0.0
+        bounds = [(lo, _SCALE_CAP)] + [(None, None)] * (k - 1)
+        res = minimize(
+            fun_grad,
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=bounds,
+            options=dict(maxiter=max_iter, gtol=0.1 * tol, ftol=0.0),
+        )
+        s = float(res.x[0])
+        # Perfect separation sends the slope to infinity; the bounds already
+        # cap it at 1e3, and a (near-)zero refit loss flags the pathology.
+        if res.fun < 1e-6 or abs(s) >= _SCALE_CAP * (1.0 - 1e-9):
+            warnings.warn(
+                "calibration data is (near-)separable; the fitted scale is not stable",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            s = float(np.clip(s, -_SCALE_CAP, _SCALE_CAP))
+        c = np.concatenate([res.x[1:], [0.0]])
+        c = c - c.mean()
+        if k > 2:
+            s = max(s, 0.0)
         return LogisticModel(
-            beta=model.beta,
-            calib_c=c - c.mean(),
-            calib_scale=0.0,
-            feature_map=model.feature_map,
+            beta=model.beta, calib_c=c, calib_scale=s, feature_map=model.feature_map
         )
-
-    n = X.shape[0]
-    idx = np.arange(n)
-
-    def fun_grad(params):
-        s = params[0]
-        c = np.concatenate([params[1:], [0.0]])
-        scores = s * U + c
-        lse = logsumexp(scores, axis=1)
-        value = float((lse - scores[idx, Y - 1]).mean())
-        p = np.exp(scores - lse[:, None])
-        p[idx, Y - 1] -= 1.0
-        gs = float((p * U).sum() / n)
-        gc = p.mean(axis=0)[:-1]
-        return value, np.concatenate([[gs], gc])
-
-    x0 = np.zeros(k)
-    x0[0] = 1.0
-    lo = -_SCALE_CAP if k == 2 else 0.0
-    bounds = [(lo, _SCALE_CAP)] + [(None, None)] * (k - 1)
-    res = minimize(
-        fun_grad,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options=dict(maxiter=max_iter, gtol=0.1 * tol, ftol=0.0),
-    )
-    s = float(res.x[0])
-    # Perfect separation sends the slope to infinity; the bounds already
-    # cap it at 1e3, and a (near-)zero refit loss flags the pathology.
-    if res.fun < 1e-6 or abs(s) >= _SCALE_CAP * (1.0 - 1e-9):
-        warnings.warn(
-            "calibration data is (near-)separable; the fitted scale is not stable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        s = float(np.clip(s, -_SCALE_CAP, _SCALE_CAP))
-    c = np.concatenate([res.x[1:], [0.0]])
-    c = c - c.mean()
-    if k > 2:
-        s = max(s, 0.0)
-    return LogisticModel(
-        beta=model.beta, calib_c=c, calib_scale=s, feature_map=model.feature_map
-    )
 
 
 def predict(model: LogisticModel, x) -> tuple[int, np.ndarray]:

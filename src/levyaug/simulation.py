@@ -311,7 +311,9 @@ def run_alpha_sweep(
     default fits the raw features.
     A failed cell is kept as a NaN row (and its message is recorded in
     the result), never dropped.  With ``jobs > 1`` cells run in a process
-    pool; output is independent of the schedule.
+    pool of at most one worker per cell; output is independent of the
+    schedule.  Each fit runs on one BLAS thread, so the pool is the only
+    parallelism.
     """
     n_grid = tuple(spec.n_grid if n_grid is None else n_grid)
     replicates = spec.replicates if replicates is None else replicates
@@ -328,6 +330,7 @@ def run_alpha_sweep(
         for alpha in alphas
         for rep in range(replicates)
     ]
+    jobs = min(jobs, len(cells))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_cell, cells, chunksize=1))

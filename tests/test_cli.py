@@ -1,13 +1,16 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from levyaug import Example, RngState, load_model, poisson_family
-from levyaug.cli import main
+from levyaug.cli import build_parser, main
 from levyaug.dataio import read_pseudo_dataset, write_dataset
-from levyaug.families import gaussian_family
+from levyaug.families import gaussian_family, wishart_family
 from levyaug.dataio import read_dataset
+
+from conftest import random_pd_matrix
 
 
 @pytest.fixture
@@ -121,6 +124,29 @@ def test_train_single_lambda_skips_cv(poisson_file, tmp_path):
     assert len(report) == 2  # header + the single lambda
 
 
+def test_train_dimension_mismatch_exits_2(tmp_path, capsys):
+    g = RngState(8).generator()
+    paths = {}
+    for d in (4, 6):
+        examples = [
+            Example(x=random_pd_matrix(d, g), y=1 + i % 2, t=float(2 * d + 2)) for i in range(6)
+        ]
+        paths[d] = tmp_path / f"wishart{d}.csv"
+        write_dataset(paths[d], wishart_family(d), examples)
+    pseudo = tmp_path / "pseudo4.csv"
+    assert main([
+        "thin", "--input", str(paths[4]), "--output", str(pseudo),
+        "--alpha", "0.5", "-B", "2", "--seed", "1",
+    ]) == 0
+    assert main([
+        "train", "--pseudo", str(pseudo), "--originals", str(paths[6]),
+        "--out", str(tmp_path / "m.txt"), "--ridge-lambda", "0.1",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "d=4" in err and "d=6" in err
+    assert not (tmp_path / "m.txt").exists()
+
+
 def test_limit_fits_poisson_endpoint(poisson_file, tmp_path):
     model_path = tmp_path / "limit.txt"
     code = main([
@@ -173,6 +199,12 @@ def test_simulate_plot_output(tmp_path):
         "--lambdas", "1.0,0.1", "--seed", "13", "--plot", str(svg), "--jobs", "1",
     ]) == 0
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this OS")
+def test_simulate_jobs_default_is_the_usable_cores():
+    args = build_parser().parse_args(["simulate", "--spec", "gauss", "--out", "x.csv"])
+    assert args.jobs == len(os.sched_getaffinity(0))
 
 
 def test_env_seed_default(poisson_file, tmp_path, monkeypatch):

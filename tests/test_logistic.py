@@ -25,6 +25,7 @@ from levyaug import (
     predict,
     save_model,
 )
+from levyaug import logistic
 from levyaug.families import gaussian_family
 from levyaug.logistic import center_columns, default_lambda_grid, grouped_fold_assignment
 
@@ -150,6 +151,27 @@ def test_fit_nonconvergence_raises_with_grad_norm(rng):
     with pytest.raises(OptimizationError) as err:
         fit_logistic(pseudo, TrainConfig(ridge_lambda=1e-4, max_iter=1))
     assert err.value.grad_norm is not None and err.value.grad_norm > 1e-7
+
+
+def test_nonconvergence_message_names_the_iterations_run(rng, monkeypatch):
+    # tol=1e-18 is out of floating-point reach: L-BFGS-B stops early on
+    # "relative reduction of f", long before max_iter.
+    results = []
+    minimize = logistic.minimize
+
+    def recording_minimize(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(logistic, "minimize", recording_minimize)
+    pseudo = _random_problem(rng, n=60, p=4, k=3)
+    with pytest.raises(OptimizationError) as err:
+        fit_logistic(pseudo, TrainConfig(ridge_lambda=1e-4, tol=1e-18, max_iter=500))
+    res = results[-1]
+    assert res.nit < 500
+    message = str(err.value)
+    assert f"after {res.nit} iterations" in message
+    assert res.message in message
 
 
 def test_grouped_folds_partition_origins():

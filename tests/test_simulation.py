@@ -13,6 +13,7 @@ from levyaug import (
     run_alpha_sweep,
     write_sweep_csv,
 )
+from levyaug import simulation
 from levyaug.simulation import _draw_atoms
 
 from conftest import mean_close_3sigma
@@ -124,6 +125,29 @@ def test_sweep_reproducible_and_schedule_independent():
         )
         assert ra.test_error == rb.test_error
         assert ra.ridge_lambda == rb.ridge_lambda
+
+
+def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
+    started = []
+    real_pool = simulation.ProcessPoolExecutor
+
+    def recording_pool(max_workers):
+        started.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", recording_pool)
+    spec = GaussianSimSpec(d=12, n_signal=4)
+    res = run_alpha_sweep(
+        spec, alphas=(0.0, 1.0), n_grid=(24,), replicates=1, seed=5,
+        train_cfg=FAST_CFG, jobs=8,
+    )
+    assert started == [2]
+    assert len(res.rows) == 2
+    run_alpha_sweep(
+        spec, alphas=(1.0,), n_grid=(24,), replicates=1, seed=5,
+        train_cfg=FAST_CFG, jobs=8,
+    )
+    assert started == [2]  # a single cell runs in this process
 
 
 def test_sweep_alpha_one_equals_direct_pipeline():
