@@ -27,6 +27,7 @@ from .families import (
     Example,
     FamilyKind,
     LevyFamily,
+    PseudoBatch,
     PseudoExample,
     Topic,
     check_example,
@@ -36,7 +37,6 @@ from .families import (
     log_carrier,
     log_partition,
     poisson_family,
-    thinning_density_normalized,
     thinning_log_density,
     wishart_family,
 )
@@ -74,10 +74,7 @@ from .simulation import (
 from .strong_thinning import (
     AlphaPathPoint,
     ConditionalJumpLaw,
-    JumpKind,
-    LevyItoDescriptor,
     alpha_path_converges,
-    conditional_jump_law,
     fit_strong_thinning,
     gaussian_limit_law,
     limit_loss,

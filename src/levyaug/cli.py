@@ -4,7 +4,8 @@ Four subcommands bind the library into reproducible batch runs:
 
 * ``thin``      - dataset file -> pseudo-example file
 * ``train``     - pseudo-example file + originals -> serialized model + CV report
-* ``simulate``  - built-in benchmark spec -> sweep CSV (+ optional SVG chart)
+* ``simulate``  - built-in benchmark spec -> sweep CSV (+ optional SVG chart);
+  prints the mean test error per (n, alpha) and the failed-cell count
 * ``limit``     - originals -> strong-thinning (alpha -> 0) model
 
 Every command writes a ``<output>.manifest.json`` next to its artifact
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -32,15 +34,7 @@ from .dataio import (
     read_pseudo_dataset,
     write_pseudo_dataset,
 )
-from .errors import (
-    DataFormatError,
-    DecompositionError,
-    DegenerateDataError,
-    OptimizationError,
-    ParameterError,
-    ShapeError,
-    SupportError,
-)
+from .errors import DataFormatError, LevyAugError, OptimizationError, ParameterError
 from .families import Example, FamilyKind
 from .logistic import TrainConfig, calibrate, fit_logistic_detailed, save_model
 from .rng import RngState
@@ -100,14 +94,6 @@ def _parse_lambda(text: str):
         return None
     values = [float(v) for v in text.split(",")]
     return values[0] if len(values) == 1 else tuple(values)
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
 
 
 # --------------------------------------------------------------------------
@@ -184,17 +170,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.spec == "gauss":
-        spec = GaussianSimSpec(seed=args.seed)
-    else:
-        spec = PoissonSimSpec(seed=args.seed)
+    spec = (GaussianSimSpec if args.spec == "gauss" else PoissonSimSpec)(seed=args.seed)
     train_cfg = TrainConfig(
         ridge_lambda=_parse_lambda(args.lambdas), n_folds=args.folds
     )
     result = run_alpha_sweep(
         spec,
-        alphas=_parse_float_list(args.alphas),
-        n_grid=_parse_int_list(args.n_grid) if args.n_grid else None,
+        alphas=tuple(float(v) for v in args.alphas.split(",")),
+        n_grid=tuple(int(v) for v in args.n_grid.split(",")) if args.n_grid else None,
         n_pseudo=args.n_pseudo,
         replicates=args.replicates,
         seed=args.seed,
@@ -215,10 +198,21 @@ def _cmd_simulate(args) -> int:
             "standardize": args.standardize,
         },
     )
-    if result.failures:
-        for msg in result.failures:
-            print(f"levyaug: cell failed: {msg}", file=sys.stderr)
+    for msg in result.failures:
+        print(f"levyaug: cell failed: {msg}", file=sys.stderr)
+    _print_sweep_summary(result)
     return EXIT_OK
+
+
+def _print_sweep_summary(result) -> None:
+    """Mean test error per (n, alpha) over the cells that did not fail."""
+    errors: dict[tuple[int, float], list[float]] = {}
+    for r in result.rows:
+        if not math.isnan(r.test_error):
+            errors.setdefault((r.n, r.alpha), []).append(r.test_error)
+    for (n, alpha), errs in sorted(errors.items()):
+        print(f"n={n:<5d} alpha={alpha:<5g} mean_error={sum(errs) / len(errs):.4f}")
+    print(f"{len(result.failures)} failed cells (see the manifest)")
 
 
 def _cmd_limit(args) -> int:
@@ -343,18 +337,12 @@ def main(argv=None) -> int:
     except DataFormatError as exc:
         print(f"levyaug: input format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (
-        SupportError,
-        ParameterError,
-        DecompositionError,
-        ShapeError,
-        DegenerateDataError,
-    ) as exc:
-        print(f"levyaug: domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except OptimizationError as exc:
         print(f"levyaug: optimization failed: {exc}", file=sys.stderr)
         return EXIT_OPTIM
+    except LevyAugError as exc:  # support, parameter, shape, decomposition, degenerate data
+        print(f"levyaug: domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

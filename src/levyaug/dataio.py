@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataFormatError, LevyAugError, ParameterError, SupportError
+from .errors import DataFormatError, LevyAugError, ParameterError
 from .families import (
     Example,
     FamilyKind,
     LevyFamily,
-    PseudoExample,
+    PseudoBatch,
+    _poisson_counts,
     check_example,
     gaussian_family,
 )
@@ -49,23 +50,23 @@ _VERSION = "v1"
 
 
 def pack_symmetric(m: np.ndarray) -> np.ndarray:
-    """Upper triangle, row-major."""
+    """Upper triangle, row-major (of one matrix, or of each in a stack)."""
     m = np.asarray(m, dtype=float)
-    d = m.shape[0]
-    iu = np.triu_indices(d)
-    return m[iu]
+    rows, cols = np.triu_indices(m.shape[-1])
+    return m[..., rows, cols]
 
 
 def unpack_symmetric(values: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of :func:`pack_symmetric` (one packed row, or a stack)."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (d * (d + 1) // 2,):
+    if values.ndim == 0 or values.shape[-1] != d * (d + 1) // 2:
         raise DataFormatError(
-            f"expected {d * (d + 1) // 2} packed entries for d={d}, got {values.shape[0]}"
+            f"expected {d * (d + 1) // 2} packed entries for d={d}, got shape {values.shape}"
         )
-    m = np.zeros((d, d))
-    iu = np.triu_indices(d)
-    m[iu] = values
-    m.T[iu] = values
+    m = np.zeros(values.shape[:-1] + (d, d))
+    rows, cols = np.triu_indices(d)
+    m[..., rows, cols] = values
+    m[..., cols, rows] = values
     return m
 
 
@@ -80,12 +81,11 @@ def _feature_names(family: LevyFamily) -> list[str]:
     return [f"{prefix}_{j + 1}" for j in range(_feature_width(family))]
 
 
-def _format_features(family: LevyFamily, x: np.ndarray) -> str:
-    if family.kind is FamilyKind.WISHART:
-        values = pack_symmetric(x)
-    else:
-        values = np.asarray(x, dtype=float)
-    return ",".join(repr(float(v)) for v in values)
+def _format_rows(family: LevyFamily, x) -> list[str]:
+    """The stored feature block of each example in a stack, as text.
+    Floats are written with repr."""
+    values = pack_symmetric(x) if family.kind is FamilyKind.WISHART else np.asarray(x, float)
+    return [",".join(map(repr, row)) for row in values.tolist()]
 
 
 def _parse_magic(line: str, magic: str) -> LevyFamily:
@@ -110,20 +110,39 @@ def _parse_magic(line: str, magic: str) -> LevyFamily:
     return LevyFamily(kind, d)
 
 
-def _parse_floats(parts: list[str], row: int) -> list[float]:
-    try:
-        return [float(v) for v in parts]
-    except ValueError:
-        raise DataFormatError("non-numeric value", row=row) from None
+def _parse_table(lines: list[str], width: int) -> np.ndarray:
+    """The numeric data rows, checked for column count and numbers; errors
+    name the 1-based data row."""
+    table = []
+    for row, line in enumerate(lines, start=1):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise DataFormatError(f"expected {width} columns, got {len(parts)}", row=row)
+        try:
+            table.append([float(v) for v in parts])
+        except ValueError:
+            raise DataFormatError("non-numeric value", row=row) from None
+    return np.array(table, dtype=float).reshape(len(table), width)
 
 
-def _features_from_values(family: LevyFamily, values: list[float], row: int):
-    arr = np.asarray(values, dtype=float)
+def _features(family: LevyFamily, block: np.ndarray) -> np.ndarray:
+    """Feature arrays from stored columns (Wishart rows are unpacked)."""
     if family.kind is FamilyKind.WISHART:
-        return unpack_symmetric(arr, family.d)
-    if family.kind is FamilyKind.POISSON:
-        return arr  # integrality is checked by the family support check
-    return arr
+        return unpack_symmetric(block, family.d)
+    return np.ascontiguousarray(block)
+
+
+def _read_lines(path) -> list[str]:
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [ln.rstrip("\n") for ln in handle if ln.strip()]
+    if not lines:
+        raise DataFormatError("empty file")
+    return lines
+
+
+def _check_header(lines: list[str], expected: list[str]) -> None:
+    if len(lines) < 2 or lines[1].split(",") != expected:
+        raise DataFormatError(f"expected header row {','.join(expected)!r}")
 
 
 def write_dataset(path, family: LevyFamily, examples: list[Example]) -> None:
@@ -131,7 +150,7 @@ def write_dataset(path, family: LevyFamily, examples: list[Example]) -> None:
         out.write(f"# {_DATASET_MAGIC} {_VERSION} family={family.kind.value} d={family.d}\n")
         out.write("y,t," + ",".join(_feature_names(family)) + "\n")
         for ex in examples:
-            out.write(f"{ex.y},{ex.t!r},{_format_features(family, ex.x)}\n")
+            out.write(f"{ex.y},{ex.t!r},{_format_rows(family, [ex.x])[0]}\n")
 
 
 def read_dataset(path, sigma=None) -> tuple[LevyFamily, list[Example]]:
@@ -142,93 +161,67 @@ def read_dataset(path, sigma=None) -> tuple[LevyFamily, list[Example]]:
     corresponding domain error.  Both name the offending row.  ``sigma``
     overrides the identity covariance assumed for Gaussian files.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [ln.rstrip("\n") for ln in handle if ln.strip()]
-    if not lines:
-        raise DataFormatError("empty file")
+    lines = _read_lines(path)
     family = _parse_magic(lines[0], _DATASET_MAGIC)
     if sigma is not None:
         if family.kind is not FamilyKind.GAUSSIAN:
             raise ParameterError("a covariance override only applies to Gaussian data")
         family = gaussian_family(family.d, sigma)
-    expected = ["y", "t"] + _feature_names(family)
-    if len(lines) < 2 or lines[1].split(",") != expected:
-        raise DataFormatError(f"expected header row {','.join(expected)!r}")
-    width = _feature_width(family)
+    _check_header(lines, ["y", "t"] + _feature_names(family))
+    table = _parse_table(lines[2:], 2 + _feature_width(family))
+    features = _features(family, table[:, 2:])
     examples = []
-    for row, line in enumerate(lines[2:], start=1):
-        parts = line.split(",")
-        if len(parts) != 2 + width:
-            raise DataFormatError(
-                f"expected {2 + width} columns, got {len(parts)}", row=row
-            )
-        values = _parse_floats(parts, row)
-        y = values[0]
-        if y != int(y):
+    for row, (y, t) in enumerate(table[:, :2].tolist(), start=1):
+        if not y.is_integer():
             raise DataFormatError("class label must be an integer", row=row)
         try:
-            ex = Example(
-                x=_features_from_values(family, values[2:], row), y=int(y), t=values[1]
-            )
+            ex = Example(x=features[row - 1], y=int(y), t=t)
             check_example(family, ex)
-        except DataFormatError:
-            raise
         except LevyAugError as exc:
             raise type(exc)(f"row {row}: {exc}") from None
         examples.append(ex)
     return family, examples
 
 
-def write_pseudo_dataset(path, family: LevyFamily, pseudo: list[PseudoExample]) -> None:
+def write_pseudo_dataset(path, family: LevyFamily, pseudo: PseudoBatch) -> None:
+    columns = (pseudo.origin_id, pseudo.alpha, pseudo.y, pseudo.t_tilde)
     with open(path, "w", encoding="utf-8") as out:
         out.write(f"# {_PSEUDO_MAGIC} {_VERSION} family={family.kind.value} d={family.d}\n")
         out.write("origin_id,alpha,y,t_tilde," + ",".join(_feature_names(family)) + "\n")
-        for pe in pseudo:
-            out.write(
-                f"{pe.origin_id},{pe.alpha!r},{pe.y},{pe.t_tilde!r},"
-                f"{_format_features(family, pe.x_tilde)}\n"
-            )
+        for origin, alpha, y, t_tilde, features in zip(
+            *(col.tolist() for col in columns), _format_rows(family, pseudo.x_tilde)
+        ):
+            out.write(f"{origin},{alpha!r},{y},{t_tilde!r},{features}\n")
 
 
-def read_pseudo_dataset(path) -> tuple[LevyFamily, list[PseudoExample]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [ln.rstrip("\n") for ln in handle if ln.strip()]
-    if not lines:
-        raise DataFormatError("empty file")
+def _pseudo_batch(family: LevyFamily, table: np.ndarray) -> PseudoBatch:
+    x = _features(family, table[:, 4:])
+    if family.kind is FamilyKind.POISSON:
+        x = _poisson_counts(x)
+    return PseudoBatch(
+        x_tilde=x, y=table[:, 2], origin_id=table[:, 0], alpha=table[:, 1], t_tilde=table[:, 3]
+    )
+
+
+def read_pseudo_dataset(path) -> tuple[LevyFamily, PseudoBatch]:
+    """Parse a pseudo-example file; errors name the offending row."""
+    lines = _read_lines(path)
     family = _parse_magic(lines[0], _PSEUDO_MAGIC)
-    expected = ["origin_id", "alpha", "y", "t_tilde"] + _feature_names(family)
-    if len(lines) < 2 or lines[1].split(",") != expected:
-        raise DataFormatError(f"expected header row {','.join(expected)!r}")
-    width = _feature_width(family)
-    pseudo = []
-    for row, line in enumerate(lines[2:], start=1):
-        parts = line.split(",")
-        if len(parts) != 4 + width:
-            raise DataFormatError(
-                f"expected {4 + width} columns, got {len(parts)}", row=row
-            )
-        values = _parse_floats(parts, row)
-        origin, y = values[0], values[2]
-        if origin != int(origin) or y != int(y):
-            raise DataFormatError("origin_id and y must be integers", row=row)
-        try:
-            features = _features_from_values(family, values[4:], row)
-            if family.kind is FamilyKind.POISSON:
-                if np.any(features < 0) or np.any(features != np.floor(features)):
-                    raise SupportError("Poisson features must be nonnegative integers")
-                features = np.asarray(features, dtype=np.int64)
-            pseudo.append(
-                PseudoExample(
-                    x_tilde=features,
-                    y=int(y),
-                    origin_id=int(origin),
-                    alpha=values[1],
-                    t_tilde=values[3],
-                )
-            )
-        except LevyAugError as exc:
-            raise type(exc)(f"row {row}: {exc}") from None
-    return family, pseudo
+    _check_header(lines, ["origin_id", "alpha", "y", "t_tilde"] + _feature_names(family))
+    table = _parse_table(lines[2:], 4 + _feature_width(family))
+    ids = table[:, [0, 2]]
+    bad = np.flatnonzero(np.any(ids != np.floor(ids), axis=1))
+    if bad.size:
+        raise DataFormatError("origin_id and y must be integers", row=int(bad[0]) + 1)
+    try:
+        return family, _pseudo_batch(family, table)
+    except LevyAugError:
+        for row in range(len(table)):  # find and name the first offending row
+            try:
+                _pseudo_batch(family, table[row : row + 1])
+            except LevyAugError as exc:
+                raise type(exc)(f"row {row + 1}: {exc}") from None
+        raise
 
 
 def read_matrix(path) -> np.ndarray:

@@ -25,18 +25,19 @@ Concrete carriers (up to additive constants dropped only for Wishart):
   with ``S`` the family covariance
 * Gamma:     ``log h_t(x) = sum_j (t/2 - 1) log x_j - d log Gamma(t/2) - (dt/2) log 2``
 * Wishart:   ``log h_t(x) = ((t - d - 1)/2) logdet x``  (unnormalized; the
-  multivariate-gamma constant is omitted, see ``thinning_density_normalized``)
+  multivariate-gamma constant is omitted)
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ParameterError, SupportError
+from .errors import ParameterError, ShapeError, SupportError
 
 __all__ = [
     "FamilyKind",
@@ -48,12 +49,13 @@ __all__ = [
     "Topic",
     "Example",
     "PseudoExample",
+    "PseudoBatch",
+    "check_alpha",
     "check_features",
     "check_example",
     "log_partition",
     "log_carrier",
     "thinning_log_density",
-    "thinning_density_normalized",
 ]
 
 
@@ -207,10 +209,9 @@ class Example:
         object.__setattr__(self, "x", _frozen_array(self.x))
 
 
-@dataclass(frozen=True, eq=False)
-class PseudoExample:
-    """A thinned copy of an example: features sliced back to time
-    ``t_tilde = alpha * t``, tagged with the index of its origin."""
+class PseudoExample(NamedTuple):
+    """One row of a :class:`PseudoBatch`, as plain values (unchecked; the
+    batch holds the checks)."""
 
     x_tilde: np.ndarray
     y: int
@@ -218,12 +219,64 @@ class PseudoExample:
     alpha: float
     t_tilde: float
 
+
+def check_alpha(alpha) -> None:
+    """Thinning fractions (a scalar or an array of them) must lie in (0, 1]."""
+    a = np.asarray(alpha, dtype=float)
+    bad = ~((a > 0.0) & (a <= 1.0))
+    if np.any(bad):
+        raise ParameterError(f"alpha must lie in (0, 1], got {a[bad].flat[0]}")
+
+
+@dataclass(frozen=True, eq=False)
+class PseudoBatch:
+    """Thinned copies of examples, one row per copy, stored as read-only
+    columns: features ``x_tilde`` of shape (rows, *feature shape), and per
+    row the class ``y``, the index ``origin_id`` of the original, the
+    fraction ``alpha`` and the thinned information content ``t_tilde``
+    (``alpha * t``).  Scalars broadcast to every row.  The columns are
+    checked once, here, and kept as read-only views of the given arrays;
+    ``batch[i]`` is row ``i`` as a :class:`PseudoExample`.
+    """
+
+    x_tilde: np.ndarray
+    y: np.ndarray
+    origin_id: np.ndarray
+    alpha: np.ndarray
+    t_tilde: np.ndarray
+
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.t_tilde <= 0.0:
+        x = np.asarray(self.x_tilde).view()
+        x.setflags(write=False)
+        if x.ndim < 2:
+            raise ShapeError(f"x_tilde must be (rows, *features), got shape {x.shape}")
+        object.__setattr__(self, "x_tilde", x)
+        for name, dtype in (("y", np.int64), ("origin_id", np.int64), ("alpha", float),
+                            ("t_tilde", float)):
+            try:  # broadcast_to returns a read-only view
+                col = np.broadcast_to(np.asarray(getattr(self, name), dtype), x.shape[:1])
+            except ValueError:
+                raise ShapeError(f"{name} must have one entry per row of x_tilde") from None
+            object.__setattr__(self, name, col)
+        if np.any(self.y < 1):
+            raise ParameterError("class labels are 1-based")
+        if np.any(self.origin_id < 0):
+            raise ParameterError("origin ids must be nonnegative")
+        check_alpha(self.alpha)
+        if not np.all(self.t_tilde > 0.0):
             raise ParameterError("thinned information content must be positive")
-        object.__setattr__(self, "x_tilde", _frozen_array(self.x_tilde))
+
+    def __len__(self) -> int:
+        return self.x_tilde.shape[0]
+
+    def __getitem__(self, i: int) -> PseudoExample:
+        return PseudoExample(
+            self.x_tilde[i],
+            int(self.y[i]),
+            int(self.origin_id[i]),
+            float(self.alpha[i]),
+            float(self.t_tilde[i]),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -239,6 +292,16 @@ def _check_pd(m: np.ndarray, what: str) -> None:
         raise SupportError(f"{what} must be positive-definite") from None
 
 
+def _poisson_counts(values) -> np.ndarray:
+    """Count features (of any shape) as int64, or SupportError."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise SupportError("features must be finite")
+    if np.any(values < 0) or np.any(values != np.floor(values)):
+        raise SupportError("Poisson features must be nonnegative integers")
+    return np.asarray(np.round(values), dtype=np.int64)
+
+
 def check_features(family: LevyFamily, x) -> np.ndarray:
     """Validate ``x`` against the family's support and return it as an array.
 
@@ -249,41 +312,31 @@ def check_features(family: LevyFamily, x) -> np.ndarray:
     """
     arr = np.asarray(x)
     kind = family.kind
-    if kind is FamilyKind.WISHART:
-        if arr.shape != (family.d, family.d):
-            raise SupportError(
-                f"Wishart features must be {family.d}x{family.d}, got shape {arr.shape}"
-            )
-        arr = np.asarray(arr, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise SupportError("features must be finite")
-        _check_pd(arr, "Wishart feature matrix")
-        return arr
-    if arr.shape != (family.d,):
-        raise SupportError(f"features must have length {family.d}, got shape {arr.shape}")
+    shape = (family.d, family.d) if kind is FamilyKind.WISHART else (family.d,)
+    if arr.shape != shape:
+        raise SupportError(f"{kind.value} features must have shape {shape}, got {arr.shape}")
     if kind is FamilyKind.POISSON:
-        values = np.asarray(arr, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise SupportError("features must be finite")
-        if np.any(values < 0) or np.any(values != np.floor(values)):
-            raise SupportError("Poisson features must be nonnegative integers")
-        return np.asarray(np.round(values), dtype=np.int64)
+        return _poisson_counts(arr)
     arr = np.asarray(arr, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise SupportError("features must be finite")
     if kind is FamilyKind.GAMMA and np.any(arr <= 0.0):
         raise SupportError("Gamma features must be strictly positive")
+    if kind is FamilyKind.WISHART:
+        _check_pd(arr, "Wishart feature matrix")
     return arr
 
 
-def check_example(family: LevyFamily, ex: Example) -> None:
+def check_example(family: LevyFamily, ex: Example) -> np.ndarray:
     """Validate an example against a family (support plus the Wishart
-    density condition ``t >= d``)."""
-    check_features(family, ex.x)
+    density condition ``t >= d``); returns its features as
+    :func:`check_features` does."""
+    x = check_features(family, ex.x)
     if family.kind is FamilyKind.WISHART and ex.t < family.d:
         raise SupportError(
             f"Wishart examples need t >= d for a density; got t={ex.t}, d={family.d}"
         )
+    return x
 
 
 # --------------------------------------------------------------------------
@@ -351,13 +404,6 @@ def log_carrier(family: LevyFamily, x: np.ndarray, t: float) -> float:
     return float(0.5 * (t - family.d - 1.0) * logdet)
 
 
-def thinning_density_normalized(family: LevyFamily) -> bool:
-    """Whether :func:`thinning_log_density` returns a normalized log-density
-    for this family.  False only for Wishart, whose carrier constant is
-    omitted; its sampler is validated distributionally instead."""
-    return family.kind is not FamilyKind.WISHART
-
-
 def thinning_log_density(
     family: LevyFamily,
     x,
@@ -373,35 +419,17 @@ def thinning_log_density(
     In particular this equals the product-binomial log-pmf for Poisson,
     the N(alpha x, alpha (1-alpha) t Sigma) log-density for Gaussian, and
     the product of scaled Beta(alpha t/2, (1-alpha) t/2) log-densities for
-    Gamma.  For Wishart the value is unnormalized
-    (see :func:`thinning_density_normalized`).
+    Gamma.  For Wishart the value is unnormalized (the carrier constant
+    is omitted; its sampler is validated distributionally instead).
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in the open interval (0, 1), got {alpha}")
     x = check_features(family, x)
-    kind = family.kind
-    if kind is FamilyKind.WISHART:
-        x_tilde = np.asarray(x_tilde, dtype=float)
-        if x_tilde.shape != x.shape:
-            raise SupportError("thinned features must match the original's shape")
-        _check_pd(x_tilde, "thinned feature matrix")
-        _check_pd(x - x_tilde, "feature increment x - x_tilde")
-        rest = x - x_tilde
-    elif kind is FamilyKind.POISSON:
-        x_tilde = check_features(family, x_tilde)
-        if np.any(x_tilde > x):
-            raise SupportError("thinned counts must be dominated componentwise")
-        rest = x - x_tilde
-    elif kind is FamilyKind.GAMMA:
-        x_tilde = np.asarray(x_tilde, dtype=float)
-        if x_tilde.shape != x.shape:
-            raise SupportError("thinned features must match the original's shape")
-        if np.any(x_tilde <= 0.0) or np.any(x_tilde >= x):
-            raise SupportError("Gamma thinning requires 0 < x_tilde < x componentwise")
-        rest = x - x_tilde
-    else:
-        x_tilde = check_features(family, x_tilde)
-        rest = x - x_tilde
+    x_tilde = check_features(family, x_tilde)
+    rest = x - x_tilde
+    if family.kind is not FamilyKind.GAUSSIAN:
+        # domination: the increment x - x_tilde lies in the support too
+        check_features(family, rest)
     return (
         log_carrier(family, x_tilde, alpha * t)
         + log_carrier(family, rest, (1.0 - alpha) * t)

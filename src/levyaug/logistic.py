@@ -38,7 +38,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .families import Example, FamilyKind, LevyFamily, PseudoExample
+from .families import Example, FamilyKind, LevyFamily, PseudoBatch
 
 __all__ = [
     "FeatureMap",
@@ -67,15 +67,13 @@ class FeatureMap(enum.Enum):
     FLATTEN_SYMMETRIC = "flatten_symmetric"
 
 
-def apply_feature_map(fm: FeatureMap, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if fm is FeatureMap.IDENTITY:
-        if arr.ndim != 1:
-            raise ShapeError(f"identity feature map expects a vector, got shape {arr.shape}")
-        return arr
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ShapeError(f"matrix feature map expects a square matrix, got shape {arr.shape}")
-    return arr.reshape(-1)
+def _phi_rows(fm: FeatureMap, X) -> np.ndarray:
+    """phi applied to every row of a stack of examples: an (n, p) design."""
+    X = np.asarray(X, dtype=float)
+    item_ndim = 1 if fm is FeatureMap.IDENTITY else 2
+    if X.ndim != item_ndim + 1 or (item_ndim == 2 and X.shape[1] != X.shape[2]):
+        raise ShapeError(f"{fm.value} feature map cannot take rows of shape {X.shape[1:]}")
+    return X.reshape(X.shape[0], -1)
 
 
 def center_columns(beta: np.ndarray) -> np.ndarray:
@@ -199,28 +197,53 @@ def loss_gradient(beta: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
     return np.outer(x, p)
 
 
+def _softmax_loss(scores, Y):
+    """Per-row log-loss of the 1-based labels ``Y`` under ``scores``, and
+    each row's gradient in its scores (softmax minus one-hot)."""
+    rows = np.arange(len(Y))
+    lse = logsumexp(scores, axis=1)
+    resid = np.exp(scores - lse[:, None])
+    resid[rows, Y - 1] -= 1.0
+    return lse - scores[rows, Y - 1], resid
+
+
 def _batch_loss_grad(beta, X, Y, lam):
     """Average loss + ridge and its gradient over a design matrix."""
-    n = X.shape[0]
+    losses, resid = _softmax_loss(X @ beta, Y)
+    value = losses.mean() + 0.5 * lam * (beta**2).sum()
+    return value, X.T @ resid / X.shape[0] + lam * beta
+
+
+def _batch_hessian(beta, X, lam):
+    """Exact Hessian of :func:`_batch_loss_grad` in ``beta.ravel()`` order:
+    block (a, b) is X' diag(p_a (1{a=b} - p_b)) X / n, plus lam I."""
+    (n, p), k = X.shape, beta.shape[1]
     scores = X @ beta
-    lse = logsumexp(scores, axis=1)
-    value = (lse - scores[np.arange(n), Y - 1]).mean() + 0.5 * lam * (beta**2).sum()
-    p = np.exp(scores - lse[:, None])
-    p[np.arange(n), Y - 1] -= 1.0
-    grad = X.T @ p / n + lam * beta
-    return value, grad
+    prob = np.exp(scores - logsumexp(scores, axis=1)[:, None])
+    w = prob[:, :, None] * (np.eye(k) - prob[:, None, :])
+    blocks = np.array([[(X.T * w[:, a, b]) @ X / n for b in range(k)] for a in range(k)])
+    return blocks.transpose(2, 0, 3, 1).reshape(p * k, p * k) + lam * np.eye(p * k)
 
 
 def _heldout_metrics(beta, X, Y):
-    n = X.shape[0]
     scores = X @ beta
-    lse = logsumexp(scores, axis=1)
-    loss = float((lse - scores[np.arange(n), Y - 1]).mean())
-    err = float((np.argmax(scores, axis=1) + 1 != Y).mean())
-    return loss, err
+    loss = float(_softmax_loss(scores, Y)[0].mean())
+    return loss, float((np.argmax(scores, axis=1) + 1 != Y).mean())
 
 
-def _minimize_lbfgs(fun_grad, x0: np.ndarray, tol: float, max_iter: int, what: str):
+_NEWTON_STEPS = 3
+
+
+def _minimize_lbfgs(fun_grad, x0: np.ndarray, tol: float, max_iter: int, what: str, hess=None):
+    """L-BFGS-B to gradient max-norm ``tol``, else :class:`OptimizationError`.
+
+    L-BFGS-B also stops once f no longer decreases in floating point
+    ("relative reduction of f"), which can leave the gradient just above
+    ``tol``.  When it stops short for any reason but its iteration or
+    evaluation limit and ``hess`` (the exact Hessian, in ``x0.ravel()``
+    order) is given, up to a few Newton steps finish the job: they need no
+    decrease in f.  The ``tol`` check itself is the same either way.
+    """
     shape = x0.shape
 
     def flat(v):
@@ -234,12 +257,18 @@ def _minimize_lbfgs(fun_grad, x0: np.ndarray, tol: float, max_iter: int, what: s
         method="L-BFGS-B",
         options=dict(maxiter=max_iter, maxfun=20 * max_iter, gtol=0.1 * tol, ftol=0.0),
     )
-    sol = res.x.reshape(shape)
-    grad_norm = float(np.abs(fun_grad(sol)[1]).max())
+    sol, steps = res.x.reshape(shape), 0
+    grad = fun_grad(sol)[1]
+    polish = hess is not None and res.status != 1
+    while polish and np.abs(grad).max() > tol and steps < _NEWTON_STEPS:
+        sol = sol - np.linalg.lstsq(hess(sol), grad.ravel(), rcond=None)[0].reshape(shape)
+        grad, steps = fun_grad(sol)[1], steps + 1
+    grad_norm = float(np.abs(grad).max())
     if grad_norm > tol:
+        newton = f" and {steps} Newton steps" if steps else ""
         raise OptimizationError(
             f"{what} did not converge: L-BFGS-B stopped after {res.nit} iterations "
-            f"({res.message}) with gradient max-norm {grad_norm:.3e} > tol {tol:.1e}",
+            f"({res.message}){newton} with gradient max-norm {grad_norm:.3e} > tol {tol:.1e}",
             grad_norm=grad_norm,
         )
     return sol, grad_norm
@@ -249,22 +278,18 @@ def _minimize_lbfgs(fun_grad, x0: np.ndarray, tol: float, max_iter: int, what: s
 # Fitting
 # --------------------------------------------------------------------------
 
-def _design(pseudo, feature_map=None):
+def _design(pseudo: PseudoBatch, feature_map=None):
     if len(pseudo) == 0:
         raise DegenerateDataError("no pseudo-examples to fit on")
-    first = np.asarray(pseudo[0].x_tilde)
     if feature_map is None:
-        feature_map = FeatureMap.FLATTEN_SYMMETRIC if first.ndim == 2 else FeatureMap.IDENTITY
-    X = np.stack([apply_feature_map(feature_map, pe.x_tilde) for pe in pseudo])
-    Y = np.array([pe.y for pe in pseudo], dtype=np.int64)
-    groups = np.array([pe.origin_id for pe in pseudo], dtype=np.int64)
-    return X, Y, groups, feature_map
+        matrices = pseudo.x_tilde.ndim == 3
+        feature_map = FeatureMap.FLATTEN_SYMMETRIC if matrices else FeatureMap.IDENTITY
+    return _phi_rows(feature_map, pseudo.x_tilde), pseudo.y, pseudo.origin_id, feature_map
 
 
 def _check_classes(Y: np.ndarray) -> int:
     k = int(Y.max())
-    present = np.unique(Y)
-    missing = sorted(set(range(1, k + 1)) - set(present.tolist()))
+    missing = sorted(set(range(1, k + 1)) - set(Y.tolist()))
     if missing:
         raise DegenerateDataError(f"no examples for class label(s) {missing}")
     return k
@@ -284,39 +309,35 @@ def default_lambda_grid(X: np.ndarray, Y: np.ndarray, n_values: int = 50, span: 
 
 
 def grouped_fold_assignment(groups: np.ndarray, n_folds: int) -> np.ndarray:
-    """Fold index per row; every row sharing a group id shares a fold."""
-    uniq = np.unique(groups)
+    """Fold index per row; every row sharing a group id shares a fold (the
+    i-th smallest group id goes to fold i mod n_folds)."""
+    uniq, index = np.unique(groups, return_inverse=True)
     if len(uniq) < n_folds:
         raise DegenerateDataError(
             f"{n_folds}-fold CV needs at least {n_folds} distinct origins, got {len(uniq)}"
         )
-    fold_of = {g: i % n_folds for i, g in enumerate(uniq.tolist())}
-    folds = np.array([fold_of[g] for g in groups.tolist()], dtype=np.int64)
-    for f in range(n_folds):
-        train_groups = set(groups[folds != f].tolist())
-        test_groups = set(groups[folds == f].tolist())
-        assert not (train_groups & test_groups)
-    return folds
+    return index % n_folds
 
 
-def _fit_path(X, Y, k, lambdas, tol, max_iter, beta0=None):
-    """Fit the descending lambda path with warm starts; yields (lam, beta)."""
-    beta = np.zeros((X.shape[1], k)) if beta0 is None else beta0.copy()
-    out = []
+def _fit_path(X, Y, k, lambdas, tol, max_iter):
+    """Fit the descending lambda path with warm starts; returns one
+    (beta, gradient max-norm) per lambda."""
+    beta, out = np.zeros((X.shape[1], k)), []
     for lam in lambdas:
-        beta, _ = _minimize_lbfgs(
+        beta, grad_norm = _minimize_lbfgs(
             lambda b: _batch_loss_grad(b, X, Y, lam),
             beta,
             tol,
             max_iter,
             f"logistic fit at lambda={lam:.4g}",
+            hess=lambda b: _batch_hessian(b, X, lam),
         )
-        out.append((lam, beta.copy()))
+        out.append((beta, grad_norm))
     return out
 
 
 def fit_logistic_detailed(
-    pseudo: list[PseudoExample],
+    pseudo: PseudoBatch,
     cfg: TrainConfig,
     feature_map: FeatureMap | None = None,
 ) -> tuple[LogisticModel, FitReport]:
@@ -324,13 +345,11 @@ def fit_logistic_detailed(
     with single_thread():
         X, Y, groups, feature_map = _design(pseudo, feature_map)
         k = _check_classes(Y)
-        lam_cfg = cfg.ridge_lambda
-        if lam_cfg is not None and np.isscalar(lam_cfg):
-            lambdas = (float(lam_cfg),)
-        elif lam_cfg is None:
+        lambdas = cfg.ridge_lambda
+        if lambdas is None:
             lambdas = default_lambda_grid(X, Y)
-        else:
-            lambdas = lam_cfg
+        elif np.isscalar(lambdas):
+            lambdas = (float(lambdas),)
 
         cv_table: tuple[tuple[float, float, float], ...] = ()
         if len(lambdas) == 1:
@@ -343,7 +362,7 @@ def fit_logistic_detailed(
                 if len(np.unique(Y[mask])) < k:
                     raise DegenerateDataError(f"fold {f} lost a class; use fewer folds")
                 path = _fit_path(X[mask], Y[mask], k, lambdas, cfg.tol, cfg.max_iter)
-                for j, (_, beta) in enumerate(path):
+                for j, (beta, _) in enumerate(path):
                     scores[j, :, f] = _heldout_metrics(beta, X[~mask], Y[~mask])
             mean_loss = scores[:, 0, :].mean(axis=1)
             mean_err = scores[:, 1, :].mean(axis=1)
@@ -356,19 +375,16 @@ def fit_logistic_detailed(
         path = _fit_path(
             X, Y, k, [lam for lam in lambdas if lam >= chosen], cfg.tol, cfg.max_iter
         )
-        beta = path[-1][1]
-        _, grad = _batch_loss_grad(beta, X, Y, chosen)
+        beta, grad_norm = path[-1]
         model = LogisticModel(beta=center_columns(beta), feature_map=feature_map)
         report = FitReport(
-            chosen_lambda=float(chosen),
-            cv_table=cv_table,
-            grad_max_norm=float(np.abs(grad).max()),
+            chosen_lambda=float(chosen), cv_table=cv_table, grad_max_norm=grad_norm
         )
         return model, report
 
 
 def fit_logistic(
-    pseudo: list[PseudoExample],
+    pseudo: PseudoBatch,
     cfg: TrainConfig,
     feature_map: FeatureMap | None = None,
 ) -> LogisticModel:
@@ -388,7 +404,7 @@ def fit_logistic(
 # --------------------------------------------------------------------------
 
 def _examples_design(originals: list[Example], feature_map: FeatureMap):
-    X = np.stack([apply_feature_map(feature_map, ex.x) for ex in originals])
+    X = _phi_rows(feature_map, np.stack([ex.x for ex in originals]))
     Y = np.array([ex.y for ex in originals], dtype=np.int64)
     return X, Y
 
@@ -432,19 +448,14 @@ def calibrate(
             )
 
         n = X.shape[0]
-        idx = np.arange(n)
 
         def fun_grad(params):
             s = params[0]
             c = np.concatenate([params[1:], [0.0]])
-            scores = s * U + c
-            lse = logsumexp(scores, axis=1)
-            value = float((lse - scores[idx, Y - 1]).mean())
-            p = np.exp(scores - lse[:, None])
-            p[idx, Y - 1] -= 1.0
+            losses, p = _softmax_loss(s * U + c, Y)
             gs = float((p * U).sum() / n)
             gc = p.mean(axis=0)[:-1]
-            return value, np.concatenate([[gs], gc])
+            return float(losses.mean()), np.concatenate([[gs], gc])
 
         x0 = np.zeros(k)
         x0[0] = 1.0
@@ -479,29 +490,27 @@ def calibrate(
 
 def predict(model: LogisticModel, x) -> tuple[int, np.ndarray]:
     """Label (1-based, ties to the smallest index) and class probabilities."""
-    phi = apply_feature_map(model.feature_map, x)
-    if phi.shape[0] != model.n_features:
-        raise ShapeError(
-            f"model expects {model.n_features} features, got {phi.shape[0]}"
-        )
-    scores = model.calib_scale * (phi @ model.beta) + model.calib_c
+    scores = _calibrated_scores(model, _phi_rows(model.feature_map, np.asarray(x)[None]))[0]
     probs = np.exp(scores - logsumexp(scores))
     probs = probs / probs.sum()
     return int(np.argmax(scores)) + 1, probs
 
 
+def _calibrated_scores(model: LogisticModel, X: np.ndarray) -> np.ndarray:
+    if X.shape[1] != model.n_features:
+        raise ShapeError(f"model expects {model.n_features} features, got {X.shape[1]}")
+    return model.calib_scale * (X @ model.beta) + model.calib_c
+
+
 def predict_labels(model: LogisticModel, examples: list[Example]) -> np.ndarray:
     X, _ = _examples_design(examples, model.feature_map)
-    scores = model.calib_scale * (X @ model.beta) + model.calib_c
-    return np.argmax(scores, axis=1) + 1
+    return np.argmax(_calibrated_scores(model, X), axis=1) + 1
 
 
 def mean_log_loss(model: LogisticModel, examples: list[Example]) -> float:
     """Mean calibrated log-loss on examples (used to audit calibration)."""
     X, Y = _examples_design(examples, model.feature_map)
-    scores = model.calib_scale * (X @ model.beta) + model.calib_c
-    lse = logsumexp(scores, axis=1)
-    return float((lse - scores[np.arange(len(Y)), Y - 1]).mean())
+    return float(_softmax_loss(_calibrated_scores(model, X), Y)[0].mean())
 
 
 # --------------------------------------------------------------------------

@@ -19,11 +19,8 @@ from .errors import DecompositionError, ParameterError
 __all__ = [
     "RngState",
     "sample_binomial",
-    "sample_poisson",
-    "sample_gamma",
     "sample_beta",
     "sample_std_normal_vector",
-    "sample_mvn",
     "sample_wishart",
     "cholesky",
     "matrix_sqrt_sym_pd",
@@ -67,18 +64,6 @@ def sample_binomial(n, p: float, rng: np.random.Generator, size=None):
     return rng.binomial(n, p, size=size)
 
 
-def sample_poisson(rate, rng: np.random.Generator, size=None):
-    if np.any(np.asarray(rate) < 0):
-        raise ParameterError("Poisson rate must be nonnegative")
-    return rng.poisson(rate, size=size)
-
-
-def sample_gamma(shape, scale, rng: np.random.Generator, size=None):
-    if np.any(np.asarray(shape) <= 0) or np.any(np.asarray(scale) <= 0):
-        raise ParameterError("gamma shape and scale must be positive")
-    return rng.gamma(shape, scale, size=size)
-
-
 def sample_beta(a: float, b: float, rng: np.random.Generator, size=None):
     if a <= 0 or b <= 0:
         raise ParameterError("beta shapes must be positive")
@@ -88,13 +73,6 @@ def sample_beta(a: float, b: float, rng: np.random.Generator, size=None):
 def sample_std_normal_vector(d: int, rng: np.random.Generator, size=None):
     shape = (d,) if size is None else (size, d)
     return rng.standard_normal(shape)
-
-
-def sample_mvn(mean: np.ndarray, chol_factor: np.ndarray, rng: np.random.Generator, size=None):
-    """Draw N(mean, L L') given the lower Cholesky factor L."""
-    d = mean.shape[0]
-    z = sample_std_normal_vector(d, rng, size=size)
-    return mean + z @ chol_factor.T
 
 
 # --------------------------------------------------------------------------

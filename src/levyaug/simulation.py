@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import LevyAugError, ParameterError
-from .families import Example, LevyFamily, PseudoExample, gaussian_family, poisson_family
+from .families import Example, LevyFamily, PseudoBatch, gaussian_family, poisson_family
 from .logistic import (
     LogisticModel,
     TrainConfig,
@@ -205,24 +205,13 @@ def _alpha_key(alpha: float) -> int:
     return int(round(alpha * 10**9))
 
 
-def _standardized_fit(pseudo, train_cfg):
+def _standardized_fit(pseudo: PseudoBatch, train_cfg):
     """Fit the way off-the-shelf ridge solvers do by default: scale the
     pseudo-feature columns to unit variance, fit, and fold the scaling
     back into the coefficients."""
-    X = np.stack([np.asarray(pe.x_tilde, dtype=float) for pe in pseudo])
-    sd = X.std(axis=0, ddof=1)
+    sd = np.asarray(pseudo.x_tilde, dtype=float).std(axis=0, ddof=1)
     sd[sd == 0.0] = 1.0
-    scaled = [
-        PseudoExample(
-            x_tilde=pe.x_tilde / sd,
-            y=pe.y,
-            origin_id=pe.origin_id,
-            alpha=pe.alpha,
-            t_tilde=pe.t_tilde,
-        )
-        for pe in pseudo
-    ]
-    model, report = fit_logistic_detailed(scaled, train_cfg)
+    model, report = fit_logistic_detailed(replace(pseudo, x_tilde=pseudo.x_tilde / sd), train_cfg)
     beta = model.beta / sd[:, None]
     model = LogisticModel(
         beta=beta - beta.mean(axis=1, keepdims=True), feature_map=model.feature_map
@@ -230,9 +219,7 @@ def _standardized_fit(pseudo, train_cfg):
     return model, report
 
 
-def _fit_cell(
-    spec, family, train, alpha, n_pseudo, thin_seed, train_cfg, strong_ridge, standardize
-):
+def _fit_cell(family, train, alpha, n_pseudo, thin_seed, train_cfg, strong_ridge, standardize):
     """Fit + calibrate one cell; returns (model, lambda used)."""
     if alpha == 0.0:
         model = fit_strong_thinning(train, family, ridge_lambda=strong_ridge)
@@ -266,8 +253,7 @@ def _run_cell(args):
         family = spec.family()
         thin_seed = base.substate(_THIN_TAG, n, replicate, _alpha_key(alpha))
         model, lam = _fit_cell(
-            spec, family, train, alpha, n_pseudo, thin_seed, train_cfg, strong_ridge,
-            standardize,
+            family, train, alpha, n_pseudo, thin_seed, train_cfg, strong_ridge, standardize
         )
         labels = predict_labels(model, test)
         truth = np.array([ex.y for ex in test])

@@ -31,20 +31,21 @@ Two families ship with closed-form conditional jump laws:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401  (perfbench/tracer.py wraps this name)
 from scipy.special import logsumexp
 
-from .errors import DegenerateDataError, OptimizationError, ParameterError
+from .errors import DegenerateDataError, ParameterError
 from .families import Example, FamilyKind, LevyFamily
 from .logistic import (
     FeatureMap,
     LogisticModel,
     TrainConfig,
+    _check_classes,
+    _minimize_lbfgs,
     center_columns,
     fit_logistic,
 )
@@ -52,13 +53,9 @@ from .rng import RngState
 from .thinning import ThinningConfig, generate_pseudo_examples
 
 __all__ = [
-    "JumpKind",
-    "LevyItoDescriptor",
     "ConditionalJumpLaw",
     "gaussian_limit_law",
     "poisson_limit_law",
-    "conditional_jump_law",
-    "decomposition_gap",
     "limit_loss",
     "limit_loss_gradient",
     "fit_strong_thinning",
@@ -67,37 +64,6 @@ __all__ = [
     "naive_bayes_poisson_fit",
     "PoissonNaiveBayes",
 ]
-
-
-class JumpKind(enum.Enum):
-    NONE = "none"
-    UNIT_BASIS = "unit_basis"
-
-
-@dataclass(frozen=True, eq=False)
-class LevyItoDescriptor:
-    """Drift vector, diffusion covariance and jump structure of the
-    underlying process.  At least one of diffusion / jumps must be
-    nontrivial."""
-
-    drift: np.ndarray
-    diffusion: np.ndarray
-    jumps: JumpKind = JumpKind.NONE
-
-    def __post_init__(self):
-        drift = np.asarray(self.drift, dtype=float)
-        diffusion = np.asarray(self.diffusion, dtype=float)
-        p = drift.shape[0]
-        if diffusion.shape != (p, p):
-            raise ParameterError("diffusion matrix must be p x p")
-        if not np.allclose(diffusion, diffusion.T, atol=1e-10):
-            raise ParameterError("diffusion matrix must be symmetric")
-        if np.linalg.eigvalsh(diffusion).min() < -1e-10:
-            raise ParameterError("diffusion matrix must be positive semi-definite")
-        if self.jumps is JumpKind.NONE and not np.any(diffusion):
-            raise ParameterError("descriptor needs a diffusion part or a jump part")
-        object.__setattr__(self, "drift", drift)
-        object.__setattr__(self, "diffusion", diffusion)
 
 
 @dataclass(frozen=True)
@@ -145,27 +111,6 @@ def poisson_limit_law() -> ConditionalJumpLaw:
     )
 
 
-def conditional_jump_law(descriptor: LevyItoDescriptor) -> ConditionalJumpLaw:
-    """Closed-form conditional law for the two descriptor shapes the
-    limit is derived for: pure diffusion, or zero diffusion with
-    unit-basis jumps."""
-    if descriptor.jumps is JumpKind.NONE:
-        return gaussian_limit_law()
-    if not np.any(descriptor.diffusion) and not np.any(descriptor.drift):
-        return poisson_limit_law()
-    raise ParameterError(
-        "no closed-form conditional jump law for a mixed drift/diffusion/jump descriptor"
-    )
-
-
-def decomposition_gap(law: ConditionalJumpLaw, ex: Example) -> float:
-    """Max-norm residual of x = mu(x) + lam(x) * E_nu[z]; should be ~0."""
-    weights, atoms = law.nu(ex)
-    mean_jump = atoms.T @ weights if weights.size else np.zeros(np.asarray(ex.x).shape[0])
-    recon = law.mu(ex) + law.lam(ex) * mean_jump
-    return float(np.abs(np.asarray(ex.x, dtype=float) - recon).max())
-
-
 # --------------------------------------------------------------------------
 # The limit loss
 # --------------------------------------------------------------------------
@@ -195,6 +140,12 @@ def _limit_terms(beta, ex: Example, law, sigma):
     return value, grad
 
 
+def _limit_at(beta, x, y, law, sigma, t):
+    """Value and raw gradient of the limit loss at center(beta)."""
+    beta = center_columns(np.asarray(beta, dtype=float))
+    return _limit_terms(beta, Example(x=x, y=y, t=t), law, np.asarray(sigma, dtype=float))
+
+
 def limit_loss(
     beta: np.ndarray,
     x,
@@ -206,10 +157,7 @@ def limit_loss(
     """Limit of (1/alpha) * (expected thinned loss - log K), dropping
     beta-free constants.  ``beta`` is centered internally before
     evaluation, since the formula lives in the centered gauge."""
-    beta = center_columns(np.asarray(beta, dtype=float))
-    ex = Example(x=x, y=y, t=t)
-    value, _ = _limit_terms(beta, ex, law, np.asarray(sigma, dtype=float))
-    return value
+    return _limit_at(beta, x, y, law, sigma, t)[0]
 
 
 def limit_loss_gradient(
@@ -223,10 +171,7 @@ def limit_loss_gradient(
     """Gradient of :func:`limit_loss` as implemented, i.e. of the map
     beta -> limit_loss(center(beta)); the chain rule through the
     centering projection is included."""
-    beta_c = center_columns(np.asarray(beta, dtype=float))
-    ex = Example(x=x, y=y, t=t)
-    _, grad = _limit_terms(beta_c, ex, law, np.asarray(sigma, dtype=float))
-    return center_columns(grad)
+    return center_columns(_limit_at(beta, x, y, law, sigma, t)[1])
 
 
 # --------------------------------------------------------------------------
@@ -241,38 +186,6 @@ def _expand(gamma: np.ndarray) -> np.ndarray:
 
 def _contract(grad_beta: np.ndarray) -> np.ndarray:
     return grad_beta[:, :-1] - grad_beta[:, -1:]
-
-
-def _labels_and_k(examples) -> int:
-    ys = np.array([ex.y for ex in examples], dtype=np.int64)
-    k = int(ys.max())
-    missing = sorted(set(range(1, k + 1)) - set(np.unique(ys).tolist()))
-    if missing:
-        raise DegenerateDataError(f"no examples for class label(s) {missing}")
-    return k
-
-
-def _minimize_gamma(fun_grad, p, k, tol, max_iter, what):
-    def flat(v):
-        gamma = v.reshape(p, k - 1)
-        value, grad = fun_grad(gamma)
-        return value, grad.ravel()
-
-    res = minimize(
-        flat,
-        np.zeros(p * (k - 1)),
-        jac=True,
-        method="L-BFGS-B",
-        options=dict(maxiter=max_iter, maxfun=20 * max_iter, gtol=0.1 * tol, ftol=0.0),
-    )
-    gamma = res.x.reshape(p, k - 1)
-    grad_norm = float(np.abs(fun_grad(gamma)[1]).max())
-    if grad_norm > tol:
-        raise OptimizationError(
-            f"{what} did not converge (gradient max-norm {grad_norm:.3e})",
-            grad_norm=grad_norm,
-        )
-    return gamma
 
 
 def fit_strong_thinning(
@@ -297,14 +210,19 @@ def fit_strong_thinning(
         raise ParameterError("ridge_lambda must be nonnegative")
     if len(examples) == 0:
         raise DegenerateDataError("no examples")
-    k = _labels_and_k(examples)
+    k = _check_classes(np.array([ex.y for ex in examples]))
     p = family.d
 
+    if family.kind not in (FamilyKind.GAUSSIAN, FamilyKind.POISSON):
+        raise ParameterError(
+            f"no derived strong-thinning law for the {family.kind.value} family"
+        )
+    sums = np.zeros((p, k))  # per-class feature sums: s_class, or word counts
+    for ex in examples:
+        sums[:, ex.y - 1] += np.asarray(ex.x, dtype=float)
+
     if family.kind is FamilyKind.GAUSSIAN:
-        sigma = family.sigma
-        s_class = np.zeros((p, k))
-        for ex in examples:
-            s_class[:, ex.y - 1] += np.asarray(ex.x, dtype=float)
+        sigma, s_class = family.sigma, sums
         t_total = float(sum(ex.t for ex in examples))
         scale = float(len(examples))
 
@@ -319,10 +237,8 @@ def fit_strong_thinning(
             grad = -s_class + (t_total / k) * sigma_beta + ridge_lambda * beta
             return value / scale, _contract(grad) / scale
 
-    elif family.kind is FamilyKind.POISSON:
-        counts = np.zeros((p, k))
-        for ex in examples:
-            counts[:, ex.y - 1] += np.asarray(ex.x, dtype=float)
+    else:
+        counts = sums
         totals = counts.sum(axis=1)
         scale = max(1.0, float(totals.sum()))
 
@@ -338,12 +254,9 @@ def fit_strong_thinning(
             grad = totals[:, None] * soft - counts + ridge_lambda * beta
             return value / scale, _contract(grad) / scale
 
-    else:
-        raise ParameterError(
-            f"no derived strong-thinning law for the {family.kind.value} family"
-        )
-
-    gamma = _minimize_gamma(fun_grad, p, k, tol, max_iter, "strong-thinning fit")
+    gamma, _ = _minimize_lbfgs(
+        fun_grad, np.zeros((p, k - 1)), tol, max_iter, "strong-thinning fit"
+    )
     beta = center_columns(_expand(gamma))
     return LogisticModel(beta=beta, feature_map=FeatureMap.IDENTITY)
 
@@ -421,7 +334,7 @@ def naive_bayes_poisson_fit(
         raise ParameterError("smoothing must be nonnegative")
     if len(examples) == 0:
         raise DegenerateDataError("no examples")
-    k = _labels_and_k(examples)
+    k = _check_classes(np.array([ex.y for ex in examples]))
     d = np.asarray(examples[0].x).shape[0]
     counts = np.zeros((k, d))
     time = np.zeros(k)

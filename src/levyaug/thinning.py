@@ -27,7 +27,10 @@ from .families import (
     Example,
     FamilyKind,
     LevyFamily,
-    PseudoExample,
+    PseudoBatch,
+    _check_pd,
+    _poisson_counts,
+    check_alpha,
     check_example,
 )
 from .rng import (
@@ -66,31 +69,70 @@ class ThinningConfig:
     seed: RngState
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha}")
+        check_alpha(self.alpha)
         if self.n_pseudo < 1:
             raise ParameterError(f"n_pseudo must be >= 1, got {self.n_pseudo}")
 
 
-def _check_alpha(alpha: float) -> bool:
-    """Validate alpha in (0, 1]; returns True when thinning is the identity."""
-    if not 0.0 < alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
+def _is_identity(alpha: float) -> bool:
+    check_alpha(alpha)
     return alpha == 1.0
 
 
-def thin_poisson(x, alpha: float, rng: np.random.Generator, size=None):
-    """Binomially downsample a count vector; keeps each unit with prob alpha."""
-    x = np.asarray(x)
-    if np.any(x < 0) or np.any(x != np.floor(x)):
-        raise SupportError("Poisson thinning requires nonnegative integer counts")
-    x = np.asarray(x, dtype=np.int64)
-    if _check_alpha(alpha):
-        return x.copy() if size is None else np.broadcast_to(x, (size,) + x.shape).copy()
+def _copies(x: np.ndarray, size) -> np.ndarray:
+    return x.copy() if size is None else np.broadcast_to(x, (size,) + x.shape).copy()
+
+
+# The thin_* functions validate their input, then draw through the private
+# samplers below.  generate_pseudo_examples validates each example once
+# (check_example) and calls the samplers directly, once per copy, with the
+# per-origin and per-call work (Cholesky factor, matrix square root,
+# degrees of freedom) done once.  Every draw of a family with a domination
+# bound (all but Gaussian) is asserted against it.
+
+def _binomial(x, alpha, rng, size=None):
     shape = None if size is None else (size,) + x.shape
     out = sample_binomial(x, alpha, rng, size=shape)
     assert np.all(out >= 0) and np.all(out <= x)
     return out
+
+
+def _gaussian(x, alpha, t, chol, rng, size=None):
+    scale = np.sqrt(alpha * (1.0 - alpha) * t)
+    z = sample_std_normal_vector(x.shape[0], rng, size=size)
+    return alpha * x + scale * (z @ chol.T)
+
+
+def _beta_scaled(x, alpha, t, rng, size=None):
+    shape = x.shape if size is None else (size,) + x.shape
+    m = sample_beta(0.5 * alpha * t, 0.5 * (1.0 - alpha) * t, rng, size=shape)
+    m = np.clip(m, _OPEN_LO, _OPEN_HI)
+    out = m * x
+    assert np.all(out > 0.0) and np.all(out < x)
+    return out
+
+
+def _matrix_beta(x, root_x, dofs, rng, size=None):
+    d = x.shape[0]
+    n = 1 if size is None else size
+    w1 = sample_wishart(np.eye(d), dofs[0], rng, size=n)
+    w2 = sample_wishart(np.eye(d), dofs[1], rng, size=n)
+    w, v = np.linalg.eigh(w1 + w2)
+    inv_root_s = np.einsum("nij,nj,nkj->nik", v, 1.0 / np.sqrt(w), v)
+    m = inv_root_s @ w1 @ inv_root_s
+    out = root_x @ m @ root_x
+    out = 0.5 * (out + np.swapaxes(out, -1, -2))
+    assert np.all(np.linalg.eigvalsh(out)[:, 0] > 0.0)
+    assert np.all(np.linalg.eigvalsh(x - out)[:, 0] > 0.0)
+    return out[0] if size is None else out
+
+
+def thin_poisson(x, alpha: float, rng: np.random.Generator, size=None):
+    """Binomially downsample a count vector; keeps each unit with prob alpha."""
+    x = _poisson_counts(x)
+    if _is_identity(alpha):
+        return _copies(x, size)
+    return _binomial(x, alpha, rng, size)
 
 
 def thin_gaussian(x, alpha: float, t: float, sigma, rng: np.random.Generator, size=None):
@@ -98,12 +140,9 @@ def thin_gaussian(x, alpha: float, t: float, sigma, rng: np.random.Generator, si
     x = np.asarray(x, dtype=float)
     if t <= 0.0:
         raise ParameterError(f"Gaussian thinning requires t > 0, got {t}")
-    if _check_alpha(alpha):
-        return x.copy() if size is None else np.broadcast_to(x, (size,) + x.shape).copy()
-    chol = cholesky(np.asarray(sigma, dtype=float))
-    scale = np.sqrt(alpha * (1.0 - alpha) * t)
-    z = sample_std_normal_vector(x.shape[0], rng, size=size)
-    return alpha * x + scale * (z @ chol.T)
+    if _is_identity(alpha):
+        return _copies(x, size)
+    return _gaussian(x, alpha, t, cholesky(np.asarray(sigma, dtype=float)), rng, size)
 
 
 def thin_gamma(x, alpha: float, t: float, rng: np.random.Generator, size=None):
@@ -113,32 +152,22 @@ def thin_gamma(x, alpha: float, t: float, rng: np.random.Generator, size=None):
         raise SupportError("Gamma thinning requires strictly positive features")
     if t <= 0.0:
         raise ParameterError(f"Gamma thinning requires t > 0, got {t}")
-    if _check_alpha(alpha):
-        return x.copy() if size is None else np.broadcast_to(x, (size,) + x.shape).copy()
-    shape = x.shape if size is None else (size,) + x.shape
-    m = sample_beta(0.5 * alpha * t, 0.5 * (1.0 - alpha) * t, rng, size=shape)
-    m = np.clip(m, _OPEN_LO, _OPEN_HI)
-    out = m * x
-    assert np.all(out > 0.0) and np.all(out < x)
-    return out
+    if _is_identity(alpha):
+        return _copies(x, size)
+    return _beta_scaled(x, alpha, t, rng, size)
 
 
-def _clamped_dof(dof: float, d: int, t: float) -> float | None:
-    """Degrees of freedom for one increment, tolerating the float error of
-    products like (1 - alpha) * t landing a hair under the boundary d."""
-    if dof >= d:
-        return dof
-    if dof >= d - 1e-9 * max(1.0, t):
-        return float(d)
-    return None
-
-
-def _assert_pd(m: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(m)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+def _wishart_dofs(alpha: float, t: float, d: int) -> tuple[float, float]:
+    """Degrees of freedom alpha t and (1 - alpha) t of the two increments,
+    tolerating the float error of products like (1 - alpha) * t landing a
+    hair under the boundary d."""
+    dofs = (alpha * t, (1.0 - alpha) * t)
+    if min(dofs) < d - 1e-9 * max(1.0, t):
+        raise ParameterError(
+            "both alpha*t and (1-alpha)*t must be >= d so the two increments "
+            f"have valid degrees of freedom (t={t}, alpha={alpha}, d={d})"
+        )
+    return max(dofs[0], float(d)), max(dofs[1], float(d))
 
 
 def thin_wishart(x, alpha: float, t: float, rng: np.random.Generator, size=None):
@@ -151,85 +180,54 @@ def thin_wishart(x, alpha: float, t: float, rng: np.random.Generator, size=None)
     construction is exact for every underlying covariance.
     """
     x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    if x.shape != (d, d) or not np.allclose(x, x.T, atol=1e-10):
-        raise SupportError("Wishart thinning expects a symmetric matrix")
-    if not _assert_pd(x):
-        raise SupportError("Wishart thinning expects a positive-definite matrix")
-    if _check_alpha(alpha):
-        return x.copy() if size is None else np.broadcast_to(x, (size,) + x.shape).copy()
-    if t < d:
-        raise ParameterError(f"Wishart thinning requires t >= d, got t={t}, d={d}")
-    dof1 = _clamped_dof(alpha * t, d, t)
-    dof2 = _clamped_dof((1.0 - alpha) * t, d, t)
-    if dof1 is None or dof2 is None:
-        raise ParameterError(
-            "both alpha*t and (1-alpha)*t must be >= d so the two increments "
-            f"have valid degrees of freedom (t={t}, alpha={alpha}, d={d})"
-        )
-    n = 1 if size is None else size
-    w1 = sample_wishart(np.eye(d), dof1, rng, size=n)
-    w2 = sample_wishart(np.eye(d), dof2, rng, size=n)
-    root_x = matrix_sqrt_sym_pd(x)
-    w, v = np.linalg.eigh(w1 + w2)
-    inv_root_s = np.einsum("nij,nj,nkj->nik", v, 1.0 / np.sqrt(w), v)
-    m = inv_root_s @ w1 @ inv_root_s
-    out = root_x @ m @ root_x
-    out = 0.5 * (out + np.swapaxes(out, -1, -2))
-    assert np.all(np.linalg.eigvalsh(out)[:, 0] > 0.0)
-    assert np.all(np.linalg.eigvalsh(x - out)[:, 0] > 0.0)
-    return out[0] if size is None else out
-
-
-def _thin_example(family: LevyFamily, ex: Example, alpha: float, rng) -> np.ndarray:
-    kind = family.kind
-    if kind is FamilyKind.POISSON:
-        return thin_poisson(ex.x, alpha, rng)
-    if kind is FamilyKind.GAUSSIAN:
-        return thin_gaussian(ex.x, alpha, ex.t, family.sigma, rng)
-    if kind is FamilyKind.GAMMA:
-        return thin_gamma(ex.x, alpha, ex.t, rng)
-    return thin_wishart(ex.x, alpha, ex.t, rng)
+    _check_pd(x, "Wishart thinning input")
+    if _is_identity(alpha):
+        return _copies(x, size)
+    dofs = _wishart_dofs(alpha, t, x.shape[0])  # both >= d implies t >= 2d
+    return _matrix_beta(x, matrix_sqrt_sym_pd(x), dofs, rng, size)
 
 
 def generate_pseudo_examples(
     examples: list[Example],
     cfg: ThinningConfig,
     family: LevyFamily,
-) -> list[PseudoExample]:
+) -> PseudoBatch:
     """Draw ``cfg.n_pseudo`` thinned copies of every example.
 
-    Each copy is tagged with the index of its origin, and the draws for
-    origin ``i``, copy ``b`` come from the substream keyed by ``(i, b)``,
-    so the output is deterministic in ``cfg.seed`` and the draws attached
-    to one origin do not depend on the rest of the batch.
+    Row ``i * n_pseudo + b`` of the batch is copy ``b`` of origin ``i``,
+    drawn from the substream keyed by ``(i, b)``, so the output is
+    deterministic in ``cfg.seed`` and the draws attached to one origin do
+    not depend on the rest of the batch.
     """
-    alpha = cfg.alpha
-    for i, ex in enumerate(examples):
-        check_example(family, ex)
-        if family.kind is FamilyKind.WISHART and alpha < 1.0:
-            if (
-                _clamped_dof(alpha * ex.t, family.d, ex.t) is None
-                or _clamped_dof((1.0 - alpha) * ex.t, family.d, ex.t) is None
-            ):
-                raise ParameterError(
-                    f"example {i}: alpha*t and (1-alpha)*t must both be >= d "
-                    f"for Wishart thinning (t={ex.t}, alpha={alpha}, d={family.d})"
-                )
-    out: list[PseudoExample] = []
-    for i, ex in enumerate(examples):
-        for b in range(cfg.n_pseudo):
-            if alpha == 1.0:
-                x_tilde = np.asarray(ex.x).copy()
+    alpha, copies, kind = cfg.alpha, cfg.n_pseudo, family.kind
+    xs = [check_example(family, ex) for ex in examples]
+    if kind is FamilyKind.GAUSSIAN:
+        chol = cholesky(family.sigma)
+    shape = (family.d, family.d) if kind is FamilyKind.WISHART else (family.d,)
+    dtype = np.int64 if kind is FamilyKind.POISSON else float
+    x_tilde = np.empty((len(xs) * copies,) + shape, dtype=dtype)
+    for i, (ex, x) in enumerate(zip(examples, xs)):
+        rows = x_tilde[i * copies : (i + 1) * copies]
+        if alpha == 1.0:
+            rows[:] = x
+            continue
+        if kind is FamilyKind.WISHART:
+            root_x, dofs = matrix_sqrt_sym_pd(x), _wishart_dofs(alpha, ex.t, family.d)
+        for b in range(copies):
+            rng = cfg.seed.spawn(i, b)
+            if kind is FamilyKind.POISSON:
+                rows[b] = _binomial(x, alpha, rng)
+            elif kind is FamilyKind.GAUSSIAN:
+                rows[b] = _gaussian(x, alpha, ex.t, chol, rng)
+            elif kind is FamilyKind.GAMMA:
+                rows[b] = _beta_scaled(x, alpha, ex.t, rng)
             else:
-                x_tilde = _thin_example(family, ex, alpha, cfg.seed.spawn(i, b))
-            out.append(
-                PseudoExample(
-                    x_tilde=x_tilde,
-                    y=ex.y,
-                    origin_id=i,
-                    alpha=alpha,
-                    t_tilde=alpha * ex.t,
-                )
-            )
-    return out
+                rows[b] = _matrix_beta(x, root_x, dofs, rng)
+    t = np.array([float(ex.t) for ex in examples])
+    return PseudoBatch(
+        x_tilde=x_tilde,
+        y=np.repeat(np.array([ex.y for ex in examples], dtype=np.int64), copies),
+        origin_id=np.repeat(np.arange(len(xs)), copies),
+        alpha=alpha,
+        t_tilde=np.repeat(alpha * t, copies),
+    )

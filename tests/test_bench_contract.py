@@ -1,0 +1,47 @@
+"""The names the benchmark's tracer (perfbench/tracer.py) hooks must exist.
+
+The tracer wraps levyaug functions by module and attribute name; a rename
+under src/ would otherwise only show up as failed benchmark operations.
+"""
+
+import importlib
+import os
+import sys
+
+import numpy as np
+
+from levyaug import Example, RngState, cli, poisson_family
+from levyaug.dataio import write_dataset
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+
+import tracer  # noqa: E402
+
+
+def test_every_traced_name_resolves():
+    for module_name, attr, _ in tracer._TRACED:
+        assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"
+
+
+def test_tracer_counts_thin_and_train(tmp_path):
+    g = RngState(5).generator()
+    data, pseudo, model = tmp_path / "data.csv", tmp_path / "pseudo.csv", tmp_path / "m.txt"
+    examples = [Example(x=g.poisson(3.0, size=3), y=1 + i % 2, t=9.0) for i in range(10)]
+    write_dataset(data, poisson_family(3), examples)
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        assert cli.main([
+            "thin", "--input", str(data), "--output", str(pseudo),
+            "--alpha", "0.5", "-B", "4", "--seed", "1",
+        ]) == 0
+        assert cli.main([
+            "train", "--pseudo", str(pseudo), "--originals", str(data), "--out", str(model),
+            "--ridge-lambda", "0.1",
+        ]) == 0
+    finally:
+        spans.uninstall()
+    metrics = spans.layer_metrics()
+    assert metrics["thinning.draws"] == 40
+    assert metrics["logistic.fits"] == 1
+    assert np.isfinite(metrics["logistic.fit_s"])

@@ -3,7 +3,7 @@ import ctypes
 import numpy as np
 import pytest
 
-from levyaug import PseudoExample, TrainConfig, _blas, fit_logistic, logistic
+from levyaug import PseudoBatch, TrainConfig, _blas, fit_logistic, logistic
 
 
 # Thread-count symbol prefixes and suffixes of upstream OpenBLAS and of the
@@ -82,10 +82,13 @@ def test_fits_run_on_one_thread(openblas_at_two_threads, monkeypatch):
 
     monkeypatch.setattr(logistic, "minimize", recording_minimize)
     g = np.random.default_rng(3)
-    pseudo = [
-        PseudoExample(x_tilde=g.standard_normal(3), y=1 + i % 2, origin_id=i, alpha=1.0, t_tilde=1.0)
-        for i in range(20)
-    ]
+    pseudo = PseudoBatch(
+        x_tilde=g.standard_normal((20, 3)),
+        y=1 + np.arange(20) % 2,
+        origin_id=np.arange(20),
+        alpha=1.0,
+        t_tilde=1.0,
+    )
     fit_logistic(pseudo, TrainConfig(ridge_lambda=0.1))
     assert seen and all(counts == {1} for counts in seen)
     assert openblas_at_two_threads() == {2}

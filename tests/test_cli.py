@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from levyaug import Example, RngState, load_model, poisson_family
+from levyaug import Example, RngState, cli, load_model, poisson_family
 from levyaug.cli import build_parser, main
 from levyaug.dataio import read_pseudo_dataset, write_dataset
 from levyaug.families import gaussian_family, wishart_family
@@ -147,6 +147,45 @@ def test_train_dimension_mismatch_exits_2(tmp_path, capsys):
     assert not (tmp_path / "m.txt").exists()
 
 
+def test_train_finishes_where_lbfgs_stops_short(tmp_path, monkeypatch):
+    # Two classes of 5x5 Wishart scatter matrices (t = 20).  On these inputs
+    # L-BFGS-B stops on "relative reduction of f" at lambda=0.3 after 13
+    # iterations with gradient max-norm 1.14e-7 > tol; the fit must finish
+    # the solve instead of exiting 4.
+    d, t, n = 5, 20, 200
+    rng = np.random.default_rng([207, 3])
+    y = rng.integers(1, 3, size=n)
+    z = rng.standard_normal((n, t, d))
+    scale2 = np.diag([1.5, 1.25, 1.0, 1.0, 1.0])
+    scale2[2, 3] = scale2[3, 2] = 0.4
+    for k, chol in ((1, np.eye(d)), (2, np.linalg.cholesky(scale2))):
+        z[y == k] = z[y == k] @ chol.T
+    x = np.einsum("mti,mtj->mij", z, z)
+    data, pseudo, model = tmp_path / "data.csv", tmp_path / "pseudo.csv", tmp_path / "m.txt"
+    write_dataset(
+        data, wishart_family(d), [Example(x=m, y=int(c), t=float(t)) for c, m in zip(y, x)]
+    )
+    assert main([
+        "thin", "--input", str(data), "--output", str(pseudo),
+        "--alpha", "0.5", "-B", "16", "--seed", "207003",
+    ]) == 0
+
+    reports = []
+    fit = cli.fit_logistic_detailed
+
+    def recording_fit(*args, **kwargs):
+        result = fit(*args, **kwargs)
+        reports.append(result[1])
+        return result
+
+    monkeypatch.setattr(cli, "fit_logistic_detailed", recording_fit)
+    assert main([
+        "train", "--pseudo", str(pseudo), "--originals", str(data), "--out", str(model),
+        "--ridge-lambda", "1,0.3,0.1,0.03,0.01", "--folds", "5",
+    ]) == 0
+    assert reports and reports[0].grad_max_norm <= 1e-7
+
+
 def test_limit_fits_poisson_endpoint(poisson_file, tmp_path):
     model_path = tmp_path / "limit.txt"
     code = main([
@@ -199,6 +238,23 @@ def test_simulate_plot_output(tmp_path):
         "--lambdas", "1.0,0.1", "--seed", "13", "--plot", str(svg), "--jobs", "1",
     ]) == 0
     assert svg.read_text().startswith("<svg")
+
+
+def test_simulate_prints_mean_error_per_cell(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "simulate", "--spec", "gauss", "--out", str(out), "--alphas", "0,1",
+        "--n-grid", "20", "--replicates", "2", "-B", "2",
+        "--lambdas", "1.0,0.1", "--seed", "13", "--jobs", "1",
+    ]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    lines = capsys.readouterr().out.splitlines()
+    for line, alpha in zip(lines, ("0.0", "1.0")):
+        errors = [float(r[4]) for r in rows if r[2] == alpha]
+        assert line.split() == [
+            "n=20", f"alpha={float(alpha):g}", f"mean_error={np.mean(errors):.4f}"
+        ]
+    assert lines[2:] == ["0 failed cells (see the manifest)"]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this OS")

@@ -4,7 +4,8 @@ import pytest
 from levyaug import (
     DataFormatError,
     Example,
-    PseudoExample,
+    ParameterError,
+    PseudoBatch,
     SupportError,
     gamma_family,
     gaussian_family,
@@ -75,10 +76,13 @@ def test_gaussian_dataset_sigma_override(tmp_path):
 
 def test_pseudo_round_trip(tmp_path):
     fam = gamma_family(2)
-    pseudo = [
-        PseudoExample(x_tilde=np.array([0.5, 0.25]), y=1, origin_id=0, alpha=0.5, t_tilde=1.0),
-        PseudoExample(x_tilde=np.array([1.5, 0.75]), y=2, origin_id=1, alpha=0.5, t_tilde=1.0),
-    ]
+    pseudo = PseudoBatch(
+        x_tilde=np.array([[0.5, 0.25], [1.5, 0.75]]),
+        y=[1, 2],
+        origin_id=[0, 1],
+        alpha=0.5,
+        t_tilde=1.0,
+    )
     path = tmp_path / "pseudo.csv"
     write_pseudo_dataset(path, fam, pseudo)
     fam2, loaded = read_pseudo_dataset(path)
@@ -86,6 +90,27 @@ def test_pseudo_round_trip(tmp_path):
     assert [pe.origin_id for pe in loaded] == [0, 1]
     assert all(pe.alpha == 0.5 for pe in loaded)
     assert np.array_equal(loaded[0].x_tilde, pseudo[0].x_tilde)
+
+
+def test_pseudo_errors_name_the_offending_row(tmp_path):
+    path = tmp_path / "pseudo.csv"
+    head = "# levyaug-pseudo v1 family=poisson d=2\norigin_id,alpha,y,t_tilde,x_1,x_2\n"
+    for rows, error in (
+        ("0,0.5,1,1.0,2,0\n0,1.5,1,1.0,2,0\n", ParameterError),
+        ("0,0.5,1,1.0,2,0\n1,0.5,2,1.0,0.5,0\n", SupportError),
+        ("0,0.5,1,1.0,2,0\n1.5,0.5,2,1.0,1,0\n", DataFormatError),
+        ("0,0.5,1,1.0,2,0\nnan,0.5,2,1.0,1,0\n", DataFormatError),
+    ):
+        path.write_text(head + rows)
+        with pytest.raises(error, match="row 2"):
+            read_pseudo_dataset(path)
+
+
+def test_nan_label_is_a_format_error(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("# levyaug-dataset v1 family=poisson d=2\ny,t,x_1,x_2\nnan,1.0,2,0\n")
+    with pytest.raises(DataFormatError, match="row 1"):
+        read_dataset(path)
 
 
 def test_errors_name_the_offending_row(tmp_path):

@@ -11,6 +11,9 @@ from levyaug import (
     FamilyKind,
     LevyFamily,
     ParameterError,
+    PseudoBatch,
+    PseudoExample,
+    ShapeError,
     SupportError,
     Topic,
     check_example,
@@ -19,7 +22,6 @@ from levyaug import (
     gaussian_family,
     log_partition,
     poisson_family,
-    thinning_density_normalized,
     thinning_log_density,
     wishart_family,
 )
@@ -200,12 +202,6 @@ def test_poisson_kernel_normalizes(counts, alpha):
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
-def test_normalization_flag():
-    assert thinning_density_normalized(poisson_family(1))
-    assert thinning_density_normalized(gamma_family(1))
-    assert not thinning_density_normalized(wishart_family(2))
-
-
 def test_wishart_kernel_ratio_consistency(rng):
     # unnormalized values must still order draws consistently with the
     # defining carrier ratio: shifting to a different x_tilde changes the
@@ -225,3 +221,25 @@ def test_wishart_kernel_ratio_consistency(rng):
         return 0.5 * (alpha * t - 3.0) * l1 + 0.5 * ((1 - alpha) * t - 3.0) * l2
 
     assert diff == pytest.approx(raw(a) - raw(b), abs=1e-10)
+
+
+def test_pseudo_batch_columns_are_checked_once_and_read_only():
+    batch = PseudoBatch(
+        x_tilde=np.arange(6.0).reshape(3, 2), y=[1, 2, 1], origin_id=[0, 0, 1],
+        alpha=0.5, t_tilde=[1.0, 1.0, 2.0],
+    )
+    assert len(batch) == 3
+    row = batch[2]
+    assert isinstance(row, PseudoExample)
+    assert np.array_equal(row.x_tilde, [4.0, 5.0]) and tuple(row)[1:] == (1, 1, 0.5, 2.0)
+    assert [pe.origin_id for pe in batch] == [0, 0, 1]
+    with pytest.raises(ValueError):
+        batch.x_tilde[0, 0] = 1.0
+    good = dict(x_tilde=np.zeros((2, 2)), y=[1, 2], origin_id=[0, 1], alpha=0.5, t_tilde=1.0)
+    for bad in (dict(alpha=0.0), dict(alpha=[0.5, 1.5]), dict(t_tilde=[1.0, 0.0]),
+                dict(y=[0, 1]), dict(origin_id=[-1, 0])):
+        with pytest.raises(ParameterError):
+            PseudoBatch(**{**good, **bad})
+    for bad in (dict(y=[1, 2, 1]), dict(x_tilde=np.zeros(2))):
+        with pytest.raises(ShapeError):
+            PseudoBatch(**{**good, **bad})

@@ -13,7 +13,7 @@ from levyaug import (
     LogisticModel,
     OptimizationError,
     ParameterError,
-    PseudoExample,
+    PseudoBatch,
     RngState,
     TrainConfig,
     calibrate,
@@ -32,9 +32,11 @@ from levyaug.logistic import center_columns, default_lambda_grid, grouped_fold_a
 from conftest import finite_diff_gradient
 
 
-def _pseudo(x, y, origin=0, alpha=1.0, t=1.0):
-    return PseudoExample(x_tilde=np.asarray(x, dtype=float), y=y, origin_id=origin,
-                         alpha=alpha, t_tilde=alpha * t)
+def _batch(X, Y, origins=None):
+    """Unthinned pseudo-examples (alpha = t = 1), one origin per row by default."""
+    X = np.asarray(X, dtype=float)
+    origins = np.arange(len(X)) if origins is None else origins
+    return PseudoBatch(x_tilde=X, y=Y, origin_id=origins, alpha=1.0, t_tilde=1.0)
 
 
 def _random_problem(rng, n=40, p=3, k=3):
@@ -42,7 +44,7 @@ def _random_problem(rng, n=40, p=3, k=3):
     Y = rng.integers(1, k + 1, size=n)
     while len(np.unique(Y)) < k:
         Y = rng.integers(1, k + 1, size=n)
-    return [_pseudo(x, int(y), origin=i) for i, (x, y) in enumerate(zip(X, Y))]
+    return _batch(X, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +121,7 @@ def test_gauge_invariance_of_loss_and_probs(rng):
 # ---------------------------------------------------------------------------
 
 def test_fit_separable_toy_beats_coin_flip():
-    pseudo = [
-        _pseudo([1.0, 0.2], 1, 0),
-        _pseudo([0.9, -0.1], 1, 1),
-        _pseudo([-1.1, 0.1], 2, 2),
-        _pseudo([-0.8, -0.2], 2, 3),
-    ]
+    pseudo = _batch([[1.0, 0.2], [0.9, -0.1], [-1.1, 0.1], [-0.8, -0.2]], [1, 1, 2, 2])
     model, report = fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=1.0))
     losses = [logistic_loss(model.beta, pe.x_tilde, pe.y) for pe in pseudo]
     assert np.mean(losses) < math.log(2.0)
@@ -136,12 +133,17 @@ def test_fit_invariant_to_duplicating_the_dataset(rng):
     pseudo = _random_problem(rng, n=30, p=3, k=3)
     cfg = TrainConfig(ridge_lambda=0.5)
     b1 = fit_logistic(pseudo, cfg).beta
-    b2 = fit_logistic(pseudo + pseudo, cfg).beta
+    twice = _batch(
+        np.concatenate([pseudo.x_tilde] * 2),
+        np.tile(pseudo.y, 2),
+        np.tile(pseudo.origin_id, 2),
+    )
+    b2 = fit_logistic(twice, cfg).beta
     assert np.allclose(b1, b2, atol=1e-6)
 
 
 def test_fit_requires_every_class():
-    pseudo = [_pseudo([1.0], 1, 0), _pseudo([2.0], 3, 1)]
+    pseudo = _batch([[1.0], [2.0]], [1, 3])
     with pytest.raises(DegenerateDataError):
         fit_logistic(pseudo, TrainConfig(ridge_lambda=0.1))
 
@@ -174,6 +176,22 @@ def test_nonconvergence_message_names_the_iterations_run(rng, monkeypatch):
     assert res.message in message
 
 
+def test_batch_hessian_matches_finite_differences(rng):
+    X = rng.standard_normal((30, 3))
+    Y = rng.integers(1, 4, size=30)
+    beta, lam, h = rng.standard_normal((3, 3)), 0.1, 1e-6
+    hess = logistic._batch_hessian(beta, X, lam)
+    columns = []
+    for i in range(beta.size):
+        step = np.zeros(beta.size)
+        step[i] = h
+        step = step.reshape(beta.shape)
+        hi = logistic._batch_loss_grad(beta + step, X, Y, lam)[1]
+        lo = logistic._batch_loss_grad(beta - step, X, Y, lam)[1]
+        columns.append((hi - lo).ravel() / (2 * h))
+    assert np.allclose(hess, np.array(columns).T, atol=1e-6)
+
+
 def test_grouped_folds_partition_origins():
     groups = np.repeat(np.arange(10), 5)  # 10 origins x B=5
     folds = grouped_fold_assignment(groups, 5)
@@ -188,11 +206,14 @@ def test_grouped_folds_partition_origins():
 
 def test_cv_selects_from_grid_and_reports(rng):
     base = rng.standard_normal((20, 2))
-    pseudo = []
+    rows, labels, origins = [], [], []
     for i, x in enumerate(base):
         y = 1 if x[0] + 0.3 * rng.standard_normal() > 0 else 2
         for b in range(4):
-            pseudo.append(_pseudo(x + 0.1 * rng.standard_normal(2), y, origin=i))
+            rows.append(x + 0.1 * rng.standard_normal(2))
+            labels.append(y)
+            origins.append(i)
+    pseudo = _batch(rows, labels, origins)
     grid = (1.0, 0.1, 0.01)
     model, report = fit_logistic_detailed(
         pseudo, TrainConfig(ridge_lambda=grid, n_folds=4)
@@ -224,7 +245,7 @@ def test_calibration_self_consistency_slope_near_one():
     scores = X @ beta_true
     probs = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
     Y = 1 + (g.random(n) < probs[:, 1]).astype(int)
-    pseudo = [_pseudo(x, int(y), origin=i) for i, (x, y) in enumerate(zip(X, Y))]
+    pseudo = _batch(X, Y)
     model = fit_logistic(pseudo, TrainConfig(ridge_lambda=1e-4))
     originals = [Example(x=x, y=int(y), t=1.0) for x, y in zip(X, Y)]
     calibrated = calibrate(model, originals)
@@ -254,7 +275,7 @@ def test_calibration_symmetric_data_zero_intercept():
     X = np.concatenate([m + g.standard_normal((n // 2, 2)),
                         -m + g.standard_normal((n // 2, 2))])
     Y = np.concatenate([np.ones(n // 2, dtype=int), np.full(n // 2, 2, dtype=int)])
-    pseudo = [_pseudo(x, int(y), origin=i) for i, (x, y) in enumerate(zip(X, Y))]
+    pseudo = _batch(X, Y)
     model = fit_logistic(pseudo, TrainConfig(ridge_lambda=1e-3))
     originals = [Example(x=x, y=int(y), t=1.0) for x, y in zip(X, Y)]
     calibrated = calibrate(model, originals)

@@ -7,12 +7,9 @@ from levyaug import (
     AlphaPathPoint,
     DegenerateDataError,
     Example,
-    JumpKind,
-    LevyItoDescriptor,
     ParameterError,
     RngState,
     alpha_path_converges,
-    conditional_jump_law,
     fit_strong_thinning,
     gamma_family,
     gaussian_family,
@@ -26,7 +23,6 @@ from levyaug import (
     predict,
 )
 from levyaug.logistic import center_columns
-from levyaug.strong_thinning import decomposition_gap
 
 from conftest import finite_diff_gradient
 
@@ -36,43 +32,29 @@ def _zero_sigma(d):
 
 
 # ---------------------------------------------------------------------------
-# descriptors and laws
+# limit laws
 # ---------------------------------------------------------------------------
 
-def test_descriptor_needs_nontrivial_part():
-    with pytest.raises(ParameterError):
-        LevyItoDescriptor(drift=np.zeros(2), diffusion=np.zeros((2, 2)))
-    LevyItoDescriptor(drift=np.zeros(2), diffusion=np.eye(2))
-    LevyItoDescriptor(
-        drift=np.zeros(2), diffusion=np.zeros((2, 2)), jumps=JumpKind.UNIT_BASIS
-    )
-
-
-def test_conditional_jump_law_dispatch():
-    diff = conditional_jump_law(
-        LevyItoDescriptor(drift=np.zeros(2), diffusion=np.eye(2))
-    )
+def test_limit_laws():
+    diff = gaussian_limit_law()
     ex = Example(x=np.array([1.5, -2.0]), y=1, t=2.0)
     assert np.allclose(diff.mu(ex), ex.x)
     assert diff.lam(ex) == 0.0
 
-    jumps = conditional_jump_law(
-        LevyItoDescriptor(
-            drift=np.zeros(2), diffusion=np.zeros((2, 2)), jumps=JumpKind.UNIT_BASIS
-        )
-    )
+    jumps = poisson_limit_law()
     exc = Example(x=np.array([3, 1]), y=2, t=5.0)
     assert jumps.lam(exc) == 4.0
     weights, atoms = jumps.nu(exc)
     assert np.allclose(weights, [0.75, 0.25])
     assert np.allclose(atoms, np.eye(2))
 
-    with pytest.raises(ParameterError):
-        conditional_jump_law(
-            LevyItoDescriptor(
-                drift=np.ones(2), diffusion=np.eye(2), jumps=JumpKind.UNIT_BASIS
-            )
-        )
+
+def _decomposition_gap(law, ex):
+    """Max-norm residual of x = mu(x) + lam(x) * E_nu[z]."""
+    weights, atoms = law.nu(ex)
+    mean_jump = atoms.T @ weights if weights.size else np.zeros(np.asarray(ex.x).shape[0])
+    recon = law.mu(ex) + law.lam(ex) * mean_jump
+    return float(np.abs(np.asarray(ex.x, dtype=float) - recon).max())
 
 
 def test_decomposition_identity_poisson_exhaustive():
@@ -85,14 +67,14 @@ def test_decomposition_identity_poisson_exhaustive():
             if ex is None:
                 # x = 0 has no jumps; mu = 0 reproduces it exactly
                 ex = Example(x=np.zeros(d, dtype=int) + 0, y=1, t=1.0)
-            assert decomposition_gap(law, ex) <= 1e-9
+            assert _decomposition_gap(law, ex) <= 1e-9
 
 
 def test_decomposition_identity_gaussian(rng):
     law = gaussian_limit_law()
     for _ in range(20):
         ex = Example(x=rng.standard_normal(3), y=1, t=2.0)
-        assert decomposition_gap(law, ex) == 0.0
+        assert _decomposition_gap(law, ex) == 0.0
 
 
 # ---------------------------------------------------------------------------
