@@ -25,6 +25,7 @@ from .errors import (
 )
 from .families import (
     Example,
+    ExampleBatch,
     FamilyKind,
     LevyFamily,
     PseudoBatch,

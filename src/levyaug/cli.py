@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -34,8 +35,8 @@ from .dataio import (
     read_pseudo_dataset,
     write_pseudo_dataset,
 )
-from .errors import DataFormatError, LevyAugError, OptimizationError, ParameterError
-from .families import Example, FamilyKind
+from .errors import DataFormatError, LevyAugError, OptimizationError
+from .families import FamilyKind
 from .logistic import TrainConfig, calibrate, fit_logistic_detailed, save_model
 from .rng import RngState
 from .simulation import (
@@ -108,7 +109,7 @@ def _cmd_thin(args) -> int:
             f"input file declares family {family.kind.value!r}, not {args.family!r}"
         )
     if args.t_const is not None:
-        examples = [Example(x=ex.x, y=ex.y, t=args.t_const) for ex in examples]
+        examples = replace(examples, t=args.t_const)
     cfg = ThinningConfig(
         alpha=args.alpha, n_pseudo=args.n_pseudo, seed=RngState(args.seed)
     )
@@ -217,8 +218,6 @@ def _print_sweep_summary(result) -> None:
 
 def _cmd_limit(args) -> int:
     kind = _FAMILY_ALIASES[args.family]
-    if kind not in (FamilyKind.GAUSSIAN, FamilyKind.POISSON):
-        raise ParameterError("the strong-thinning limit is available for gauss and poisson")
     sigma = read_matrix(args.sigma) if args.sigma else None
     family, originals = read_dataset(args.originals, sigma=sigma)
     if family.kind is not kind:

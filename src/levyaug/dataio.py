@@ -25,11 +25,13 @@ import numpy as np
 
 from .errors import DataFormatError, LevyAugError, ParameterError
 from .families import (
-    Example,
+    ExampleBatch,
+    Examples,
     FamilyKind,
     LevyFamily,
     PseudoBatch,
     _poisson_counts,
+    as_example_batch,
     check_example,
     gaussian_family,
 )
@@ -110,19 +112,28 @@ def _parse_magic(line: str, magic: str) -> LevyFamily:
     return LevyFamily(kind, d)
 
 
-def _parse_table(lines: list[str], width: int) -> np.ndarray:
-    """The numeric data rows, checked for column count and numbers; errors
-    name the 1-based data row."""
+def _read_table(path, magic: str, columns: list[str]) -> tuple[LevyFamily, np.ndarray]:
+    """The family and the numeric data rows of a ``magic`` file whose rows
+    hold ``columns`` and then the feature block; format errors name the
+    1-based data row."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [ln.rstrip("\n") for ln in handle if ln.strip()]
+    if not lines:
+        raise DataFormatError("empty file")
+    family = _parse_magic(lines[0], magic)
+    header = columns + _feature_names(family)
+    if len(lines) < 2 or lines[1].split(",") != header:
+        raise DataFormatError(f"expected header row {','.join(header)!r}")
     table = []
-    for row, line in enumerate(lines, start=1):
+    for row, line in enumerate(lines[2:], start=1):
         parts = line.split(",")
-        if len(parts) != width:
-            raise DataFormatError(f"expected {width} columns, got {len(parts)}", row=row)
+        if len(parts) != len(header):
+            raise DataFormatError(f"expected {len(header)} columns, got {len(parts)}", row=row)
         try:
             table.append([float(v) for v in parts])
         except ValueError:
             raise DataFormatError("non-numeric value", row=row) from None
-    return np.array(table, dtype=float).reshape(len(table), width)
+    return family, np.array(table, dtype=float).reshape(len(table), len(header))
 
 
 def _features(family: LevyFamily, block: np.ndarray) -> np.ndarray:
@@ -132,28 +143,43 @@ def _features(family: LevyFamily, block: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(block)
 
 
-def _read_lines(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [ln.rstrip("\n") for ln in handle if ln.strip()]
-    if not lines:
-        raise DataFormatError("empty file")
-    return lines
+def _integers(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(values) & (values == np.floor(values))):
+        raise DataFormatError(f"{what} must be integers")
+    return values
 
 
-def _check_header(lines: list[str], expected: list[str]) -> None:
-    if len(lines) < 2 or lines[1].split(",") != expected:
-        raise DataFormatError(f"expected header row {','.join(expected)!r}")
+def _checked_batch(build, table: np.ndarray):
+    """``build(table)``; if its checks fail, the error of the first row
+    that fails on its own, prefixed with the 1-based row number."""
+    try:
+        return build(table)
+    except LevyAugError:
+        for row in range(len(table)):
+            try:
+                build(table[row : row + 1])
+            except LevyAugError as exc:
+                raise type(exc)(f"row {row + 1}: {exc}") from None
+        raise
 
 
-def write_dataset(path, family: LevyFamily, examples: list[Example]) -> None:
+def write_dataset(path, family: LevyFamily, examples: Examples) -> None:
+    batch = as_example_batch(examples)
     with open(path, "w", encoding="utf-8") as out:
         out.write(f"# {_DATASET_MAGIC} {_VERSION} family={family.kind.value} d={family.d}\n")
         out.write("y,t," + ",".join(_feature_names(family)) + "\n")
-        for ex in examples:
-            out.write(f"{ex.y},{ex.t!r},{_format_rows(family, [ex.x])[0]}\n")
+        for y, t, x in zip(batch.y.tolist(), batch.t.tolist(), _format_rows(family, batch.x)):
+            out.write(f"{y},{t!r},{x}\n")
 
 
-def read_dataset(path, sigma=None) -> tuple[LevyFamily, list[Example]]:
+def _example_batch(family: LevyFamily, table: np.ndarray) -> ExampleBatch:
+    y = _integers(table[:, 0], "class labels")
+    batch = ExampleBatch(x=_features(family, table[:, 2:]), y=y, t=table[:, 1])
+    check_example(family, batch)
+    return batch
+
+
+def read_dataset(path, sigma=None) -> tuple[LevyFamily, ExampleBatch]:
     """Parse and validate a dataset file.
 
     Structural problems raise :class:`DataFormatError`; value-domain
@@ -161,26 +187,12 @@ def read_dataset(path, sigma=None) -> tuple[LevyFamily, list[Example]]:
     corresponding domain error.  Both name the offending row.  ``sigma``
     overrides the identity covariance assumed for Gaussian files.
     """
-    lines = _read_lines(path)
-    family = _parse_magic(lines[0], _DATASET_MAGIC)
+    family, table = _read_table(path, _DATASET_MAGIC, ["y", "t"])
     if sigma is not None:
         if family.kind is not FamilyKind.GAUSSIAN:
             raise ParameterError("a covariance override only applies to Gaussian data")
         family = gaussian_family(family.d, sigma)
-    _check_header(lines, ["y", "t"] + _feature_names(family))
-    table = _parse_table(lines[2:], 2 + _feature_width(family))
-    features = _features(family, table[:, 2:])
-    examples = []
-    for row, (y, t) in enumerate(table[:, :2].tolist(), start=1):
-        if not y.is_integer():
-            raise DataFormatError("class label must be an integer", row=row)
-        try:
-            ex = Example(x=features[row - 1], y=int(y), t=t)
-            check_example(family, ex)
-        except LevyAugError as exc:
-            raise type(exc)(f"row {row}: {exc}") from None
-        examples.append(ex)
-    return family, examples
+    return family, _checked_batch(lambda rows: _example_batch(family, rows), table)
 
 
 def write_pseudo_dataset(path, family: LevyFamily, pseudo: PseudoBatch) -> None:
@@ -195,33 +207,17 @@ def write_pseudo_dataset(path, family: LevyFamily, pseudo: PseudoBatch) -> None:
 
 
 def _pseudo_batch(family: LevyFamily, table: np.ndarray) -> PseudoBatch:
+    origin_id, y = _integers(table[:, [0, 2]], "origin_id and y").T
     x = _features(family, table[:, 4:])
     if family.kind is FamilyKind.POISSON:
         x = _poisson_counts(x)
-    return PseudoBatch(
-        x_tilde=x, y=table[:, 2], origin_id=table[:, 0], alpha=table[:, 1], t_tilde=table[:, 3]
-    )
+    return PseudoBatch(x_tilde=x, y=y, origin_id=origin_id, alpha=table[:, 1], t_tilde=table[:, 3])
 
 
 def read_pseudo_dataset(path) -> tuple[LevyFamily, PseudoBatch]:
     """Parse a pseudo-example file; errors name the offending row."""
-    lines = _read_lines(path)
-    family = _parse_magic(lines[0], _PSEUDO_MAGIC)
-    _check_header(lines, ["origin_id", "alpha", "y", "t_tilde"] + _feature_names(family))
-    table = _parse_table(lines[2:], 4 + _feature_width(family))
-    ids = table[:, [0, 2]]
-    bad = np.flatnonzero(np.any(ids != np.floor(ids), axis=1))
-    if bad.size:
-        raise DataFormatError("origin_id and y must be integers", row=int(bad[0]) + 1)
-    try:
-        return family, _pseudo_batch(family, table)
-    except LevyAugError:
-        for row in range(len(table)):  # find and name the first offending row
-            try:
-                _pseudo_batch(family, table[row : row + 1])
-            except LevyAugError as exc:
-                raise type(exc)(f"row {row + 1}: {exc}") from None
-        raise
+    family, table = _read_table(path, _PSEUDO_MAGIC, ["origin_id", "alpha", "y", "t_tilde"])
+    return family, _checked_batch(lambda rows: _pseudo_batch(family, rows), table)
 
 
 def read_matrix(path) -> np.ndarray:

@@ -13,10 +13,10 @@ pure carrier ratio in which ``theta`` cancels:
 
     g(x_tilde; x) = h_{alpha t}(x_tilde) * h_{(1-alpha) t}(x - x_tilde) / h_t(x).
 
-This module holds the family descriptors, the feature/example containers
-with their support invariants, ``log_partition``, and the carrier-ratio
-density ``thinning_log_density``.  Sampling from the kernel lives in
-:mod:`levyaug.thinning`.
+This module holds the family descriptors, the example and pseudo-example
+batches with their support invariants, ``log_partition``, and the
+carrier-ratio density ``thinning_log_density``.  Sampling from the kernel
+lives in :mod:`levyaug.thinning`.
 
 Concrete carriers (up to additive constants dropped only for Wishart):
 
@@ -31,7 +31,8 @@ Concrete carriers (up to additive constants dropped only for Wishart):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +49,9 @@ __all__ = [
     "wishart_family",
     "Topic",
     "Example",
+    "ExampleBatch",
+    "Examples",
+    "as_example_batch",
     "PseudoExample",
     "PseudoBatch",
     "check_alpha",
@@ -73,7 +77,9 @@ def _frozen_array(values, dtype=None) -> np.ndarray:
 
 
 def _is_symmetric(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and np.allclose(m, m.T, atol=tol)
+    """Whether ``m`` is a symmetric matrix, or a stack of them."""
+    square = m.ndim >= 2 and m.shape[-2] == m.shape[-1]
+    return square and np.allclose(m, np.swapaxes(m, -1, -2), atol=tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,21 +198,13 @@ class Topic:
         object.__setattr__(self, "theta", _frozen_array(theta, dtype=float))
 
 
-@dataclass(frozen=True, eq=False)
-class Example:
-    """One labelled observation: features ``x``, class ``y`` in 1..K, and
-    the information content ``t`` (the process time of the slice)."""
+class Example(NamedTuple):
+    """One row of an :class:`ExampleBatch`, as plain values (unchecked; the
+    batch holds the checks)."""
 
     x: np.ndarray
     y: int
     t: float
-
-    def __post_init__(self):
-        if self.t <= 0.0 or not np.isfinite(self.t):
-            raise ParameterError(f"information content must be positive, got {self.t}")
-        if self.y < 1:
-            raise ParameterError(f"class labels are 1-based, got {self.y}")
-        object.__setattr__(self, "x", _frozen_array(self.x))
 
 
 class PseudoExample(NamedTuple):
@@ -228,55 +226,85 @@ def check_alpha(alpha) -> None:
         raise ParameterError(f"alpha must lie in (0, 1], got {a[bad].flat[0]}")
 
 
+class _Batch:
+    """Rows stored as read-only columns: the first field holds the features,
+    of shape (rows, *feature shape), every other field one entry per row
+    (scalars broadcast).  Checked once, here, for what every batch shares:
+    labels ``y`` are 1-based and the information content (the last field)
+    is positive and finite.  ``batch[i]`` is row ``i`` as a ``_row`` tuple."""
+
+    def __post_init__(self):
+        first, *rest = (f.name for f in fields(self))
+        x = np.asarray(getattr(self, first)).view()
+        x.setflags(write=False)
+        if x.ndim < 2:
+            raise ShapeError(f"{first} must be (rows, *features), got shape {x.shape}")
+        object.__setattr__(self, first, x)
+        for name in rest:
+            dtype = np.int64 if name in ("y", "origin_id") else float
+            try:  # broadcast_to returns a read-only view
+                col = np.broadcast_to(np.asarray(getattr(self, name), dtype), x.shape[:1])
+            except ValueError:
+                raise ShapeError(f"{name} must have one entry per row") from None
+            object.__setattr__(self, name, col)
+        if np.any(self.y < 1):
+            raise ParameterError("class labels are 1-based")
+        if not np.all((col > 0.0) & np.isfinite(col)):  # col: the last field
+            raise ParameterError("information content must be positive and finite")
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __getitem__(self, i: int):
+        x, *columns = (getattr(self, f.name) for f in fields(self))
+        return self._row(x[i], *(col[i].item() for col in columns))
+
+
 @dataclass(frozen=True, eq=False)
-class PseudoBatch:
-    """Thinned copies of examples, one row per copy, stored as read-only
-    columns: features ``x_tilde`` of shape (rows, *feature shape), and per
-    row the class ``y``, the index ``origin_id`` of the original, the
-    fraction ``alpha`` and the thinned information content ``t_tilde``
-    (``alpha * t``).  Scalars broadcast to every row.  The columns are
-    checked once, here, and kept as read-only views of the given arrays;
-    ``batch[i]`` is row ``i`` as a :class:`PseudoExample`.
-    """
+class ExampleBatch(_Batch):
+    """Labelled observations: features ``x`` of shape (rows, *feature
+    shape), and per row the class ``y`` in 1..K and the information content
+    ``t`` (the process time of the slice).  :func:`check_example` checks
+    the features against a family."""
+
+    x: np.ndarray
+    y: np.ndarray
+    t: np.ndarray
+    _row = Example
+
+
+Examples = ExampleBatch | Sequence[Example]
+
+
+def as_example_batch(examples: Examples) -> ExampleBatch:
+    """A batch as it is, or a sequence of :class:`Example` rows as a batch."""
+    if isinstance(examples, ExampleBatch):
+        return examples
+    if len(examples) == 0:
+        return ExampleBatch(x=np.zeros((0, 0)), y=1, t=1.0)
+    x, y, t = zip(*examples)
+    return ExampleBatch(x=np.stack(x), y=y, t=t)
+
+
+@dataclass(frozen=True, eq=False)
+class PseudoBatch(_Batch):
+    """Thinned copies of examples, one row per copy: features ``x_tilde``
+    of shape (rows, *feature shape), and per row the class ``y``, the index
+    ``origin_id`` of the original, the fraction ``alpha`` and the thinned
+    information content ``t_tilde`` (``alpha * t``)."""
 
     x_tilde: np.ndarray
     y: np.ndarray
     origin_id: np.ndarray
     alpha: np.ndarray
     t_tilde: np.ndarray
+    _row = PseudoExample
 
     def __post_init__(self):
-        x = np.asarray(self.x_tilde).view()
-        x.setflags(write=False)
-        if x.ndim < 2:
-            raise ShapeError(f"x_tilde must be (rows, *features), got shape {x.shape}")
-        object.__setattr__(self, "x_tilde", x)
-        for name, dtype in (("y", np.int64), ("origin_id", np.int64), ("alpha", float),
-                            ("t_tilde", float)):
-            try:  # broadcast_to returns a read-only view
-                col = np.broadcast_to(np.asarray(getattr(self, name), dtype), x.shape[:1])
-            except ValueError:
-                raise ShapeError(f"{name} must have one entry per row of x_tilde") from None
-            object.__setattr__(self, name, col)
-        if np.any(self.y < 1):
-            raise ParameterError("class labels are 1-based")
+        super().__post_init__()
         if np.any(self.origin_id < 0):
             raise ParameterError("origin ids must be nonnegative")
         check_alpha(self.alpha)
-        if not np.all(self.t_tilde > 0.0):
-            raise ParameterError("thinned information content must be positive")
-
-    def __len__(self) -> int:
-        return self.x_tilde.shape[0]
-
-    def __getitem__(self, i: int) -> PseudoExample:
-        return PseudoExample(
-            self.x_tilde[i],
-            int(self.y[i]),
-            int(self.origin_id[i]),
-            float(self.alpha[i]),
-            float(self.t_tilde[i]),
-        )
 
 
 # --------------------------------------------------------------------------
@@ -302,19 +330,14 @@ def _poisson_counts(values) -> np.ndarray:
     return np.asarray(np.round(values), dtype=np.int64)
 
 
-def check_features(family: LevyFamily, x) -> np.ndarray:
-    """Validate ``x`` against the family's support and return it as an array.
-
-    Vector families expect a length-``d`` vector (Poisson: nonnegative
-    integers, Gaussian: finite reals, Gamma: strictly positive reals);
-    the Wishart family expects a ``d x d`` symmetric positive-definite
-    matrix.  Raises :class:`SupportError` on violation.
-    """
-    arr = np.asarray(x)
+def _check_rows(family: LevyFamily, rows) -> np.ndarray:
+    """The support rules of :func:`check_features`, applied to every row of
+    a stack of shape (rows, *feature shape); returns the checked stack."""
+    arr = np.asarray(rows)
     kind = family.kind
     shape = (family.d, family.d) if kind is FamilyKind.WISHART else (family.d,)
-    if arr.shape != shape:
-        raise SupportError(f"{kind.value} features must have shape {shape}, got {arr.shape}")
+    if arr.shape[1:] != shape:
+        raise SupportError(f"{kind.value} features must have shape {shape}, got {arr.shape[1:]}")
     if kind is FamilyKind.POISSON:
         return _poisson_counts(arr)
     arr = np.asarray(arr, dtype=float)
@@ -327,15 +350,25 @@ def check_features(family: LevyFamily, x) -> np.ndarray:
     return arr
 
 
-def check_example(family: LevyFamily, ex: Example) -> np.ndarray:
-    """Validate an example against a family (support plus the Wishart
-    density condition ``t >= d``); returns its features as
-    :func:`check_features` does."""
-    x = check_features(family, ex.x)
-    if family.kind is FamilyKind.WISHART and ex.t < family.d:
-        raise SupportError(
-            f"Wishart examples need t >= d for a density; got t={ex.t}, d={family.d}"
-        )
+def check_features(family: LevyFamily, x) -> np.ndarray:
+    """Validate ``x`` against the family's support and return it as an array.
+
+    Vector families expect a length-``d`` vector (Poisson: nonnegative
+    integers, Gaussian: finite reals, Gamma: strictly positive reals);
+    the Wishart family expects a ``d x d`` symmetric positive-definite
+    matrix.  Raises :class:`SupportError` on violation.
+    """
+    return _check_rows(family, np.asarray(x)[None])[0]
+
+
+def check_example(family: LevyFamily, batch: ExampleBatch) -> np.ndarray:
+    """Validate every row of a batch against a family (support, as
+    :func:`check_features`, plus the Wishart density condition ``t >= d``);
+    returns the features as :func:`check_features` does."""
+    x = _check_rows(family, batch.x)
+    if family.kind is FamilyKind.WISHART and np.any(batch.t < family.d):
+        t = batch.t.min()
+        raise SupportError(f"Wishart examples need t >= d for a density; got t={t}, d={family.d}")
     return x
 
 

@@ -38,7 +38,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .families import Example, FamilyKind, LevyFamily, PseudoBatch
+from .families import Examples, FamilyKind, LevyFamily, PseudoBatch, as_example_batch
 
 __all__ = [
     "FeatureMap",
@@ -403,15 +403,9 @@ def fit_logistic(
 # Calibration and prediction
 # --------------------------------------------------------------------------
 
-def _examples_design(originals: list[Example], feature_map: FeatureMap):
-    X = _phi_rows(feature_map, np.stack([ex.x for ex in originals]))
-    Y = np.array([ex.y for ex in originals], dtype=np.int64)
-    return X, Y
-
-
 def calibrate(
     model: LogisticModel,
-    originals: list[Example],
+    originals: Examples,
     tol: float = 1e-9,
     max_iter: int = 500,
 ) -> LogisticModel:
@@ -425,9 +419,10 @@ def calibrate(
     1e3 (with a warning) instead.
     """
     with single_thread():
+        originals = as_example_batch(originals)
         if len(originals) == 0:
             raise DegenerateDataError("calibration needs at least one original example")
-        X, Y = _examples_design(originals, model.feature_map)
+        X, Y = _phi_rows(model.feature_map, originals.x), originals.y
         k = model.n_classes
         if int(Y.max()) > k:
             raise ShapeError("calibration data contains labels beyond the model's classes")
@@ -502,15 +497,16 @@ def _calibrated_scores(model: LogisticModel, X: np.ndarray) -> np.ndarray:
     return model.calib_scale * (X @ model.beta) + model.calib_c
 
 
-def predict_labels(model: LogisticModel, examples: list[Example]) -> np.ndarray:
-    X, _ = _examples_design(examples, model.feature_map)
+def predict_labels(model: LogisticModel, examples: Examples) -> np.ndarray:
+    X = _phi_rows(model.feature_map, as_example_batch(examples).x)
     return np.argmax(_calibrated_scores(model, X), axis=1) + 1
 
 
-def mean_log_loss(model: LogisticModel, examples: list[Example]) -> float:
+def mean_log_loss(model: LogisticModel, examples: Examples) -> float:
     """Mean calibrated log-loss on examples (used to audit calibration)."""
-    X, Y = _examples_design(examples, model.feature_map)
-    return float(_softmax_loss(_calibrated_scores(model, X), Y)[0].mean())
+    batch = as_example_batch(examples)
+    X = _phi_rows(model.feature_map, batch.x)
+    return float(_softmax_loss(_calibrated_scores(model, X), batch.y)[0].mean())
 
 
 # --------------------------------------------------------------------------

@@ -101,17 +101,22 @@ def sample_wishart(scale: np.ndarray, dof: float, rng: np.random.Generator, size
     factor has chi(dof - i) diagonal entries and standard-normal strict
     lower entries, and the draw is L A A' L' with L = chol(scale).
     """
-    scale = np.asarray(scale, dtype=float)
-    d = scale.shape[0]
+    chol_scale = cholesky(np.asarray(scale, dtype=float))
+    return _bartlett(chol_scale, np.tril_indices(len(chol_scale), k=-1), dof, rng, size)
+
+
+def _bartlett(chol_scale, tril, dof: float, rng: np.random.Generator, size=None):
+    """:func:`sample_wishart` given chol(scale) and the strict lower-triangle
+    indices, for callers that draw many times with one scale."""
+    d = chol_scale.shape[0]
     if dof < d:
         raise ParameterError(f"Wishart dof must be >= dimension {d}, got {dof}")
-    chol_scale = cholesky(scale)
     n = 1 if size is None else size
     a = np.zeros((n, d, d))
     idx = np.arange(d)
     chi2 = rng.chisquare(dof - idx, size=(n, d))
     a[:, idx, idx] = np.sqrt(chi2)
-    rows, cols = np.tril_indices(d, k=-1)
+    rows, cols = tril
     if rows.size:
         a[:, rows, cols] = rng.standard_normal((n, rows.size))
     la = chol_scale @ a

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import LevyAugError, ParameterError
-from .families import Example, LevyFamily, PseudoBatch, gaussian_family, poisson_family
+from .families import ExampleBatch, LevyFamily, PseudoBatch, gaussian_family, poisson_family
 from .logistic import (
     LogisticModel,
     TrainConfig,
@@ -107,7 +107,7 @@ def _draw_atoms(spec: GaussianSimSpec, rng: np.random.Generator) -> np.ndarray:
 
 def gen_gaussian_sim(
     spec: GaussianSimSpec, n: int, rng: np.random.Generator
-) -> tuple[list[Example], list[Example]]:
+) -> tuple[ExampleBatch, ExampleBatch]:
     """Draw a train set of size n and a test set of size min(10 n, 10000).
 
     Class atoms are redrawn per call, so different replicates see
@@ -117,43 +117,37 @@ def gen_gaussian_sim(
         raise ParameterError("need at least 2 training examples")
     atoms = _draw_atoms(spec, rng)
 
-    def draw(m: int) -> list[Example]:
+    def draw(m: int) -> ExampleBatch:
         ys = rng.integers(0, 2, size=m)
         which = rng.integers(0, spec.atoms_per_class, size=m)
         noise = rng.standard_normal((m, spec.d))
-        return [
-            Example(x=atoms[y, w] + z, y=int(y) + 1, t=1.0)
-            for y, w, z in zip(ys, which, noise)
-        ]
+        return ExampleBatch(x=atoms[ys, which] + noise, y=ys + 1, t=1.0)
 
     return draw(n), draw(min(10 * n, _TEST_CAP))
 
 
 def gen_poisson_sim(
     spec: PoissonSimSpec, n: int, rng: np.random.Generator
-) -> tuple[list[Example], list[Example]]:
+) -> tuple[ExampleBatch, ExampleBatch]:
     """Draw Poisson count data; the recorded information content is the
     expected total count (rates are normalized per example)."""
     if n < 2:
         raise ParameterError("need at least 2 training examples")
     s = spec.n_signal
 
-    def draw(m: int) -> list[Example]:
+    def draw(m: int) -> ExampleBatch:
         ys = rng.integers(0, 2, size=m)
-        out = []
-        for y in ys:
+        x = np.empty((m, spec.d), dtype=np.int64)
+        for i, y in enumerate(ys):
             theta = np.zeros(spec.d)
             if y == 0:
                 theta[:s] = spec.signal_level
-            else:
-                # fresh signal height per example
-                tau = rng.exponential(1.0 / spec.tau_rate)
-                theta[s : 2 * s] = tau
+            else:  # fresh signal height per example
+                theta[s : 2 * s] = rng.exponential(1.0 / spec.tau_rate)
             weights = np.exp(theta)
             rates = spec.total_rate * weights / weights.sum()
-            x = rng.poisson(rates)
-            out.append(Example(x=x.astype(np.int64), y=int(y) + 1, t=spec.total_rate))
-        return out
+            x[i] = rng.poisson(rates)
+        return ExampleBatch(x=x, y=ys + 1, t=spec.total_rate)
 
     return draw(n), draw(min(10 * n, _TEST_CAP))
 
@@ -255,9 +249,7 @@ def _run_cell(args):
         model, lam = _fit_cell(
             family, train, alpha, n_pseudo, thin_seed, train_cfg, strong_ridge, standardize
         )
-        labels = predict_labels(model, test)
-        truth = np.array([ex.y for ex in test])
-        err = float((labels != truth).mean())
+        err = float((predict_labels(model, test) != test.y).mean())
         failure = None
     except LevyAugError as exc:
         err, lam = float("nan"), float("nan")

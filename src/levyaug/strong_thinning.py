@@ -39,7 +39,7 @@ from scipy.optimize import minimize  # noqa: F401  (perfbench/tracer.py wraps th
 from scipy.special import logsumexp
 
 from .errors import DegenerateDataError, ParameterError
-from .families import Example, FamilyKind, LevyFamily
+from .families import Example, ExampleBatch, Examples, FamilyKind, LevyFamily, as_example_batch
 from .logistic import (
     FeatureMap,
     LogisticModel,
@@ -143,7 +143,8 @@ def _limit_terms(beta, ex: Example, law, sigma):
 def _limit_at(beta, x, y, law, sigma, t):
     """Value and raw gradient of the limit loss at center(beta)."""
     beta = center_columns(np.asarray(beta, dtype=float))
-    return _limit_terms(beta, Example(x=x, y=y, t=t), law, np.asarray(sigma, dtype=float))
+    ex = ExampleBatch(x=np.asarray(x)[None], y=y, t=t)[0]  # checks y >= 1 and t > 0
+    return _limit_terms(beta, ex, law, np.asarray(sigma, dtype=float))
 
 
 def limit_loss(
@@ -189,7 +190,7 @@ def _contract(grad_beta: np.ndarray) -> np.ndarray:
 
 
 def fit_strong_thinning(
-    examples: list[Example],
+    examples: Examples,
     family: LevyFamily,
     ridge_lambda: float = 0.0,
     tol: float = 1e-7,
@@ -208,9 +209,10 @@ def fit_strong_thinning(
     """
     if ridge_lambda < 0.0:
         raise ParameterError("ridge_lambda must be nonnegative")
-    if len(examples) == 0:
+    batch = as_example_batch(examples)
+    if len(batch) == 0:
         raise DegenerateDataError("no examples")
-    k = _check_classes(np.array([ex.y for ex in examples]))
+    k = _check_classes(batch.y)
     p = family.d
 
     if family.kind not in (FamilyKind.GAUSSIAN, FamilyKind.POISSON):
@@ -218,13 +220,12 @@ def fit_strong_thinning(
             f"no derived strong-thinning law for the {family.kind.value} family"
         )
     sums = np.zeros((p, k))  # per-class feature sums: s_class, or word counts
-    for ex in examples:
-        sums[:, ex.y - 1] += np.asarray(ex.x, dtype=float)
+    np.add.at(sums.T, batch.y - 1, np.asarray(batch.x, dtype=float))  # in row order
 
     if family.kind is FamilyKind.GAUSSIAN:
         sigma, s_class = family.sigma, sums
-        t_total = float(sum(ex.t for ex in examples))
-        scale = float(len(examples))
+        t_total = float(sum(batch.t.tolist()))  # in row order
+        scale = float(len(batch))
 
         def fun_grad(gamma):
             beta = _expand(gamma)
@@ -279,7 +280,7 @@ def _unit_direction(beta: np.ndarray) -> np.ndarray:
 
 
 def alpha_path_converges(
-    examples: list[Example],
+    examples: Examples,
     family: LevyFamily,
     alphas: list[float],
     n_pseudo: int,
@@ -325,22 +326,22 @@ class PoissonNaiveBayes:
 
 
 def naive_bayes_poisson_fit(
-    examples: list[Example],
+    examples: Examples,
     smoothing: float = 0.0,
 ) -> PoissonNaiveBayes:
     """Rate estimates (count_jk + a) / (time_k + a d) with additive
     smoothing a, plus the induced log-rate scores."""
     if smoothing < 0.0:
         raise ParameterError("smoothing must be nonnegative")
-    if len(examples) == 0:
+    batch = as_example_batch(examples)
+    if len(batch) == 0:
         raise DegenerateDataError("no examples")
-    k = _check_classes(np.array([ex.y for ex in examples]))
-    d = np.asarray(examples[0].x).shape[0]
+    k = _check_classes(batch.y)
+    d = batch.x.shape[1]
     counts = np.zeros((k, d))
     time = np.zeros(k)
-    for ex in examples:
-        counts[ex.y - 1] += np.asarray(ex.x, dtype=float)
-        time[ex.y - 1] += ex.t
+    np.add.at(counts, batch.y - 1, np.asarray(batch.x, dtype=float))  # in row order
+    np.add.at(time, batch.y - 1, batch.t)
     rates = (counts + smoothing) / (time + smoothing * d)[:, None]
     with np.errstate(divide="ignore"):
         scores = np.log(rates)

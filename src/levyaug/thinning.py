@@ -24,23 +24,24 @@ import numpy as np
 
 from .errors import ParameterError, SupportError
 from .families import (
-    Example,
+    Examples,
     FamilyKind,
     LevyFamily,
     PseudoBatch,
     _check_pd,
     _poisson_counts,
+    as_example_batch,
     check_alpha,
     check_example,
 )
 from .rng import (
     RngState,
+    _bartlett,
     cholesky,
     matrix_sqrt_sym_pd,
     sample_beta,
     sample_binomial,
     sample_std_normal_vector,
-    sample_wishart,
 )
 
 __all__ = [
@@ -84,11 +85,12 @@ def _copies(x: np.ndarray, size) -> np.ndarray:
 
 
 # The thin_* functions validate their input, then draw through the private
-# samplers below.  generate_pseudo_examples validates each example once
+# samplers below.  generate_pseudo_examples validates the whole batch once
 # (check_example) and calls the samplers directly, once per copy, with the
-# per-origin and per-call work (Cholesky factor, matrix square root,
-# degrees of freedom) done once.  Every draw of a family with a domination
-# bound (all but Gaussian) is asserted against it.
+# per-origin and per-call work (Cholesky factors, Wishart triangle
+# indices, matrix square root, degrees of freedom) done once.  Every draw
+# of a family with a domination bound (all but Gaussian) is asserted
+# against it.
 
 def _binomial(x, alpha, rng, size=None):
     shape = None if size is None else (size,) + x.shape
@@ -112,11 +114,11 @@ def _beta_scaled(x, alpha, t, rng, size=None):
     return out
 
 
-def _matrix_beta(x, root_x, dofs, rng, size=None):
-    d = x.shape[0]
+def _matrix_beta(x, root_x, dofs, bartlett, rng, size=None):
+    """``bartlett``: chol(I) and the strict lower-triangle indices."""
     n = 1 if size is None else size
-    w1 = sample_wishart(np.eye(d), dofs[0], rng, size=n)
-    w2 = sample_wishart(np.eye(d), dofs[1], rng, size=n)
+    w1 = _bartlett(*bartlett, dofs[0], rng, size=n)
+    w2 = _bartlett(*bartlett, dofs[1], rng, size=n)
     w, v = np.linalg.eigh(w1 + w2)
     inv_root_s = np.einsum("nij,nj,nkj->nik", v, 1.0 / np.sqrt(w), v)
     m = inv_root_s @ w1 @ inv_root_s
@@ -183,14 +185,14 @@ def thin_wishart(x, alpha: float, t: float, rng: np.random.Generator, size=None)
     _check_pd(x, "Wishart thinning input")
     if _is_identity(alpha):
         return _copies(x, size)
-    dofs = _wishart_dofs(alpha, t, x.shape[0])  # both >= d implies t >= 2d
-    return _matrix_beta(x, matrix_sqrt_sym_pd(x), dofs, rng, size)
+    d = x.shape[0]
+    dofs = _wishart_dofs(alpha, t, d)  # both >= d implies t >= 2d
+    bartlett = cholesky(np.eye(d)), np.tril_indices(d, k=-1)
+    return _matrix_beta(x, matrix_sqrt_sym_pd(x), dofs, bartlett, rng, size)
 
 
 def generate_pseudo_examples(
-    examples: list[Example],
-    cfg: ThinningConfig,
-    family: LevyFamily,
+    examples: Examples, cfg: ThinningConfig, family: LevyFamily
 ) -> PseudoBatch:
     """Draw ``cfg.n_pseudo`` thinned copies of every example.
 
@@ -200,34 +202,34 @@ def generate_pseudo_examples(
     not depend on the rest of the batch.
     """
     alpha, copies, kind = cfg.alpha, cfg.n_pseudo, family.kind
-    xs = [check_example(family, ex) for ex in examples]
+    batch = as_example_batch(examples)
+    xs = check_example(family, batch)
     if kind is FamilyKind.GAUSSIAN:
         chol = cholesky(family.sigma)
-    shape = (family.d, family.d) if kind is FamilyKind.WISHART else (family.d,)
-    dtype = np.int64 if kind is FamilyKind.POISSON else float
-    x_tilde = np.empty((len(xs) * copies,) + shape, dtype=dtype)
-    for i, (ex, x) in enumerate(zip(examples, xs)):
+    elif kind is FamilyKind.WISHART:
+        bartlett = cholesky(np.eye(family.d)), np.tril_indices(family.d, k=-1)
+    x_tilde = np.empty((len(xs) * copies,) + xs.shape[1:], dtype=xs.dtype)
+    for i, (x, t) in enumerate(zip(xs, batch.t.tolist())):
         rows = x_tilde[i * copies : (i + 1) * copies]
         if alpha == 1.0:
             rows[:] = x
             continue
         if kind is FamilyKind.WISHART:
-            root_x, dofs = matrix_sqrt_sym_pd(x), _wishart_dofs(alpha, ex.t, family.d)
+            root_x, dofs = matrix_sqrt_sym_pd(x), _wishart_dofs(alpha, t, family.d)
         for b in range(copies):
             rng = cfg.seed.spawn(i, b)
             if kind is FamilyKind.POISSON:
                 rows[b] = _binomial(x, alpha, rng)
             elif kind is FamilyKind.GAUSSIAN:
-                rows[b] = _gaussian(x, alpha, ex.t, chol, rng)
+                rows[b] = _gaussian(x, alpha, t, chol, rng)
             elif kind is FamilyKind.GAMMA:
-                rows[b] = _beta_scaled(x, alpha, ex.t, rng)
+                rows[b] = _beta_scaled(x, alpha, t, rng)
             else:
-                rows[b] = _matrix_beta(x, root_x, dofs, rng)
-    t = np.array([float(ex.t) for ex in examples])
+                rows[b] = _matrix_beta(x, root_x, dofs, bartlett, rng)
     return PseudoBatch(
         x_tilde=x_tilde,
-        y=np.repeat(np.array([ex.y for ex in examples], dtype=np.int64), copies),
+        y=np.repeat(batch.y, copies),
         origin_id=np.repeat(np.arange(len(xs)), copies),
         alpha=alpha,
-        t_tilde=np.repeat(alpha * t, copies),
+        t_tilde=np.repeat(alpha * batch.t, copies),
     )

@@ -1,4 +1,5 @@
-"""The names the benchmark's tracer (perfbench/tracer.py) hooks must exist.
+"""The names the benchmark's tracer (perfbench/tracer.py) hooks must exist,
+and the values it records must keep the shape its checks read.
 
 The tracer wraps levyaug functions by module and attribute name; a rename
 under src/ would otherwise only show up as failed benchmark operations.
@@ -15,6 +16,7 @@ from levyaug.dataio import write_dataset
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 
+import traced  # noqa: E402
 import tracer  # noqa: E402
 
 
@@ -45,3 +47,20 @@ def test_tracer_counts_thin_and_train(tmp_path):
     assert metrics["thinning.draws"] == 40
     assert metrics["logistic.fits"] == 1
     assert np.isfinite(metrics["logistic.fit_s"])
+
+
+def test_tracer_checks_a_poisson_limit_fit(tmp_path):
+    g = RngState(6).generator()
+    data, model = tmp_path / "data.csv", tmp_path / "m.txt"
+    examples = [Example(x=g.poisson(4.0, size=3), y=1 + i % 2, t=12.0) for i in range(16)]
+    write_dataset(data, poisson_family(3), examples)
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        assert cli.main([
+            "limit", "--originals", str(data), "--family", "poisson", "--out", str(model),
+        ]) == 0
+    finally:
+        spans.uninstall()
+    assert len(spans.limit_fits) == 1
+    assert traced.capture_problems(spans, None) == []

@@ -61,6 +61,16 @@ def test_thin_alpha_one_copies_features(poisson_file, tmp_path):
         assert np.array_equal(ex.x, pe.x_tilde)
 
 
+def test_thin_t_const_overrides_every_t(poisson_file, tmp_path):
+    out = tmp_path / "pseudo.csv"
+    args = ["thin", "--input", str(poisson_file), "--output", str(out),
+            "--alpha", "0.4", "-B", "2", "--seed", "5", "--t-const"]
+    assert main(args + ["7.5"]) == 0
+    _, pseudo = read_pseudo_dataset(out)
+    assert len(pseudo) == 24 and np.all(pseudo.t_tilde == 0.4 * 7.5)
+    assert main(args + ["0"]) == 3
+
+
 def test_thin_exit_codes(tmp_path, poisson_file):
     bad = tmp_path / "bad.csv"
     bad.write_text("nonsense\n")

@@ -140,6 +140,16 @@ def test_errors_name_the_offending_row(tmp_path):
     with pytest.raises(DataFormatError, match="row 1"):
         read_dataset(path)
 
+    for head, rows, error in (
+        ("family=poisson d=2\ny,t,x_1,x_2", "1,1.0,2,0\n2,0.0,1,1\n", ParameterError),
+        ("family=poisson d=2\ny,t,x_1,x_2", "1,1.0,2,0\n0,1.0,1,1\n", ParameterError),
+        ("family=wishart d=2\ny,t,m_1,m_2,m_3", "1,3.0,1,0,1\n2,1.5,1,0,1\n", SupportError),
+        ("family=wishart d=2\ny,t,m_1,m_2,m_3", "1,3.0,1,0,1\n2,3.0,1,2,1\n", SupportError),
+    ):
+        path.write_text(f"# levyaug-dataset v1 {head}\n{rows}")
+        with pytest.raises(error, match="row 2"):
+            read_dataset(path)
+
 
 def test_header_validation(tmp_path):
     path = tmp_path / "bad.csv"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from levyaug import (
     Example,
+    ExampleBatch,
     FamilyKind,
     LevyFamily,
     ParameterError,
@@ -25,6 +26,8 @@ from levyaug import (
     thinning_log_density,
     wishart_family,
 )
+
+from levyaug.families import as_example_batch
 
 from conftest import random_pd_matrix
 
@@ -79,14 +82,51 @@ def test_feature_support_checks():
 def test_wishart_example_needs_t_at_least_d():
     fam = wishart_family(3)
     with pytest.raises(SupportError):
-        check_example(fam, Example(x=np.eye(3), y=1, t=2.0))
-    check_example(fam, Example(x=np.eye(3), y=1, t=3.0))
+        check_example(fam, ExampleBatch(x=np.stack([np.eye(3)] * 2), y=1, t=[3.0, 2.0]))
+    check_example(fam, ExampleBatch(x=np.eye(3)[None], y=1, t=3.0))
+
+
+def test_check_example_applies_the_feature_rules_to_every_row():
+    cases = [
+        (poisson_family(2), [[1, 0], [2, 3]], [[1, 0], [2, -1]]),
+        (poisson_family(2), [[1, 0], [2, 3]], [[1, 0], [1.5, 3]]),
+        (gaussian_family(2), [[0.5, -1.0], [2.0, 0.0]], [[0.5, -1.0], [np.inf, 0.0]]),
+        (gamma_family(2), [[0.5, 1.0], [2.0, 0.1]], [[0.5, 1.0], [2.0, 0.0]]),
+        (wishart_family(2), [np.eye(2), [[2.0, 1.0], [1.0, 2.0]]],
+         [np.eye(2), [[1.0, 2.0], [2.0, 1.0]]]),
+    ]
+    for fam, good, bad in cases:
+        checked = check_example(fam, ExampleBatch(x=np.array(good), y=1, t=4.0))
+        assert np.array_equal(checked, np.stack([check_features(fam, x) for x in good]))
+        assert checked.dtype == check_features(fam, good[0]).dtype
+        with pytest.raises(SupportError):
+            check_features(fam, bad[1])
+        with pytest.raises(SupportError):
+            check_example(fam, ExampleBatch(x=np.array(bad), y=1, t=4.0))
+    with pytest.raises(SupportError):
+        check_example(poisson_family(3), ExampleBatch(x=np.zeros((2, 2)), y=1, t=1.0))
 
 
 def test_example_fields_are_frozen():
-    ex = Example(x=np.array([1.0, 2.0]), y=1, t=1.0)
+    rows = [Example(x=np.array([1.0, 2.0]), y=1, t=1.0),
+            Example(x=np.array([3.0, 4.0]), y=2, t=0.5)]
+    batch = as_example_batch(rows)
+    assert as_example_batch(batch) is batch and len(batch) == 2
+    assert isinstance(batch[1], Example) and tuple(batch[1])[1:] == (2, 0.5)
+    assert all(np.array_equal(a.x, b.x) and a[1:] == b[1:] for a, b in zip(rows, batch))
     with pytest.raises(ValueError):
-        ex.x[0] = 5.0
+        batch[0].x[0] = 5.0
+    for column in (batch.x, batch.y, batch.t):
+        with pytest.raises(ValueError):
+            column[0] = 1
+    good = dict(x=np.zeros((2, 2)), y=[1, 2], t=1.0)
+    for bad in (dict(y=[0, 1]), dict(t=[1.0, 0.0]), dict(t=-1.0), dict(t=[1.0, np.nan]),
+                dict(t=np.inf)):
+        with pytest.raises(ParameterError):
+            ExampleBatch(**{**good, **bad})
+    for bad in (dict(y=[1, 2, 1]), dict(x=np.zeros(2))):
+        with pytest.raises(ShapeError):
+            ExampleBatch(**{**good, **bad})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -304,6 +307,17 @@ def test_alpha_path_stable_under_doubling_b(rng):
     # must agree within the single-draw scatter
     spread = 2.0 * np.std(base, ddof=1)
     assert abs(np.mean(doubled) - np.mean(base)) <= spread + 0.01
+
+
+def test_alpha_path_script_runs():
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_alpha_path.py")
+    out = subprocess.run(
+        [sys.executable, script, "--n", "20", "--alphas", "0.5,0.25", "-B", "20"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    rows = out.stdout.splitlines()[1:]
+    assert [float(row.split()[0]) for row in rows] == [0.5, 0.25]
 
 
 # ---------------------------------------------------------------------------
