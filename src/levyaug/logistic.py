@@ -10,6 +10,17 @@ ridge penalty ``lambda/2 * ||beta||_F^2``.  The coefficient matrix is kept
 in the centered gauge (columns sum to zero featurewise), which the ridge
 penalty already selects among the loss-equivalent shifts.
 
+A two-class fit optimizes the single p-vector ``w = beta_2 - beta_1``.  In
+the centered gauge ``beta = [-w/2, w/2]``, so ``||beta||_F^2 = ||w||^2 / 2``
+and, with the label sign ``s = -1`` for class 1 and ``+1`` for class 2, the
+objective is
+
+    mean logaddexp(0, -s * w . phi(x)) + lambda/4 * ||w||^2.
+
+Its gradient in ``w`` is the ``beta_2`` column of the gradient in ``beta``
+(the ``beta_1`` column is its negative), so the gradient max-norm, and
+with it the tolerance, is the same quantity in either parametrization.
+
 The regularization weight can be cross-validated on a descending grid of
 lambdas with *grouped* folds: every pseudo-example derived from one
 original lands in the same fold, so held-out scores are not contaminated
@@ -28,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from ._blas import single_thread
 from .errors import (
@@ -181,10 +191,22 @@ class FitReport:
 # Loss and gradient
 # --------------------------------------------------------------------------
 
+def _logsumexp(a, axis=None):
+    """log(sum(exp(a))) along ``axis``, shifted by the maximum.  An all
+    -inf slice gives -inf and a +inf entry gives +inf.  (scipy's version
+    costs several times more per call on small arrays.)"""
+    a = np.asarray(a, dtype=float)
+    m = np.max(a, axis=axis, keepdims=True)
+    m[~np.isfinite(m)] = 0.0  # then only a slice holding +inf can overflow, to +inf
+    with np.errstate(divide="ignore", over="ignore"):
+        total = np.log(np.sum(np.exp(a - m), axis=axis))
+    return total + np.squeeze(m, axis=axis)
+
+
 def logistic_loss(beta: np.ndarray, x: np.ndarray, y: int) -> float:
     """Multiclass log-loss of a single (features, label) pair."""
     scores = np.asarray(x, dtype=float) @ np.asarray(beta, dtype=float)
-    return float(logsumexp(scores) - scores[y - 1])
+    return float(_logsumexp(scores) - scores[y - 1])
 
 
 def loss_gradient(beta: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
@@ -192,7 +214,7 @@ def loss_gradient(beta: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     x = np.asarray(x, dtype=float)
     scores = x @ beta
-    p = np.exp(scores - logsumexp(scores))
+    p = np.exp(scores - _logsumexp(scores))
     p[y - 1] -= 1.0
     return np.outer(x, p)
 
@@ -201,7 +223,7 @@ def _softmax_loss(scores, Y):
     """Per-row log-loss of the 1-based labels ``Y`` under ``scores``, and
     each row's gradient in its scores (softmax minus one-hot)."""
     rows = np.arange(len(Y))
-    lse = logsumexp(scores, axis=1)
+    lse = _logsumexp(scores, axis=1)
     resid = np.exp(scores - lse[:, None])
     resid[rows, Y - 1] -= 1.0
     return lse - scores[rows, Y - 1], resid
@@ -219,10 +241,28 @@ def _batch_hessian(beta, X, lam):
     block (a, b) is X' diag(p_a (1{a=b} - p_b)) X / n, plus lam I."""
     (n, p), k = X.shape, beta.shape[1]
     scores = X @ beta
-    prob = np.exp(scores - logsumexp(scores, axis=1)[:, None])
+    prob = np.exp(scores - _logsumexp(scores, axis=1)[:, None])
     w = prob[:, :, None] * (np.eye(k) - prob[:, None, :])
     blocks = np.array([[(X.T * w[:, a, b]) @ X / n for b in range(k)] for a in range(k)])
     return blocks.transpose(2, 0, 3, 1).reshape(p * k, p * k) + lam * np.eye(p * k)
+
+
+def _binary_loss_grad(w, X, sign, lam):
+    """The two-class objective in ``w`` (see the module docstring) and its
+    gradient; ``sign`` is -1 for class 1 and +1 for class 2."""
+    margin = -sign * (X @ w)
+    losses = np.logaddexp(0.0, margin)
+    resid = -sign * np.exp(margin - losses)  # -s * sigmoid(-s z)
+    value = losses.mean() + 0.25 * lam * (w @ w)
+    return value, X.T @ resid / X.shape[0] + 0.5 * lam * w
+
+
+def _binary_hessian(w, X, lam):
+    """Exact Hessian of :func:`_binary_loss_grad`:
+    X' diag(q (1 - q)) X / n + lam/2 I with q = sigmoid(w . x)."""
+    z = X @ w
+    curv = np.exp(-np.logaddexp(0.0, z) - np.logaddexp(0.0, -z))
+    return (X.T * curv) @ X / X.shape[0] + 0.5 * lam * np.eye(X.shape[1])
 
 
 def _heldout_metrics(beta, X, Y):
@@ -319,20 +359,28 @@ def grouped_fold_assignment(groups: np.ndarray, n_folds: int) -> np.ndarray:
     return index % n_folds
 
 
-def _fit_path(X, Y, k, lambdas, tol, max_iter):
+def _fit_path(X, Y, lambdas, tol, max_iter):
     """Fit the descending lambda path with warm starts; returns one
-    (beta, gradient max-norm) per lambda."""
-    beta, out = np.zeros((X.shape[1], k)), []
+    (beta, gradient max-norm) per lambda.  Two classes are fit in
+    ``w = beta_2 - beta_1``, more classes in ``beta`` itself."""
+    k, p = int(Y.max()), X.shape[1]
+    if k == 2:
+        loss_grad, hessian, coef = _binary_loss_grad, _binary_hessian, np.zeros(p)
+        labels = 2.0 * Y - 3.0  # the sign s
+    else:
+        loss_grad, hessian, coef = _batch_loss_grad, _batch_hessian, np.zeros((p, k))
+        labels = Y
+    out = []
     for lam in lambdas:
-        beta, grad_norm = _minimize_lbfgs(
-            lambda b: _batch_loss_grad(b, X, Y, lam),
-            beta,
+        coef, grad_norm = _minimize_lbfgs(
+            lambda c: loss_grad(c, X, labels, lam),
+            coef,
             tol,
             max_iter,
             f"logistic fit at lambda={lam:.4g}",
-            hess=lambda b: _batch_hessian(b, X, lam),
+            hess=lambda c: hessian(c, X, lam),
         )
-        out.append((beta, grad_norm))
+        out.append((np.stack([-coef / 2, coef / 2], axis=1) if k == 2 else coef, grad_norm))
     return out
 
 
@@ -361,7 +409,7 @@ def fit_logistic_detailed(
                 mask = folds != f
                 if len(np.unique(Y[mask])) < k:
                     raise DegenerateDataError(f"fold {f} lost a class; use fewer folds")
-                path = _fit_path(X[mask], Y[mask], k, lambdas, cfg.tol, cfg.max_iter)
+                path = _fit_path(X[mask], Y[mask], lambdas, cfg.tol, cfg.max_iter)
                 for j, (beta, _) in enumerate(path):
                     scores[j, :, f] = _heldout_metrics(beta, X[~mask], Y[~mask])
             mean_loss = scores[:, 0, :].mean(axis=1)
@@ -373,7 +421,7 @@ def fit_logistic_detailed(
             chosen = lambdas[int(np.argmin(crit))]
 
         path = _fit_path(
-            X, Y, k, [lam for lam in lambdas if lam >= chosen], cfg.tol, cfg.max_iter
+            X, Y, [lam for lam in lambdas if lam >= chosen], cfg.tol, cfg.max_iter
         )
         beta, grad_norm = path[-1]
         model = LogisticModel(beta=center_columns(beta), feature_map=feature_map)
@@ -486,7 +534,7 @@ def calibrate(
 def predict(model: LogisticModel, x) -> tuple[int, np.ndarray]:
     """Label (1-based, ties to the smallest index) and class probabilities."""
     scores = _calibrated_scores(model, _phi_rows(model.feature_map, np.asarray(x)[None]))[0]
-    probs = np.exp(scores - logsumexp(scores))
+    probs = np.exp(scores - _logsumexp(scores))
     probs = probs / probs.sum()
     return int(np.argmax(scores)) + 1, probs
 

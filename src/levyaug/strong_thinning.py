@@ -36,8 +36,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401  (perfbench/tracer.py wraps this name)
-from scipy.special import logsumexp
 
+from ._blas import single_thread
 from .errors import DegenerateDataError, ParameterError
 from .families import Example, ExampleBatch, Examples, FamilyKind, LevyFamily, as_example_batch
 from .logistic import (
@@ -45,6 +45,7 @@ from .logistic import (
     LogisticModel,
     TrainConfig,
     _check_classes,
+    _logsumexp,
     _minimize_lbfgs,
     center_columns,
     fit_logistic,
@@ -132,7 +133,7 @@ def _limit_terms(beta, ex: Example, law, sigma):
 
     if lam > 0.0 and weights.size:
         scores = atoms @ beta  # (m, k)
-        lse = logsumexp(scores, axis=1)
+        lse = _logsumexp(scores, axis=1)
         value += lam * float(weights @ (lse - scores[:, ex.y - 1]))
         soft = np.exp(scores - lse[:, None])
         soft[:, ex.y - 1] -= 1.0
@@ -245,7 +246,7 @@ def fit_strong_thinning(
 
         def fun_grad(gamma):
             beta = _expand(gamma)
-            lse = logsumexp(beta, axis=1)
+            lse = _logsumexp(beta, axis=1)
             value = (
                 float(totals @ lse)
                 - float((counts * beta).sum())
@@ -255,9 +256,10 @@ def fit_strong_thinning(
             grad = totals[:, None] * soft - counts + ridge_lambda * beta
             return value / scale, _contract(grad) / scale
 
-    gamma, _ = _minimize_lbfgs(
-        fun_grad, np.zeros((p, k - 1)), tol, max_iter, "strong-thinning fit"
-    )
+    with single_thread():  # the solve holds all of the fit's BLAS work
+        gamma, _ = _minimize_lbfgs(
+            fun_grad, np.zeros((p, k - 1)), tol, max_iter, "strong-thinning fit"
+        )
     beta = center_columns(_expand(gamma))
     return LogisticModel(beta=beta, feature_map=FeatureMap.IDENTITY)
 

@@ -46,6 +46,8 @@ def test_tracer_counts_thin_and_train(tmp_path):
     metrics = spans.layer_metrics()
     assert metrics["thinning.draws"] == 40
     assert metrics["logistic.fits"] == 1
+    assert metrics["logistic.solves"] == 1  # two classes, one lambda: one minimize call
+    assert metrics["logistic.nfev"] > 0
     assert np.isfinite(metrics["logistic.fit_s"])
 
 

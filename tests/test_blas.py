@@ -3,7 +3,16 @@ import ctypes
 import numpy as np
 import pytest
 
-from levyaug import PseudoBatch, TrainConfig, _blas, fit_logistic, logistic
+from levyaug import (
+    Example,
+    PseudoBatch,
+    TrainConfig,
+    _blas,
+    fit_logistic,
+    fit_strong_thinning,
+    logistic,
+    poisson_family,
+)
 
 
 # Thread-count symbol prefixes and suffixes of upstream OpenBLAS and of the
@@ -72,15 +81,21 @@ def test_single_thread_without_openblas_is_a_no_op(openblas_at_two_threads, monk
         assert openblas_at_two_threads() == {2}
 
 
-def test_fits_run_on_one_thread(openblas_at_two_threads, monkeypatch):
+def _record_solver_threads(monkeypatch, thread_counts):
+    """Make every solve record the OpenBLAS thread counts it starts with."""
     seen = []
     minimize = logistic.minimize
 
     def recording_minimize(*args, **kwargs):
-        seen.append(openblas_at_two_threads())
+        seen.append(thread_counts())
         return minimize(*args, **kwargs)
 
     monkeypatch.setattr(logistic, "minimize", recording_minimize)
+    return seen
+
+
+def test_fits_run_on_one_thread(openblas_at_two_threads, monkeypatch):
+    seen = _record_solver_threads(monkeypatch, openblas_at_two_threads)
     g = np.random.default_rng(3)
     pseudo = PseudoBatch(
         x_tilde=g.standard_normal((20, 3)),
@@ -90,5 +105,14 @@ def test_fits_run_on_one_thread(openblas_at_two_threads, monkeypatch):
         t_tilde=1.0,
     )
     fit_logistic(pseudo, TrainConfig(ridge_lambda=0.1))
+    assert seen and all(counts == {1} for counts in seen)
+    assert openblas_at_two_threads() == {2}
+
+
+def test_limit_fit_runs_on_one_thread(openblas_at_two_threads, monkeypatch):
+    seen = _record_solver_threads(monkeypatch, openblas_at_two_threads)
+    g = np.random.default_rng(4)
+    originals = [Example(x=g.poisson(3.0, size=5), y=1 + i % 2, t=4.0) for i in range(12)]
+    fit_strong_thinning(originals, poisson_family(5))
     assert seen and all(counts == {1} for counts in seen)
     assert openblas_at_two_threads() == {2}

@@ -116,6 +116,25 @@ def test_gauge_invariance_of_loss_and_probs(rng):
     assert np.argmax(s1) == np.argmax(s2)
 
 
+def test_logsumexp_matches_scipy_on_extreme_rows():
+    a = np.array([
+        [0.0, -np.inf, 1.5, -2.0],
+        [-np.inf, -np.inf, -np.inf, -np.inf],
+        [3.0, np.inf, -np.inf, 0.0],
+        [1e300, 1e300, -1e300, 0.0],
+        [-1e300, -1e300, -3e300, -1e300],
+        [700.0, 710.0, -745.0, 0.5],
+    ])
+    with np.errstate(all="raise", under="ignore"):
+        by_row = logistic._logsumexp(a, axis=1)
+        whole = [logistic._logsumexp(a), logistic._logsumexp(a[[0, 3, 5]])]
+        rows = [logistic._logsumexp(row) for row in a]
+    np.testing.assert_allclose(by_row, logsumexp(a, axis=1), rtol=1e-15)
+    np.testing.assert_allclose(whole, [logsumexp(a), logsumexp(a[[0, 3, 5]])], rtol=1e-15)
+    np.testing.assert_allclose(rows, [logsumexp(row) for row in a], rtol=1e-15)
+    assert by_row[1] == -np.inf and by_row[2] == np.inf
+
+
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
@@ -190,6 +209,66 @@ def test_batch_hessian_matches_finite_differences(rng):
         lo = logistic._batch_loss_grad(beta - step, X, Y, lam)[1]
         columns.append((hi - lo).ravel() / (2 * h))
     assert np.allclose(hess, np.array(columns).T, atol=1e-6)
+
+
+def _two_class_problem(rng, n=60, p=4):
+    X = rng.standard_normal((n, p))
+    Y = np.where(X @ rng.standard_normal(p) + rng.standard_normal(n) > 0, 2, 1)
+    return X, Y
+
+
+def test_binary_fit_meets_tol_on_the_multiclass_gradient(rng):
+    X, Y = _two_class_problem(rng)
+    lam, tol = 0.03, 1e-7
+    model, report = fit_logistic_detailed(_batch(X, Y), TrainConfig(ridge_lambda=lam, tol=tol))
+    grad = logistic._batch_loss_grad(model.beta, X, Y, lam)[1]
+    assert np.abs(grad).max() <= tol
+    assert np.abs(grad).max() == pytest.approx(report.grad_max_norm, abs=1e-15)
+
+
+def test_binary_fit_matches_a_k_column_solve(rng):
+    X, Y = _two_class_problem(rng)
+    lam, tol = 0.03, 1e-7
+    beta = fit_logistic(_batch(X, Y), TrainConfig(ridge_lambda=lam, tol=tol)).beta
+    full, _ = logistic._minimize_lbfgs(
+        lambda b: logistic._batch_loss_grad(b, X, Y, lam), np.zeros((4, 2)), tol, 500, "K=2"
+    )
+    assert np.abs(beta - full).max() <= 1e-6 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("k, hessian", [(2, "_binary_hessian"), (3, "_batch_hessian")])
+def test_newton_finish_reaches_tol_where_lbfgs_stops_short(rng, monkeypatch, k, hessian):
+    # tol=1e-14 is below where L-BFGS-B stops on "relative reduction of f"
+    # (gradient max-norm about 1e-12 here); the Newton steps must finish.
+    results, hessians = [], []
+    minimize, exact = logistic.minimize, getattr(logistic, hessian)
+
+    def recording_minimize(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    def recording_hessian(*args):
+        hessians.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(logistic, "minimize", recording_minimize)
+    monkeypatch.setattr(logistic, hessian, recording_hessian)
+    pseudo = _random_problem(rng, n=60, p=4, k=k)
+    report = fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=0.03, tol=1e-14))[1]
+    assert len(results) == 1 and np.abs(results[0].jac).max() > 1e-14
+    assert hessians and report.grad_max_norm <= 1e-14
+
+
+def test_binary_hessian_matches_finite_differences(rng):
+    X, Y = _two_class_problem(rng, n=30, p=3)
+    sign = 2.0 * Y - 3.0
+    w, lam, h = rng.standard_normal(3), 0.1, 1e-6
+    columns = []
+    for step in h * np.eye(3):
+        hi = logistic._binary_loss_grad(w + step, X, sign, lam)[1]
+        lo = logistic._binary_loss_grad(w - step, X, sign, lam)[1]
+        columns.append((hi - lo) / (2 * h))
+    assert np.allclose(logistic._binary_hessian(w, X, lam), np.array(columns).T, atol=1e-6)
 
 
 def test_grouped_folds_partition_origins():
