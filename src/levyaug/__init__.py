@@ -35,7 +35,6 @@ from .families import (
     check_features,
     gamma_family,
     gaussian_family,
-    log_carrier,
     log_partition,
     poisson_family,
     thinning_log_density,

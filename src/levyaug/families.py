@@ -15,8 +15,12 @@ pure carrier ratio in which ``theta`` cancels:
 
 This module holds the family descriptors, the example and pseudo-example
 batches with their support invariants, ``log_partition``, and the
-carrier-ratio density ``thinning_log_density``.  Sampling from the kernel
-lives in :mod:`levyaug.thinning`.
+carrier-ratio density ``thinning_log_density``.  The invariants are
+checked here and only here: a batch checks its labels and times when it
+is built, ``check_example`` checks its features against a family, and
+``check_alpha`` checks thinning fractions.  Every sampler in
+:mod:`levyaug.thinning` and ``thinning_log_density`` check their inputs
+through these, as a batch, before computing anything.
 
 Concrete carriers (up to additive constants dropped only for Wishart):
 
@@ -58,7 +62,6 @@ __all__ = [
     "check_features",
     "check_example",
     "log_partition",
-    "log_carrier",
     "thinning_log_density",
 ]
 
@@ -401,40 +404,30 @@ def log_partition(topic: Topic) -> float:
 # Carriers and the thinning density
 # --------------------------------------------------------------------------
 
-def log_carrier(family: LevyFamily, x: np.ndarray, t: float) -> float:
-    """log h_t(x), the theta-free carrier of the family's t-marginal.
+def _log_carrier(family: LevyFamily, x: np.ndarray, t: float) -> float:
+    """log h_t(x), the theta-free carrier of the family's t-marginal, at a
+    checked ``x`` and ``t``.
 
     Exact (normalized) for Poisson, Gaussian and Gamma.  For Wishart the
     multivariate-gamma constant is dropped, so only carrier *ratios* are
     meaningful for that family.
     """
-    if t <= 0.0:
-        raise ParameterError(f"process time must be positive, got {t}")
-    kind = family.kind
+    kind, d = family.kind, family.d
     if kind is FamilyKind.POISSON:
         xi = np.asarray(x, dtype=float)
         return float((xi * np.log(t) - gammaln(xi + 1.0)).sum())
     if kind is FamilyKind.GAUSSIAN:
-        x = np.asarray(x, dtype=float)
         sigma = family.sigma
         sol = np.linalg.solve(sigma, x)
         _, logdet = np.linalg.slogdet(sigma)
-        d = family.d
         return float(-0.5 * (x @ sol) / t - 0.5 * d * np.log(2.0 * np.pi * t) - 0.5 * logdet)
     if kind is FamilyKind.GAMMA:
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
-            raise SupportError("Gamma carrier evaluated outside the positive orthant")
-        d = family.d
         return float(
             (0.5 * t - 1.0) * np.log(x).sum()
             - d * gammaln(0.5 * t)
             - 0.5 * d * t * np.log(2.0)
         )
-    sign, logdet = np.linalg.slogdet(x)
-    if sign <= 0:
-        raise SupportError("Wishart carrier evaluated outside the PD cone")
-    return float(0.5 * (t - family.d - 1.0) * logdet)
+    return float(0.5 * (t - d - 1.0) * np.linalg.slogdet(x)[1])
 
 
 def thinning_log_density(
@@ -454,17 +447,21 @@ def thinning_log_density(
     the product of scaled Beta(alpha t/2, (1-alpha) t/2) log-densities for
     Gamma.  For Wishart the value is unnormalized (the carrier constant
     is omitted; its sampler is validated distributionally instead).
+
+    ``x``, ``x_tilde`` and the increment ``x - x_tilde`` (domination) are
+    checked against the support as one batch, with their times ``t``,
+    ``alpha t`` and ``(1 - alpha) t``.
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in the open interval (0, 1), got {alpha}")
-    x = check_features(family, x)
-    x_tilde = check_features(family, x_tilde)
-    rest = x - x_tilde
-    if family.kind is not FamilyKind.GAUSSIAN:
-        # domination: the increment x - x_tilde lies in the support too
-        check_features(family, rest)
+    x, x_tilde = np.asarray(x, dtype=float), np.asarray(x_tilde, dtype=float)
+    if x.shape != x_tilde.shape:
+        raise SupportError(f"x has shape {x.shape} but x_tilde has shape {x_tilde.shape}")
+    times = (t, alpha * t, (1.0 - alpha) * t)
+    batch = ExampleBatch(x=np.stack([x, x_tilde, x - x_tilde]), y=1, t=times)
+    x, x_tilde, rest = check_example(family, batch)
     return (
-        log_carrier(family, x_tilde, alpha * t)
-        + log_carrier(family, rest, (1.0 - alpha) * t)
-        - log_carrier(family, x, t)
+        _log_carrier(family, x_tilde, times[1])
+        + _log_carrier(family, rest, times[2])
+        - _log_carrier(family, x, times[0])
     )

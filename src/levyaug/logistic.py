@@ -318,12 +318,11 @@ def _minimize_lbfgs(fun_grad, x0: np.ndarray, tol: float, max_iter: int, what: s
 # Fitting
 # --------------------------------------------------------------------------
 
-def _design(pseudo: PseudoBatch, feature_map=None):
+def _design(pseudo: PseudoBatch):
     if len(pseudo) == 0:
         raise DegenerateDataError("no pseudo-examples to fit on")
-    if feature_map is None:
-        matrices = pseudo.x_tilde.ndim == 3
-        feature_map = FeatureMap.FLATTEN_SYMMETRIC if matrices else FeatureMap.IDENTITY
+    matrices = pseudo.x_tilde.ndim == 3
+    feature_map = FeatureMap.FLATTEN_SYMMETRIC if matrices else FeatureMap.IDENTITY
     return _phi_rows(feature_map, pseudo.x_tilde), pseudo.y, pseudo.origin_id, feature_map
 
 
@@ -385,13 +384,11 @@ def _fit_path(X, Y, lambdas, tol, max_iter):
 
 
 def fit_logistic_detailed(
-    pseudo: PseudoBatch,
-    cfg: TrainConfig,
-    feature_map: FeatureMap | None = None,
+    pseudo: PseudoBatch, cfg: TrainConfig
 ) -> tuple[LogisticModel, FitReport]:
     """Fit, with the CV table and convergence diagnostics alongside."""
     with single_thread():
-        X, Y, groups, feature_map = _design(pseudo, feature_map)
+        X, Y, groups, feature_map = _design(pseudo)
         k = _check_classes(Y)
         lambdas = cfg.ridge_lambda
         if lambdas is None:
@@ -431,11 +428,7 @@ def fit_logistic_detailed(
         return model, report
 
 
-def fit_logistic(
-    pseudo: PseudoBatch,
-    cfg: TrainConfig,
-    feature_map: FeatureMap | None = None,
-) -> LogisticModel:
+def fit_logistic(pseudo: PseudoBatch, cfg: TrainConfig) -> LogisticModel:
     """Ridge-penalized multiclass logistic fit on pseudo-examples.
 
     If the config carries a lambda grid, lambda is chosen by grouped
@@ -444,7 +437,7 @@ def fit_logistic(
     brought under ``cfg.tol`` and :class:`DegenerateDataError` when some
     class has no examples.
     """
-    return fit_logistic_detailed(pseudo, cfg, feature_map)[0]
+    return fit_logistic_detailed(pseudo, cfg)[0]
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from scipy.special import logsumexp
 
 from .errors import ParameterError
 from .families import FamilyKind, LevyFamily, Topic, log_partition
-from .rng import sample_std_normal_vector, cholesky
+from .rng import cholesky
 
 __all__ = [
     "TopicMixture",
@@ -163,7 +163,7 @@ def wishart_split_oracle(
         )
     t_thin = int(round(t_thin))
     chol = cholesky(sigma)
-    z = sample_std_normal_vector(d, rng, size=t) @ chol.T
+    z = rng.standard_normal((t, d)) @ chol.T
     x_thin = z[:t_thin].T @ z[:t_thin]
     x = x_thin + z[t_thin:].T @ z[t_thin:]
     return 0.5 * (x + x.T), 0.5 * (x_thin + x_thin.T)

@@ -1,11 +1,14 @@
-"""Reproducible random state and the distribution primitives the samplers use.
+"""Reproducible random state and the matrix primitives the samplers use.
 
 All randomness flows through :class:`RngState`, a (seed, stream) pair that
 derives independent substreams by feeding the pair plus an arbitrary integer
 key into ``numpy``'s ``SeedSequence``.  Substreams keyed by, say,
 ``(origin_id, b)`` are therefore independent of iteration order and of each
 other, which is what makes pseudo-example generation reproducible under
-reordering and parallelism.
+reordering and parallelism.  The thinning samplers draw scalars and
+vectors from the generator directly (``binomial``, ``beta``,
+``standard_normal``): their parameters are checked once, with the
+originals and ``alpha``, in :mod:`levyaug.thinning`.
 """
 
 from __future__ import annotations
@@ -18,9 +21,6 @@ from .errors import DecompositionError, ParameterError
 
 __all__ = [
     "RngState",
-    "sample_binomial",
-    "sample_beta",
-    "sample_std_normal_vector",
     "sample_wishart",
     "cholesky",
     "matrix_sqrt_sym_pd",
@@ -54,28 +54,6 @@ class RngState:
 
 
 # --------------------------------------------------------------------------
-# Scalar / vector primitives (thin wrappers so every sampler in the package
-# draws through one audited surface)
-# --------------------------------------------------------------------------
-
-def sample_binomial(n, p: float, rng: np.random.Generator, size=None):
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"binomial probability must lie in [0, 1], got {p}")
-    return rng.binomial(n, p, size=size)
-
-
-def sample_beta(a: float, b: float, rng: np.random.Generator, size=None):
-    if a <= 0 or b <= 0:
-        raise ParameterError("beta shapes must be positive")
-    return rng.beta(a, b, size=size)
-
-
-def sample_std_normal_vector(d: int, rng: np.random.Generator, size=None):
-    shape = (d,) if size is None else (size, d)
-    return rng.standard_normal(shape)
-
-
-# --------------------------------------------------------------------------
 # Matrix primitives
 # --------------------------------------------------------------------------
 
@@ -102,15 +80,17 @@ def sample_wishart(scale: np.ndarray, dof: float, rng: np.random.Generator, size
     lower entries, and the draw is L A A' L' with L = chol(scale).
     """
     chol_scale = cholesky(np.asarray(scale, dtype=float))
-    return _bartlett(chol_scale, np.tril_indices(len(chol_scale), k=-1), dof, rng, size)
-
-
-def _bartlett(chol_scale, tril, dof: float, rng: np.random.Generator, size=None):
-    """:func:`sample_wishart` given chol(scale) and the strict lower-triangle
-    indices, for callers that draw many times with one scale."""
     d = chol_scale.shape[0]
     if dof < d:
         raise ParameterError(f"Wishart dof must be >= dimension {d}, got {dof}")
+    return _bartlett(chol_scale, np.tril_indices(d, k=-1), dof, rng, size)
+
+
+def _bartlett(chol_scale, tril, dof: float, rng: np.random.Generator, size=None):
+    """:func:`sample_wishart` given chol(scale), the strict lower-triangle
+    indices and a checked ``dof >= d``, for callers that draw many times
+    with one scale."""
+    d = chol_scale.shape[0]
     n = 1 if size is None else size
     a = np.zeros((n, d, d))
     idx = np.arange(d)

@@ -38,6 +38,7 @@ from .logistic import (
     LogisticModel,
     TrainConfig,
     calibrate,
+    center_columns,
     fit_logistic_detailed,
     mean_log_loss,
     predict_labels,
@@ -206,11 +207,8 @@ def _standardized_fit(pseudo: PseudoBatch, train_cfg):
     sd = np.asarray(pseudo.x_tilde, dtype=float).std(axis=0, ddof=1)
     sd[sd == 0.0] = 1.0
     model, report = fit_logistic_detailed(replace(pseudo, x_tilde=pseudo.x_tilde / sd), train_cfg)
-    beta = model.beta / sd[:, None]
-    model = LogisticModel(
-        beta=beta - beta.mean(axis=1, keepdims=True), feature_map=model.feature_map
-    )
-    return model, report
+    beta = center_columns(model.beta / sd[:, None])
+    return LogisticModel(beta=beta, feature_map=model.feature_map), report
 
 
 def _fit_cell(family, train, alpha, n_pseudo, thin_seed, train_cfg, strong_ridge, standardize):

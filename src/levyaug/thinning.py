@@ -19,30 +19,26 @@ the support bracket defined by the original).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import ParameterError, SupportError
+from .errors import ParameterError
 from .families import (
+    ExampleBatch,
     Examples,
     FamilyKind,
     LevyFamily,
     PseudoBatch,
-    _check_pd,
-    _poisson_counts,
     as_example_batch,
     check_alpha,
     check_example,
+    gamma_family,
+    gaussian_family,
+    poisson_family,
+    wishart_family,
 )
-from .rng import (
-    RngState,
-    _bartlett,
-    cholesky,
-    matrix_sqrt_sym_pd,
-    sample_beta,
-    sample_binomial,
-    sample_std_normal_vector,
-)
+from .rng import RngState, _bartlett, cholesky, matrix_sqrt_sym_pd
 
 __all__ = [
     "ThinningConfig",
@@ -75,39 +71,30 @@ class ThinningConfig:
             raise ParameterError(f"n_pseudo must be >= 1, got {self.n_pseudo}")
 
 
-def _is_identity(alpha: float) -> bool:
-    check_alpha(alpha)
-    return alpha == 1.0
-
-
-def _copies(x: np.ndarray, size) -> np.ndarray:
-    return x.copy() if size is None else np.broadcast_to(x, (size,) + x.shape).copy()
-
-
-# The thin_* functions validate their input, then draw through the private
-# samplers below.  generate_pseudo_examples validates the whole batch once
-# (check_example) and calls the samplers directly, once per copy, with the
-# per-origin and per-call work (Cholesky factors, Wishart triangle
-# indices, matrix square root, degrees of freedom) done once.  Every draw
-# of a family with a domination bound (all but Gaussian) is asserted
-# against it.
+# Every entry point checks its originals once, as an ExampleBatch with
+# check_example (the family's support, t positive and finite, and the
+# Wishart density condition t >= d), and alpha with check_alpha.  Then
+# alpha = 1 copies the features, and alpha < 1 draws through _sampler:
+# _sampler does the per-call work (Cholesky factors, Wishart triangle
+# indices) and returns for_origin(x, t), which does the per-origin work
+# (mean and scale, Beta shapes, matrix square root, degrees of freedom)
+# and returns draw(rng, size=None).  The draw functions below call the
+# generator directly and trust their arguments; every draw of a family
+# with a domination bound (all but Gaussian) is asserted against it.
 
 def _binomial(x, alpha, rng, size=None):
-    shape = None if size is None else (size,) + x.shape
-    out = sample_binomial(x, alpha, rng, size=shape)
+    out = rng.binomial(x, alpha, size=None if size is None else (size,) + x.shape)
     assert np.all(out >= 0) and np.all(out <= x)
     return out
 
 
-def _gaussian(x, alpha, t, chol, rng, size=None):
-    scale = np.sqrt(alpha * (1.0 - alpha) * t)
-    z = sample_std_normal_vector(x.shape[0], rng, size=size)
-    return alpha * x + scale * (z @ chol.T)
+def _gaussian(mean, scale, chol, rng, size=None):
+    z = rng.standard_normal(mean.shape if size is None else (size,) + mean.shape)
+    return mean + scale * (z @ chol.T)
 
 
-def _beta_scaled(x, alpha, t, rng, size=None):
-    shape = x.shape if size is None else (size,) + x.shape
-    m = sample_beta(0.5 * alpha * t, 0.5 * (1.0 - alpha) * t, rng, size=shape)
+def _beta_scaled(x, a, b, rng, size=None):
+    m = rng.beta(a, b, size=x.shape if size is None else (size,) + x.shape)
     m = np.clip(m, _OPEN_LO, _OPEN_HI)
     out = m * x
     assert np.all(out > 0.0) and np.all(out < x)
@@ -129,36 +116,6 @@ def _matrix_beta(x, root_x, dofs, bartlett, rng, size=None):
     return out[0] if size is None else out
 
 
-def thin_poisson(x, alpha: float, rng: np.random.Generator, size=None):
-    """Binomially downsample a count vector; keeps each unit with prob alpha."""
-    x = _poisson_counts(x)
-    if _is_identity(alpha):
-        return _copies(x, size)
-    return _binomial(x, alpha, rng, size)
-
-
-def thin_gaussian(x, alpha: float, t: float, sigma, rng: np.random.Generator, size=None):
-    """Rewind a Gaussian slice: alpha x plus N(0, alpha (1-alpha) t Sigma) noise."""
-    x = np.asarray(x, dtype=float)
-    if t <= 0.0:
-        raise ParameterError(f"Gaussian thinning requires t > 0, got {t}")
-    if _is_identity(alpha):
-        return _copies(x, size)
-    return _gaussian(x, alpha, t, cholesky(np.asarray(sigma, dtype=float)), rng, size)
-
-
-def thin_gamma(x, alpha: float, t: float, rng: np.random.Generator, size=None):
-    """Multiplicative beta noise: x_tilde_j = m_j x_j, m_j ~ Beta(at/2, (1-a)t/2)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise SupportError("Gamma thinning requires strictly positive features")
-    if t <= 0.0:
-        raise ParameterError(f"Gamma thinning requires t > 0, got {t}")
-    if _is_identity(alpha):
-        return _copies(x, size)
-    return _beta_scaled(x, alpha, t, rng, size)
-
-
 def _wishart_dofs(alpha: float, t: float, d: int) -> tuple[float, float]:
     """Degrees of freedom alpha t and (1 - alpha) t of the two increments,
     tolerating the float error of products like (1 - alpha) * t landing a
@@ -172,6 +129,52 @@ def _wishart_dofs(alpha: float, t: float, d: int) -> tuple[float, float]:
     return max(dofs[0], float(d)), max(dofs[1], float(d))
 
 
+def _sampler(family: LevyFamily, alpha: float):
+    """``for_origin(x, t) -> draw(rng, size=None)`` for the kernel of
+    ``family`` at a checked ``alpha < 1``, given checked origins."""
+    kind, d = family.kind, family.d
+    if kind is FamilyKind.POISSON:
+        return lambda x, t: partial(_binomial, x, alpha)
+    if kind is FamilyKind.GAUSSIAN:
+        chol = cholesky(family.sigma)
+        return lambda x, t: partial(
+            _gaussian, alpha * x, np.sqrt(alpha * (1.0 - alpha) * t), chol
+        )
+    if kind is FamilyKind.GAMMA:
+        return lambda x, t: partial(_beta_scaled, x, 0.5 * alpha * t, 0.5 * (1.0 - alpha) * t)
+    bartlett = cholesky(np.eye(d)), np.tril_indices(d, k=-1)
+    return lambda x, t: partial(
+        _matrix_beta, x, matrix_sqrt_sym_pd(x), _wishart_dofs(alpha, t, d), bartlett
+    )
+
+
+def _thin_one(family_of_d, x, alpha, t, rng, size):
+    """Check one origin as a one-row batch of the family ``family_of_d(d)``,
+    then draw ``size`` thinned copies of it (one when ``size`` is None)."""
+    batch = ExampleBatch(x=np.asarray(x)[None], y=1, t=t)
+    family = family_of_d(batch.x.shape[1])
+    x, t = check_example(family, batch)[0], batch.t.item()
+    check_alpha(alpha)
+    if alpha == 1.0:
+        return x.copy() if size is None else np.repeat(x[None], size, axis=0)
+    return _sampler(family, alpha)(x, t)(rng, size)
+
+
+def thin_poisson(x, alpha: float, rng: np.random.Generator, size=None):
+    """Binomially downsample a count vector; keeps each unit with prob alpha."""
+    return _thin_one(poisson_family, x, alpha, 1.0, rng, size)
+
+
+def thin_gaussian(x, alpha: float, t: float, sigma, rng: np.random.Generator, size=None):
+    """Rewind a Gaussian slice: alpha x plus N(0, alpha (1-alpha) t Sigma) noise."""
+    return _thin_one(lambda d: gaussian_family(d, sigma), x, alpha, t, rng, size)
+
+
+def thin_gamma(x, alpha: float, t: float, rng: np.random.Generator, size=None):
+    """Multiplicative beta noise: x_tilde_j = m_j x_j, m_j ~ Beta(at/2, (1-a)t/2)."""
+    return _thin_one(gamma_family, x, alpha, t, rng, size)
+
+
 def thin_wishart(x, alpha: float, t: float, rng: np.random.Generator, size=None):
     """Matrix-beta thinning of a scatter matrix.
 
@@ -179,16 +182,10 @@ def thin_wishart(x, alpha: float, t: float, rng: np.random.Generator, size=None)
     independently, forms M = (W1+W2)^{-1/2} W1 (W1+W2)^{-1/2} and returns
     x^{1/2} M x^{1/2}.  Because the conditional law of the earlier slice
     given the sum does not depend on the scale matrix, the identity-scale
-    construction is exact for every underlying covariance.
+    construction is exact for every underlying covariance.  Both alpha t
+    and (1 - alpha) t must be >= d unless alpha = 1.
     """
-    x = np.asarray(x, dtype=float)
-    _check_pd(x, "Wishart thinning input")
-    if _is_identity(alpha):
-        return _copies(x, size)
-    d = x.shape[0]
-    dofs = _wishart_dofs(alpha, t, d)  # both >= d implies t >= 2d
-    bartlett = cholesky(np.eye(d)), np.tril_indices(d, k=-1)
-    return _matrix_beta(x, matrix_sqrt_sym_pd(x), dofs, bartlett, rng, size)
+    return _thin_one(wishart_family, x, alpha, t, rng, size)
 
 
 def generate_pseudo_examples(
@@ -201,31 +198,18 @@ def generate_pseudo_examples(
     deterministic in ``cfg.seed`` and the draws attached to one origin do
     not depend on the rest of the batch.
     """
-    alpha, copies, kind = cfg.alpha, cfg.n_pseudo, family.kind
+    alpha, copies = cfg.alpha, cfg.n_pseudo
     batch = as_example_batch(examples)
     xs = check_example(family, batch)
-    if kind is FamilyKind.GAUSSIAN:
-        chol = cholesky(family.sigma)
-    elif kind is FamilyKind.WISHART:
-        bartlett = cholesky(np.eye(family.d)), np.tril_indices(family.d, k=-1)
-    x_tilde = np.empty((len(xs) * copies,) + xs.shape[1:], dtype=xs.dtype)
-    for i, (x, t) in enumerate(zip(xs, batch.t.tolist())):
-        rows = x_tilde[i * copies : (i + 1) * copies]
-        if alpha == 1.0:
-            rows[:] = x
-            continue
-        if kind is FamilyKind.WISHART:
-            root_x, dofs = matrix_sqrt_sym_pd(x), _wishart_dofs(alpha, t, family.d)
-        for b in range(copies):
-            rng = cfg.seed.spawn(i, b)
-            if kind is FamilyKind.POISSON:
-                rows[b] = _binomial(x, alpha, rng)
-            elif kind is FamilyKind.GAUSSIAN:
-                rows[b] = _gaussian(x, alpha, t, chol, rng)
-            elif kind is FamilyKind.GAMMA:
-                rows[b] = _beta_scaled(x, alpha, t, rng)
-            else:
-                rows[b] = _matrix_beta(x, root_x, dofs, bartlett, rng)
+    if alpha == 1.0:
+        x_tilde = np.repeat(xs, copies, axis=0)
+    else:
+        for_origin = _sampler(family, alpha)
+        x_tilde = np.empty((len(xs) * copies,) + xs.shape[1:], dtype=xs.dtype)
+        for i, (x, t) in enumerate(zip(xs, batch.t.tolist())):
+            draw = for_origin(x, t)
+            for b in range(copies):
+                x_tilde[i * copies + b] = draw(cfg.seed.spawn(i, b))
     return PseudoBatch(
         x_tilde=x_tilde,
         y=np.repeat(batch.y, copies),

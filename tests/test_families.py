@@ -204,6 +204,20 @@ def test_alpha_bounds_rejected():
             thinning_log_density(fam, [2], [1], 1.0, alpha)
 
 
+def test_kernel_times_must_be_positive_and_finite():
+    cases = [
+        (poisson_family(1), [2], [1]),
+        (gaussian_family(1), [0.5], [0.2]),
+        (gamma_family(1), [1.0], [0.5]),
+        (wishart_family(1), [[2.0]], [[1.0]]),
+    ]
+    for fam, x, xt in cases:
+        thinning_log_density(fam, x, xt, 4.0, 0.5)
+        for t in (np.nan, np.inf, -1.0):
+            with pytest.raises(ParameterError):
+                thinning_log_density(fam, x, xt, t, 0.5)
+
+
 def test_kernel_support_violations():
     with pytest.raises(SupportError):
         thinning_log_density(poisson_family(1), [2], [3], 1.0, 0.5)

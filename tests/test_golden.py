@@ -1,15 +1,19 @@
-"""Golden outputs: the SHA-256 of ``levyaug thin`` files on tiny datasets.
+"""Golden outputs: the SHA-256 of ``levyaug thin`` files on tiny datasets,
+and of direct ``thin_*`` draws.
 
-Each digest pins the draw order (one substream per origin and copy), the
-samplers' arithmetic and the float formatting of the pseudo-example
-writer.  A change that moves any of them must say so and update the
-digest on purpose.
+Each file digest pins the draw order (one substream per origin and copy),
+the samplers' arithmetic and the float formatting of the pseudo-example
+writer; each draw digest pins a sampler's generator calls and arithmetic,
+for one draw and for a ``size`` batch.  A change that moves any of them
+must say so and update the digest on purpose.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from levyaug import RngState, thin_gamma, thin_gaussian, thin_poisson, thin_wishart
 from levyaug.cli import main
 
 # family -> (d, dataset rows "y,t,features", extra thin arguments, digest)
@@ -59,3 +63,39 @@ def test_thin_output_is_pinned(tmp_path, family):
     args = [str(sigma) if a == "SIGMA" else a for a in extra]
     assert main(["thin", "--input", str(data), "--output", str(out), *args]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+_SIGMA = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+# family -> (draw(rng, size), digest of the single draw, digest at size=4)
+GOLDEN_DRAWS = {
+    "poisson": (
+        lambda g, size: thin_poisson(np.array([2, 0, 5, 7]), 0.4, g, size=size),
+        "d8b9402fe05f0143b1479777559bbe2460b7f432f4c857ea002bd238f26956d9",
+        "dabb660488aaca79aaaf28f3d1038e98d719550b9c9d9a6a91aca2ed6c77f535",
+    ),
+    "gaussian": (
+        lambda g, size: thin_gaussian(np.array([0.5, -1.25]), 0.3, 2.0, _SIGMA, g, size=size),
+        "e6b0c7757a4bf9f45ad1258a355cd6bfca01736bc94b4ab2d9e7eb507daa4ab0",
+        "5a6055265897cb990242d7c4d2ae98e6466ff4532197eabfbcc034c255fa8398",
+    ),
+    "gamma": (
+        lambda g, size: thin_gamma(np.array([0.5, 1.25, 3.0]), 0.5, 3.0, g, size=size),
+        "77dc16cf9398065b84e65f8c19f76b7fded23bd29a9a61726edd69a6a5a7bb46",
+        "4eb438a688583ab9f883ef678731d2085f0333a9a86d1f761734d9c97c3a0d38",
+    ),
+    "wishart": (
+        lambda g, size: thin_wishart(np.array([[2.0, 0.5], [0.5, 1.0]]), 0.5, 6.0, g, size=size),
+        "6ffc77a2d55825f2a991262ca201069a5111285c89218d8db561c9ab9407e96d",
+        "58b32dd0c0c0d9ec7d56e58bc9b3b1216db128dfe5c56bf654b47e0dba0e4c56",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_DRAWS))
+def test_thin_draws_are_pinned(family):
+    draw, *digests = GOLDEN_DRAWS[family]
+    for size, digest in zip((None, 4), digests):
+        out = draw(RngState(41).generator(), size)
+        header = f"{out.dtype}{out.shape}".encode()
+        assert hashlib.sha256(header + np.ascontiguousarray(out).tobytes()).hexdigest() == digest

@@ -3,14 +3,7 @@ import pytest
 from scipy import stats
 
 from levyaug import DecompositionError, ParameterError, RngState
-from levyaug.rng import (
-    cholesky,
-    matrix_sqrt_sym_pd,
-    sample_beta,
-    sample_binomial,
-    sample_std_normal_vector,
-    sample_wishart,
-)
+from levyaug.rng import cholesky, matrix_sqrt_sym_pd, sample_wishart
 
 from conftest import random_pd_matrix
 
@@ -39,31 +32,6 @@ def test_substate_derives_new_state():
     s = RngState(11)
     assert s.substate(5) == s.substate(5)
     assert s.substate(5) != s.substate(6)
-
-
-def test_binomial_moments():
-    g = RngState(1).generator()
-    draws = sample_binomial(20, 0.3, g, size=200_000)
-    assert draws.mean() == pytest.approx(6.0, abs=0.05)
-    assert draws.var() == pytest.approx(20 * 0.3 * 0.7, rel=0.02)
-    with pytest.raises(ParameterError):
-        sample_binomial(5, 1.5, g)
-
-
-def test_beta_against_scipy_cdf():
-    g = RngState(4).generator()
-    draws = sample_beta(0.7, 1.9, g, size=20_000)
-    assert stats.kstest(draws, stats.beta(0.7, 1.9).cdf).pvalue > 0.01
-
-
-def test_mvn_covariance(rng):
-    cov = random_pd_matrix(3, rng)
-    chol = cholesky(cov)
-    g = RngState(5).generator()
-    draws = sample_std_normal_vector(3, g, size=100_000) @ chol.T
-    emp = np.cov(draws.T)
-    assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) < 0.03
-    assert sample_std_normal_vector(3, g).shape == (3,)
 
 
 def test_wishart_mean_and_fractional_dof(rng):

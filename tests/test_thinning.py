@@ -64,12 +64,33 @@ def test_thin_gaussian_alpha_one_exact():
 
 
 def test_thin_gaussian_covariance():
-    draws = thin_gaussian(
-        np.zeros(2), 0.5, 1.0, np.eye(2), RngState(2).generator(), size=N_DRAWS
-    )
-    emp = np.cov(draws.T)
-    target = 0.25 * np.eye(2)
-    assert np.linalg.norm(emp - target) / np.linalg.norm(target) < 0.05
+    for sigma in (np.eye(2), np.array([[2.0, 0.6], [0.6, 1.0]])):
+        draws = thin_gaussian(
+            np.zeros(2), 0.5, 1.0, sigma, RngState(2).generator(), size=N_DRAWS
+        )
+        emp = np.cov(draws.T)
+        target = 0.25 * sigma
+        assert np.linalg.norm(emp - target) / np.linalg.norm(target) < 0.05
+
+
+def test_thin_gaussian_rejects_nonfinite_features_and_times():
+    g = RngState(0).generator()
+    for x in ([np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(SupportError):
+            thin_gaussian(np.array(x), 0.5, 1.0, np.eye(2), g)
+    for t in (np.inf, np.nan, 0.0):
+        with pytest.raises(ParameterError):
+            thin_gaussian(np.zeros(2), 0.5, t, np.eye(2), g)
+
+
+def test_thin_gaussian_rejects_a_matrix_origin():
+    with pytest.raises(SupportError):
+        thin_gaussian(np.eye(2), 0.5, 1.0, np.eye(2), RngState(0).generator())
+
+
+def test_thin_gaussian_rejects_a_covariance_of_the_wrong_size():
+    with pytest.raises(ParameterError):
+        thin_gaussian(np.zeros(2), 0.5, 1.0, np.eye(3), RngState(0).generator())
 
 
 def test_thin_gaussian_mean():
@@ -94,8 +115,12 @@ def test_thin_gamma_ratio_moments():
 def test_thin_gamma_alpha_one_identity_and_support():
     x = np.array([2.0, 0.5])
     assert np.array_equal(thin_gamma(x, 1.0, 2.0, RngState(0).generator()), x)
-    with pytest.raises(SupportError):
-        thin_gamma(np.array([1.0, 0.0]), 0.5, 2.0, RngState(0).generator())
+    for bad in ([1.0, 0.0], [1.0, np.inf], [np.nan, 1.0]):
+        with pytest.raises(SupportError):
+            thin_gamma(np.array(bad), 0.5, 2.0, RngState(0).generator())
+    for t in (np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            thin_gamma(x, 0.5, t, RngState(0).generator())
 
 
 def test_thin_wishart_reduces_to_gamma_in_1d():
@@ -119,8 +144,15 @@ def test_thin_wishart_dof_boundary():
         thin_wishart(np.eye(2), 0.9, 10.0, RngState(8).generator())
     with pytest.raises(ParameterError):
         thin_wishart(np.eye(2), 0.5, 3.0, RngState(8).generator())
+    for bad in ([[1.0, 2.0], [2.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+        with pytest.raises(SupportError):
+            thin_wishart(np.array(bad), 0.5, 10.0, RngState(8).generator())
+    for t in (np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            thin_wishart(np.eye(2), 0.5, t, RngState(8).generator())
+    # the Wishart density condition t >= d, even where alpha = 1 draws nothing
     with pytest.raises(SupportError):
-        thin_wishart(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.5, 10.0, RngState(8).generator())
+        thin_wishart(np.eye(3), 1.0, 2.0, RngState(8).generator())
 
 
 def test_thin_wishart_mean():
