@@ -32,7 +32,6 @@ from .families import (
     PseudoExample,
     Topic,
     check_example,
-    check_features,
     gamma_family,
     gaussian_family,
     log_partition,

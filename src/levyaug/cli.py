@@ -11,7 +11,9 @@ Four subcommands bind the library into reproducible batch runs:
 Every command writes a ``<output>.manifest.json`` next to its artifact
 recording the command line, seed, config hash and library version; apart
 from the manifest timestamp, rerunning a command with the same inputs and
-seed reproduces its outputs byte for byte.
+seed reproduces its outputs byte for byte.  Only ``thin`` and ``simulate``
+draw random numbers, so only they take ``--seed`` (default
+``LEVYAUG_SEED``, else 0); ``train`` and ``limit`` record a null seed.
 
 Exit codes: 0 success, 2 input format error, 3 family/domain violation,
 4 optimization failure.
@@ -90,6 +92,14 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _check_family(declared, asserted) -> None:
+    """``--family``, when given, must name the family the file declares."""
+    if asserted is not None and _FAMILY_ALIASES[asserted] is not declared.kind:
+        raise DataFormatError(
+            f"input file declares family {declared.kind.value!r}, not {asserted!r}"
+        )
+
+
 def _parse_lambda(text: str):
     if text == "auto":
         return None
@@ -104,10 +114,7 @@ def _parse_lambda(text: str):
 def _cmd_thin(args) -> int:
     sigma = read_matrix(args.sigma) if args.sigma else None
     family, examples = read_dataset(args.input, sigma=sigma)
-    if args.family is not None and _FAMILY_ALIASES[args.family] is not family.kind:
-        raise DataFormatError(
-            f"input file declares family {family.kind.value!r}, not {args.family!r}"
-        )
+    _check_family(family, args.family)
     if args.t_const is not None:
         examples = replace(examples, t=args.t_const)
     cfg = ThinningConfig(
@@ -140,11 +147,7 @@ def _cmd_train(args) -> int:
             f"pseudo-example file has d={family.d} but originals file has "
             f"d={originals_family.d}"
         )
-    cfg = TrainConfig(
-        ridge_lambda=_parse_lambda(args.ridge_lambda),
-        n_folds=args.folds,
-        cv_rule=args.cv_rule,
-    )
+    cfg = TrainConfig(ridge_lambda=_parse_lambda(args.ridge_lambda), n_folds=args.folds)
     model, report = fit_logistic_detailed(pseudo, cfg)
     model = calibrate(model, originals)
     save_model(model, args.out, family)
@@ -156,14 +159,13 @@ def _cmd_train(args) -> int:
             out.write(f"{report.chosen_lambda!r},nan,nan\n")
     _write_manifest(
         args.out,
-        args.seed,
+        None,
         {
             "command": "train",
             "pseudo": args.pseudo,
             "originals": args.originals,
             "ridge_lambda": args.ridge_lambda,
             "folds": args.folds,
-            "cv_rule": args.cv_rule,
             "chosen_lambda": report.chosen_lambda,
         },
     )
@@ -217,24 +219,20 @@ def _print_sweep_summary(result) -> None:
 
 
 def _cmd_limit(args) -> int:
-    kind = _FAMILY_ALIASES[args.family]
     sigma = read_matrix(args.sigma) if args.sigma else None
     family, originals = read_dataset(args.originals, sigma=sigma)
-    if family.kind is not kind:
-        raise DataFormatError(
-            f"originals file declares family {family.kind.value!r}, not {args.family!r}"
-        )
+    _check_family(family, args.family)
     model = fit_strong_thinning(originals, family, ridge_lambda=args.ridge_lambda)
     if not args.no_calibrate:
         model = calibrate(model, originals)
     save_model(model, args.out, family)
     _write_manifest(
         args.out,
-        args.seed,
+        None,
         {
             "command": "limit",
             "originals": args.originals,
-            "family": args.family,
+            "family": family.kind.value,
             "ridge_lambda": args.ridge_lambda,
             "calibrated": not args.no_calibrate,
         },
@@ -283,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="'auto' (CV over the default grid), one value, or a comma grid",
     )
     train.add_argument("--folds", type=int, default=5)
-    train.add_argument("--cv-rule", choices=("loss", "accuracy"), default="loss")
-    train.add_argument("--seed", type=int, default=_default_seed())
     train.set_defaults(func=_cmd_train)
 
     sim = sub.add_parser("simulate", help="run a benchmark sweep over (n, alpha)")
@@ -318,12 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     limit = sub.add_parser("limit", help="fit the strong-thinning (alpha -> 0) model")
     limit.add_argument("--originals", required=True)
-    limit.add_argument("--family", choices=("gauss", "poisson"), required=True)
+    limit.add_argument(
+        "--family", choices=("gauss", "poisson"), default=None, help="assert the file's family"
+    )
     limit.add_argument("--out", required=True)
     limit.add_argument("--ridge-lambda", type=float, default=1e-6)
     limit.add_argument("--sigma", default=None, help="covariance CSV for Gaussian data")
     limit.add_argument("--no-calibrate", action="store_true")
-    limit.add_argument("--seed", type=int, default=_default_seed())
     limit.set_defaults(func=_cmd_limit)
 
     return parser

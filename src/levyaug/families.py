@@ -59,7 +59,6 @@ __all__ = [
     "PseudoExample",
     "PseudoBatch",
     "check_alpha",
-    "check_features",
     "check_example",
     "log_partition",
     "thinning_log_density",
@@ -161,16 +160,10 @@ class Topic:
     * Gamma requires every ``theta_j < 0`` (theta_j = -1 / (2 sigma_j^2)),
     * Wishart requires ``theta`` negative-definite,
     * Poisson and Gaussian accept any finite vector.
-
-    With ``unit_rate_mass=True`` a Poisson topic additionally asserts the
-    rate normalization ``sum_j exp(theta_j) = 1`` (to 1e-12), the
-    convention under which the observation time equals the expected
-    total count.
     """
 
     theta: np.ndarray
     family: LevyFamily
-    unit_rate_mass: bool = False
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -190,14 +183,6 @@ class Topic:
                 raise ParameterError("natural parameter must be finite")
             if kind is FamilyKind.GAMMA and np.any(theta >= 0.0):
                 raise ParameterError("Gamma natural parameters must be negative")
-        if self.unit_rate_mass:
-            if kind is not FamilyKind.POISSON:
-                raise ParameterError("unit_rate_mass only applies to Poisson topics")
-            mass = float(np.exp(theta).sum())
-            if abs(mass - 1.0) > 1e-12:
-                raise ParameterError(
-                    f"rate mass sum(exp(theta)) = {mass!r} violates unit normalization"
-                )
         object.__setattr__(self, "theta", _frozen_array(theta, dtype=float))
 
 
@@ -334,7 +319,7 @@ def _poisson_counts(values) -> np.ndarray:
 
 
 def _check_rows(family: LevyFamily, rows) -> np.ndarray:
-    """The support rules of :func:`check_features`, applied to every row of
+    """The support rules of :func:`check_example`, applied to every row of
     a stack of shape (rows, *feature shape); returns the checked stack."""
     arr = np.asarray(rows)
     kind = family.kind
@@ -353,21 +338,15 @@ def _check_rows(family: LevyFamily, rows) -> np.ndarray:
     return arr
 
 
-def check_features(family: LevyFamily, x) -> np.ndarray:
-    """Validate ``x`` against the family's support and return it as an array.
-
-    Vector families expect a length-``d`` vector (Poisson: nonnegative
-    integers, Gaussian: finite reals, Gamma: strictly positive reals);
-    the Wishart family expects a ``d x d`` symmetric positive-definite
-    matrix.  Raises :class:`SupportError` on violation.
-    """
-    return _check_rows(family, np.asarray(x)[None])[0]
-
-
 def check_example(family: LevyFamily, batch: ExampleBatch) -> np.ndarray:
-    """Validate every row of a batch against a family (support, as
-    :func:`check_features`, plus the Wishart density condition ``t >= d``);
-    returns the features as :func:`check_features` does."""
+    """Validate every row of a batch against a family; return the features.
+
+    Vector families expect length-``d`` rows (Poisson: nonnegative
+    integers, returned as int64; Gaussian: finite reals; Gamma: strictly
+    positive reals); the Wishart family expects ``d x d`` symmetric
+    positive-definite matrices and the density condition ``t >= d``.
+    Raises :class:`SupportError` on violation.
+    """
     x = _check_rows(family, batch.x)
     if family.kind is FamilyKind.WISHART and np.any(batch.t < family.d):
         t = batch.t.min()

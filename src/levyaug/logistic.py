@@ -68,6 +68,8 @@ __all__ = [
 ]
 
 _SCALE_CAP = 1e3
+_LAMBDA_GRID_SIZE, _LAMBDA_GRID_SPAN = 50, 1e-4
+_CALIB_TOL, _CALIB_MAX_ITER = 1e-9, 500
 
 
 class FeatureMap(enum.Enum):
@@ -143,16 +145,14 @@ class TrainConfig:
     ``ridge_lambda`` may be a single value (no CV), an explicit grid
     (normalized to descending order), or None for the default grid of 50
     log-spaced values spanning a 1e4 range below the gradient scale of the
-    unpenalized loss at beta = 0.  ``cv_rule`` selects lambda by mean
-    held-out log-loss ("loss", default) or by held-out error rate
-    ("accuracy").
+    unpenalized loss at beta = 0.  Cross-validation picks the lambda with
+    the least mean held-out log-loss.
     """
 
     ridge_lambda: float | tuple[float, ...] | None = None
     n_folds: int = 5
     tol: float = 1e-7
     max_iter: int = 500
-    cv_rule: str = "loss"
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -161,8 +161,6 @@ class TrainConfig:
             raise ParameterError("max_iter must be >= 1")
         if self.n_folds < 2:
             raise ParameterError("n_folds must be >= 2")
-        if self.cv_rule not in ("loss", "accuracy"):
-            raise ParameterError(f"unknown cv_rule {self.cv_rule!r}")
         lam = self.ridge_lambda
         if lam is None:
             return
@@ -334,7 +332,7 @@ def _check_classes(Y: np.ndarray) -> int:
     return k
 
 
-def default_lambda_grid(X: np.ndarray, Y: np.ndarray, n_values: int = 50, span: float = 1e-4):
+def default_lambda_grid(X: np.ndarray, Y: np.ndarray):
     """Descending log-spaced grid anchored at the max-norm of the
     unpenalized average-loss gradient at beta = 0."""
     k = int(Y.max())
@@ -344,7 +342,7 @@ def default_lambda_grid(X: np.ndarray, Y: np.ndarray, n_values: int = 50, span: 
     lam_max = float(np.abs(X.T @ p0 / n).max())
     if lam_max <= 0.0:
         lam_max = 1.0
-    return tuple(np.geomspace(lam_max, lam_max * span, n_values).tolist())
+    return tuple(np.geomspace(lam_max, lam_max * _LAMBDA_GRID_SPAN, _LAMBDA_GRID_SIZE).tolist())
 
 
 def grouped_fold_assignment(groups: np.ndarray, n_folds: int) -> np.ndarray:
@@ -414,8 +412,7 @@ def fit_logistic_detailed(
             cv_table = tuple(
                 (lam, float(l), float(e)) for lam, l, e in zip(lambdas, mean_loss, mean_err)
             )
-            crit = mean_loss if cfg.cv_rule == "loss" else mean_err
-            chosen = lambdas[int(np.argmin(crit))]
+            chosen = lambdas[int(np.argmin(mean_loss))]
 
         path = _fit_path(
             X, Y, [lam for lam in lambdas if lam >= chosen], cfg.tol, cfg.max_iter
@@ -444,12 +441,7 @@ def fit_logistic(pseudo: PseudoBatch, cfg: TrainConfig) -> LogisticModel:
 # Calibration and prediction
 # --------------------------------------------------------------------------
 
-def calibrate(
-    model: LogisticModel,
-    originals: Examples,
-    tol: float = 1e-9,
-    max_iter: int = 500,
-) -> LogisticModel:
+def calibrate(model: LogisticModel, originals: Examples) -> LogisticModel:
     """Refit scale and intercepts on uncorrupted originals.
 
     Keeps the fitted directions and minimizes the multiclass log-loss of
@@ -503,7 +495,7 @@ def calibrate(
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options=dict(maxiter=max_iter, gtol=0.1 * tol, ftol=0.0),
+            options=dict(maxiter=_CALIB_MAX_ITER, gtol=0.1 * _CALIB_TOL, ftol=0.0),
         )
         s = float(res.x[0])
         # Perfect separation sends the slope to infinity; the bounds already

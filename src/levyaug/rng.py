@@ -7,8 +7,9 @@ key into ``numpy``'s ``SeedSequence``.  Substreams keyed by, say,
 other, which is what makes pseudo-example generation reproducible under
 reordering and parallelism.  The thinning samplers draw scalars and
 vectors from the generator directly (``binomial``, ``beta``,
-``standard_normal``): their parameters are checked once, with the
-originals and ``alpha``, in :mod:`levyaug.thinning`.
+``standard_normal``) and Wishart matrices through the private Bartlett
+primitive here; their parameters (the Wishart degrees of freedom too) are
+checked once, with the originals and ``alpha``, in :mod:`levyaug.thinning`.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError, ParameterError
+from .errors import DecompositionError
 
 __all__ = [
     "RngState",
-    "sample_wishart",
     "cholesky",
     "matrix_sqrt_sym_pd",
 ]
@@ -72,24 +72,14 @@ def matrix_sqrt_sym_pd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
-def sample_wishart(scale: np.ndarray, dof: float, rng: np.random.Generator, size=None):
-    """Wishart(scale, dof) draws via the Bartlett decomposition.
-
-    Supports any real dof >= d (not just integers): the lower-triangular
-    factor has chi(dof - i) diagonal entries and standard-normal strict
-    lower entries, and the draw is L A A' L' with L = chol(scale).
-    """
-    chol_scale = cholesky(np.asarray(scale, dtype=float))
-    d = chol_scale.shape[0]
-    if dof < d:
-        raise ParameterError(f"Wishart dof must be >= dimension {d}, got {dof}")
-    return _bartlett(chol_scale, np.tril_indices(d, k=-1), dof, rng, size)
-
-
 def _bartlett(chol_scale, tril, dof: float, rng: np.random.Generator, size=None):
-    """:func:`sample_wishart` given chol(scale), the strict lower-triangle
-    indices and a checked ``dof >= d``, for callers that draw many times
-    with one scale."""
+    """Wishart(scale, dof) draws via the Bartlett decomposition, given
+    L = chol(scale), the strict lower-triangle indices of a d x d matrix
+    and a real ``dof >= d`` that the caller has checked.
+
+    The lower-triangular factor A has chi(dof - i) diagonal entries and
+    standard-normal strict lower entries, and the draw is L A A' L'.
+    """
     d = chol_scale.shape[0]
     n = 1 if size is None else size
     a = np.zeros((n, d, d))

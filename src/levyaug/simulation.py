@@ -62,6 +62,7 @@ __all__ = [
 _TEST_CAP = 10000
 _DATA_TAG = 1
 _THIN_TAG = 2
+_STRONG_RIDGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -211,11 +212,11 @@ def _standardized_fit(pseudo: PseudoBatch, train_cfg):
     return LogisticModel(beta=beta, feature_map=model.feature_map), report
 
 
-def _fit_cell(family, train, alpha, n_pseudo, thin_seed, train_cfg, strong_ridge, standardize):
+def _fit_cell(family, train, alpha, n_pseudo, thin_seed, train_cfg, standardize):
     """Fit + calibrate one cell; returns (model, lambda used)."""
     if alpha == 0.0:
-        model = fit_strong_thinning(train, family, ridge_lambda=strong_ridge)
-        lam = strong_ridge
+        model = fit_strong_thinning(train, family, ridge_lambda=_STRONG_RIDGE)
+        lam = _STRONG_RIDGE
     else:
         cfg = ThinningConfig(
             alpha=alpha, n_pseudo=1 if alpha == 1.0 else n_pseudo, seed=thin_seed
@@ -236,7 +237,7 @@ def _fit_cell(family, train, alpha, n_pseudo, thin_seed, train_cfg, strong_ridge
 
 
 def _run_cell(args):
-    (spec, n, alpha, replicate, seed, n_pseudo, train_cfg, strong_ridge, standardize) = args
+    (spec, n, alpha, replicate, seed, n_pseudo, train_cfg, standardize) = args
     base = RngState(seed)
     start = time.perf_counter()
     try:
@@ -244,9 +245,7 @@ def _run_cell(args):
         train, test = _generate(spec, n, data_rng)
         family = spec.family()
         thin_seed = base.substate(_THIN_TAG, n, replicate, _alpha_key(alpha))
-        model, lam = _fit_cell(
-            family, train, alpha, n_pseudo, thin_seed, train_cfg, strong_ridge, standardize
-        )
+        model, lam = _fit_cell(family, train, alpha, n_pseudo, thin_seed, train_cfg, standardize)
         err = float((predict_labels(model, test) != test.y).mean())
         failure = None
     except LevyAugError as exc:
@@ -273,14 +272,14 @@ def run_alpha_sweep(
     replicates: int | None = None,
     seed: int | None = None,
     train_cfg: TrainConfig | None = None,
-    strong_ridge: float = 1e-6,
     standardize: bool = False,
     jobs: int = 1,
 ) -> SweepResult:
     """Run the full (n, alpha, replicate) grid and collect error rows.
 
     alphas may include the endpoints: 0 uses the analytic strong-thinning
-    fit, 1 trains on the originals; both still go through calibration.
+    fit (ridge 1e-6), 1 trains on the originals; both still go through
+    calibration.
     ``standardize=True`` scales the pseudo-feature columns to unit
     variance before the ridge fit (as off-the-shelf ridge solvers do by
     default) and folds the scaling back into the coefficients; the
@@ -301,7 +300,7 @@ def run_alpha_sweep(
             raise ParameterError(f"alpha must lie in [0, 1], got {a}")
 
     cells = [
-        (spec, n, alpha, rep, seed, n_pseudo, train_cfg, strong_ridge, standardize)
+        (spec, n, alpha, rep, seed, n_pseudo, train_cfg, standardize)
         for n in n_grid
         for alpha in alphas
         for rep in range(replicates)
@@ -362,11 +361,11 @@ _PALETTE = (
 )
 
 
-def render_sweep_svg(result: SweepResult, path, width: int = 640, height: int = 420) -> None:
+def render_sweep_svg(result: SweepResult, path) -> None:
     """Mean test error against alpha, one polyline per training size.
 
-    Deliberately minimal (no plotting dependency): fixed margins, linear
-    axes, a legend keyed by n.  NaN cells are skipped.
+    Deliberately minimal (no plotting dependency): a fixed 640x420 canvas
+    and margins, linear axes, a legend keyed by n.  NaN cells are skipped.
     """
     by_n: dict[int, dict[float, list[float]]] = {}
     for r in result.rows:
@@ -380,7 +379,7 @@ def render_sweep_svg(result: SweepResult, path, width: int = 640, height: int = 
     errors = [e for pts in series.values() for _, e in pts]
     y_hi = max(errors) * 1.08 if errors else 1.0
     y_lo = 0.0
-    mx, my = 56, 36
+    width, height, mx, my = 640, 420, 56, 36
 
     def sx(a: float) -> float:
         return mx + a * (width - 2 * mx)

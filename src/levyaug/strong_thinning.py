@@ -201,12 +201,13 @@ def fit_strong_thinning(
     centered coefficients.  Only the Gaussian and Poisson families have a
     derived conditional jump law, so only they are accepted.
 
-    Gaussian reduces to a quadratic program solved through the same
-    optimizer; Poisson reduces to a per-word weighted logistic objective
-    evaluated through aggregated class-word counts.  Internally the
-    objective is divided by its number of atomic loss terms (examples for
-    Gaussian, total counts for Poisson) - the argmin is unchanged and the
-    gradient tolerance applies at unit scale instead of count scale.
+    Gaussian is a quadratic whose centered minimizer is the linear solve
+    ``((t_total / K) Sigma + lambda I) beta = S - mean_k S_k``, with ``S``
+    the per-class feature sums.  Poisson reduces to a per-word weighted
+    logistic objective evaluated through aggregated class-word counts and
+    solved by L-BFGS to gradient max-norm ``tol`` (in at most ``max_iter``
+    iterations); the objective is divided by the total count, so the argmin
+    is unchanged and ``tol`` applies at unit scale instead of count scale.
     """
     if ridge_lambda < 0.0:
         raise ParameterError("ridge_lambda must be nonnegative")
@@ -220,48 +221,35 @@ def fit_strong_thinning(
         raise ParameterError(
             f"no derived strong-thinning law for the {family.kind.value} family"
         )
-    sums = np.zeros((p, k))  # per-class feature sums: s_class, or word counts
+    sums = np.zeros((p, k))  # per-class feature sums, or word counts
     np.add.at(sums.T, batch.y - 1, np.asarray(batch.x, dtype=float))  # in row order
 
-    if family.kind is FamilyKind.GAUSSIAN:
-        sigma, s_class = family.sigma, sums
-        t_total = float(sum(batch.t.tolist()))  # in row order
-        scale = float(len(batch))
-
-        def fun_grad(gamma):
-            beta = _expand(gamma)
-            sigma_beta = sigma @ beta
-            value = (
-                -float((s_class * beta).sum())
-                + 0.5 * t_total / k * float((beta * sigma_beta).sum())
-                + 0.5 * ridge_lambda * float((beta**2).sum())
-            )
-            grad = -s_class + (t_total / k) * sigma_beta + ridge_lambda * beta
-            return value / scale, _contract(grad) / scale
-
-    else:
-        counts = sums
-        totals = counts.sum(axis=1)
-        scale = max(1.0, float(totals.sum()))
-
-        def fun_grad(gamma):
-            beta = _expand(gamma)
-            lse = _logsumexp(beta, axis=1)
-            value = (
-                float(totals @ lse)
-                - float((counts * beta).sum())
-                + 0.5 * ridge_lambda * float((beta**2).sum())
-            )
-            soft = np.exp(beta - lse[:, None])
-            grad = totals[:, None] * soft - counts + ridge_lambda * beta
-            return value / scale, _contract(grad) / scale
-
     with single_thread():  # the solve holds all of the fit's BLAS work
-        gamma, _ = _minimize_lbfgs(
-            fun_grad, np.zeros((p, k - 1)), tol, max_iter, "strong-thinning fit"
-        )
-    beta = center_columns(_expand(gamma))
-    return LogisticModel(beta=beta, feature_map=FeatureMap.IDENTITY)
+        if family.kind is FamilyKind.GAUSSIAN:
+            t_total = float(sum(batch.t.tolist()))  # in row order
+            a = (t_total / k) * family.sigma + ridge_lambda * np.eye(p)
+            beta = np.linalg.solve(a, center_columns(sums))
+        else:
+            totals = sums.sum(axis=1)
+            scale = max(1.0, float(totals.sum()))
+
+            def fun_grad(gamma):
+                beta = _expand(gamma)
+                lse = _logsumexp(beta, axis=1)
+                value = (
+                    float(totals @ lse)
+                    - float((sums * beta).sum())
+                    + 0.5 * ridge_lambda * float((beta**2).sum())
+                )
+                soft = np.exp(beta - lse[:, None])
+                grad = totals[:, None] * soft - sums + ridge_lambda * beta
+                return value / scale, _contract(grad) / scale
+
+            gamma, _ = _minimize_lbfgs(
+                fun_grad, np.zeros((p, k - 1)), tol, max_iter, "strong-thinning fit"
+            )
+            beta = _expand(gamma)
+    return LogisticModel(beta=center_columns(beta), feature_map=FeatureMap.IDENTITY)
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
 from .families import (
     ExampleBatch,
     Examples,
@@ -151,6 +151,9 @@ def _sampler(family: LevyFamily, alpha: float):
 def _thin_one(family_of_d, x, alpha, t, rng, size):
     """Check one origin as a one-row batch of the family ``family_of_d(d)``,
     then draw ``size`` thinned copies of it (one when ``size`` is None)."""
+    if np.ndim(x) == 0:
+        shape = "(d, d)" if family_of_d is wishart_family else "(d,)"
+        raise ShapeError(f"x must be one example's features, of shape {shape}, not a scalar")
     batch = ExampleBatch(x=np.asarray(x)[None], y=1, t=t)
     family = family_of_d(batch.x.shape[1])
     x, t = check_example(family, batch)[0], batch.t.item()

@@ -1,13 +1,23 @@
+import argparse
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from levyaug import Example, RngState, cli, load_model, poisson_family
+from levyaug import (
+    Example,
+    RngState,
+    ThinningConfig,
+    TrainConfig,
+    cli,
+    load_model,
+    poisson_family,
+)
 from levyaug.cli import build_parser, main
 from levyaug.dataio import read_pseudo_dataset, write_dataset
-from levyaug.families import gaussian_family, wishart_family
+from levyaug.families import gamma_family, gaussian_family, wishart_family
 from levyaug.dataio import read_dataset
 
 from conftest import random_pd_matrix
@@ -35,7 +45,8 @@ def test_thin_produces_tagged_rows(poisson_file, tmp_path):
     fam, pseudo = read_pseudo_dataset(out)
     assert len(pseudo) == 48
     assert sorted({pe.origin_id for pe in pseudo}) == list(range(12))
-    assert (out.parent / (out.name + ".manifest.json")).exists()
+    manifest = json.loads((out.parent / (out.name + ".manifest.json")).read_text())
+    assert manifest["seed"] == 3
 
 
 def test_thin_is_deterministic(poisson_file, tmp_path):
@@ -117,6 +128,9 @@ def test_train_writes_model_and_cv_report(poisson_file, tmp_path):
     report = (tmp_path / "model.txt.cv.csv").read_text().splitlines()
     assert report[0] == "lambda,mean_heldout_loss,mean_heldout_error"
     assert len(report) == 4
+    manifest = json.loads((tmp_path / "model.txt.manifest.json").read_text())
+    assert manifest["seed"] is None  # train draws nothing
+    assert manifest["config"]["chosen_lambda"] in (1.0, 0.1, 0.01)
 
 
 def test_train_single_lambda_skips_cv(poisson_file, tmp_path):
@@ -206,6 +220,25 @@ def test_limit_fits_poisson_endpoint(poisson_file, tmp_path):
     assert code == 0
     model, family = load_model(model_path)
     assert model.beta.shape == (3, 2)
+    manifest = json.loads((tmp_path / "limit.txt.manifest.json").read_text())
+    assert manifest["seed"] is None  # limit draws nothing
+    assert manifest["config"]["family"] == "poisson"
+
+
+def test_limit_reads_family_from_file(poisson_file, tmp_path):
+    asserted, read = tmp_path / "asserted.txt", tmp_path / "read.txt"
+    base = ["limit", "--originals", str(poisson_file)]
+    assert main(base + ["--family", "poisson", "--out", str(asserted)]) == 0
+    assert main(base + ["--out", str(read)]) == 0
+    assert read.read_bytes() == asserted.read_bytes()
+
+    gamma = tmp_path / "gamma.csv"
+    g = RngState(72).generator()
+    write_dataset(gamma, gamma_family(2), [
+        Example(x=g.gamma(2.0, size=2), y=1 + i % 2, t=4.0) for i in range(6)
+    ])
+    # no derived strong-thinning law for Gamma: a domain error
+    assert main(["limit", "--originals", str(gamma), "--out", str(tmp_path / "g.txt")]) == 3
 
 
 def test_limit_family_mismatch_exits_2(tmp_path):
@@ -287,3 +320,33 @@ def test_env_seed_default(poisson_file, tmp_path, monkeypatch):
         "--alpha", "0.5", "--seed", "99",
     ]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# Every option and config field has a caller.  A new one must be added here
+# too, so it shows in review.
+SETTABLE_SURFACE = {
+    "thin": ["--alpha", "--family", "--input", "--n-pseudo", "--output", "--seed",
+             "--sigma", "--t-const", "-B"],
+    "train": ["--folds", "--originals", "--out", "--pseudo", "--ridge-lambda"],
+    "simulate": ["--alphas", "--folds", "--jobs", "--lambdas", "--n-grid", "--n-pseudo",
+                 "--out", "--plot", "--replicates", "--seed", "--spec", "--standardize",
+                 "--timing", "-B"],
+    "limit": ["--family", "--no-calibrate", "--originals", "--out", "--ridge-lambda",
+              "--sigma"],
+    "TrainConfig": ["max_iter", "n_folds", "ridge_lambda", "tol"],
+    "ThinningConfig": ["alpha", "n_pseudo", "seed"],
+}
+
+
+def test_settable_surface_is_pinned():
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    surface = {
+        name: sorted(opt for a in sub._actions for opt in a.option_strings
+                     if opt not in ("-h", "--help"))
+        for name, sub in commands.choices.items()
+    }
+    for config in (TrainConfig, ThinningConfig):
+        surface[config.__name__] = sorted(f.name for f in fields(config))
+    assert surface == SETTABLE_SURFACE

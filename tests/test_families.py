@@ -18,7 +18,6 @@ from levyaug import (
     SupportError,
     Topic,
     check_example,
-    check_features,
     gamma_family,
     gaussian_family,
     log_partition,
@@ -59,24 +58,22 @@ def test_topic_domain_enforced_at_construction():
     Topic(-np.eye(2), wishart_family(2))
 
 
-def test_topic_unit_rate_mass_flag():
-    theta = np.log(np.array([0.2, 0.8]))
-    Topic(theta, poisson_family(2), unit_rate_mass=True)
-    with pytest.raises(ParameterError):
-        Topic(np.zeros(2), poisson_family(2), unit_rate_mass=True)
+def _check_one(family, x):
+    """check_example on a one-row batch; returns the checked row."""
+    return check_example(family, ExampleBatch(x=np.asarray(x)[None], y=1, t=4.0))[0]
 
 
 def test_feature_support_checks():
-    assert check_features(poisson_family(2), [1, 0]).dtype == np.int64
+    assert _check_one(poisson_family(2), [1, 0]).dtype == np.int64
     with pytest.raises(SupportError):
-        check_features(poisson_family(2), [1, -1])
+        _check_one(poisson_family(2), [1, -1])
     with pytest.raises(SupportError):
-        check_features(poisson_family(2), [1.5, 0])
+        _check_one(poisson_family(2), [1.5, 0])
     with pytest.raises(SupportError):
-        check_features(gamma_family(2), [1.0, 0.0])
+        _check_one(gamma_family(2), [1.0, 0.0])
     with pytest.raises(SupportError):
-        check_features(wishart_family(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
-    check_features(wishart_family(2), np.eye(2))
+        _check_one(wishart_family(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    _check_one(wishart_family(2), np.eye(2))
 
 
 def test_wishart_example_needs_t_at_least_d():
@@ -97,10 +94,10 @@ def test_check_example_applies_the_feature_rules_to_every_row():
     ]
     for fam, good, bad in cases:
         checked = check_example(fam, ExampleBatch(x=np.array(good), y=1, t=4.0))
-        assert np.array_equal(checked, np.stack([check_features(fam, x) for x in good]))
-        assert checked.dtype == check_features(fam, good[0]).dtype
+        assert np.array_equal(checked, np.stack([_check_one(fam, x) for x in good]))
+        assert checked.dtype == _check_one(fam, good[0]).dtype
         with pytest.raises(SupportError):
-            check_features(fam, bad[1])
+            _check_one(fam, bad[1])
         with pytest.raises(SupportError):
             check_example(fam, ExampleBatch(x=np.array(bad), y=1, t=4.0))
     with pytest.raises(SupportError):

@@ -80,8 +80,8 @@ def test_posterior_symmetric_mixture_is_half_half():
 
 
 def test_posterior_one_word_likelihood_ratio():
-    t1 = Topic(np.log([0.8, 0.2]), poisson_family(2), unit_rate_mass=True)
-    t2 = Topic(np.log([0.2, 0.8]), poisson_family(2), unit_rate_mass=True)
+    t1 = Topic(np.log([0.8, 0.2]), poisson_family(2))
+    t2 = Topic(np.log([0.2, 0.8]), poisson_family(2))
     mix = TopicMixture(
         np.array([0.5, 0.5]), (((1.0, t1),), ((1.0, t2),)), poisson_family(2),
         equal_information=True,

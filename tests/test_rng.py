@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from levyaug import DecompositionError, ParameterError, RngState
-from levyaug.rng import cholesky, matrix_sqrt_sym_pd, sample_wishart
+from levyaug import DecompositionError, RngState
+from levyaug.rng import _bartlett, cholesky, matrix_sqrt_sym_pd
 
 from conftest import random_pd_matrix
 
@@ -34,22 +34,26 @@ def test_substate_derives_new_state():
     assert s.substate(5) != s.substate(6)
 
 
+def _wishart(scale, dof, g, size=None):
+    """Wishart(scale, dof) draws through the Bartlett primitive thinning uses."""
+    d = scale.shape[0]
+    return _bartlett(cholesky(scale), np.tril_indices(d, k=-1), dof, g, size)
+
+
 def test_wishart_mean_and_fractional_dof(rng):
     scale = random_pd_matrix(2, rng)
     g = RngState(6).generator()
     dof = 5.5
-    draws = sample_wishart(scale, dof, g, size=40_000)
+    draws = _wishart(scale, dof, g, size=40_000)
     mean = draws.mean(axis=0)
     assert np.linalg.norm(mean - dof * scale) / np.linalg.norm(dof * scale) < 0.02
-    single = sample_wishart(scale, 2.0, g)
+    single = _wishart(scale, 2.0, g)
     assert single.shape == (2, 2)
-    with pytest.raises(ParameterError):
-        sample_wishart(scale, 1.5, g)
 
 
 def test_wishart_matches_scipy_distribution():
     g = RngState(7).generator()
-    draws = sample_wishart(np.eye(1), 4.0, g, size=20_000)[:, 0, 0]
+    draws = _wishart(np.eye(1), 4.0, g, size=20_000)[:, 0, 0]
     assert stats.kstest(draws, stats.chi2(df=4).cdf).pvalue > 0.01
 
 

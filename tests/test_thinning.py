@@ -8,6 +8,7 @@ from levyaug import (
     Example,
     ParameterError,
     RngState,
+    ShapeError,
     SupportError,
     ThinningConfig,
     generate_pseudo_examples,
@@ -84,8 +85,22 @@ def test_thin_gaussian_rejects_nonfinite_features_and_times():
 
 
 def test_thin_gaussian_rejects_a_matrix_origin():
+    g = RngState(0).generator()
     with pytest.raises(SupportError):
-        thin_gaussian(np.eye(2), 0.5, 1.0, np.eye(2), RngState(0).generator())
+        thin_gaussian(np.eye(2), 0.5, 1.0, np.eye(2), g)
+    # a scalar origin, for every sampler, names the feature shape it expects
+    scalar_calls = {
+        r"\(d,\)": [
+            lambda: thin_poisson(5, 0.5, g),
+            lambda: thin_gaussian(5.0, 0.5, 1.0, np.eye(1), g),
+            lambda: thin_gamma(5.0, 0.5, 2.0, g),
+        ],
+        r"\(d, d\)": [lambda: thin_wishart(5.0, 0.5, 4.0, g)],
+    }
+    for shape, calls in scalar_calls.items():
+        for call in calls:
+            with pytest.raises(ShapeError, match=shape):
+                call()
 
 
 def test_thin_gaussian_rejects_a_covariance_of_the_wrong_size():
