@@ -72,14 +72,11 @@ from .simulation import (
 )
 from .strong_thinning import (
     AlphaPathPoint,
-    ConditionalJumpLaw,
     alpha_path_converges,
     fit_strong_thinning,
-    gaussian_limit_law,
     limit_loss,
     limit_loss_gradient,
     naive_bayes_poisson_fit,
-    poisson_limit_law,
 )
 from .thinning import (
     ThinningConfig,

@@ -315,7 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     limit = sub.add_parser("limit", help="fit the strong-thinning (alpha -> 0) model")
     limit.add_argument("--originals", required=True)
     limit.add_argument(
-        "--family", choices=("gauss", "poisson"), default=None, help="assert the file's family"
+        "--family",
+        choices=sorted(_FAMILY_ALIASES),
+        default=None,
+        help="assert the file's family",
     )
     limit.add_argument("--out", required=True)
     limit.add_argument("--ridge-lambda", type=float, default=1e-6)

@@ -18,28 +18,42 @@ to zero),
                              + (t / 2K) * sum_k beta_k' Sigma beta_k
                              + lam(x) * sum_z nu(z | x) loss(beta; z, y).
 
-Two families ship with closed-form conditional jump laws:
+The ``LevyFamily`` fixes all three, and ``Sigma`` is its covariance, so
+summed over examples the limit depends on the data only through the
+per-class feature sums ``S`` (a ``(d, K)`` matrix) and the total
+information content ``t_total``.  Two families have a derived limit:
 
-* Gaussian (pure diffusion): mu(x) = x, lam = 0.  The summed limit loss is
-  then an exact quadratic whose minimizer is a linear solve.
+* Gaussian (pure diffusion): mu(x) = x, lam = 0.  The summed limit loss
+  ``-sum S o beta + (t_total / 2K) sum_k beta_k' Sigma beta_k`` is an
+  exact quadratic whose minimizer is a linear solve.
 * Poisson (pure unit-basis jumps): mu = 0, lam(x) = sum_j x_j and nu is
   categorical over basis vectors with weights x_j / sum x.  The summed
-  limit loss collapses to a per-word weighted logistic objective, which
+  limit loss ``sum_j n_j lse(beta_j) - sum S o beta``, with ``n_j`` the
+  total count of word j, is a per-word weighted logistic objective, which
   is why this endpoint reproduces naive-Bayes class probabilities on
   single words.
+
+The per-example loss is the summed loss of a one-example set, so both
+are one function, ``_limit_objective``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401  (perfbench/tracer.py wraps this name)
 
 from ._blas import single_thread
 from .errors import DegenerateDataError, ParameterError
-from .families import Example, ExampleBatch, Examples, FamilyKind, LevyFamily, as_example_batch
+from .families import (
+    ExampleBatch,
+    Examples,
+    FamilyKind,
+    LevyFamily,
+    as_example_batch,
+    check_example,
+)
 from .logistic import (
     FeatureMap,
     LogisticModel,
@@ -54,9 +68,6 @@ from .rng import RngState
 from .thinning import ThinningConfig, generate_pseudo_examples
 
 __all__ = [
-    "ConditionalJumpLaw",
-    "gaussian_limit_law",
-    "poisson_limit_law",
     "limit_loss",
     "limit_loss_gradient",
     "fit_strong_thinning",
@@ -67,113 +78,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConditionalJumpLaw:
-    """Conditional ingredients of the limit loss, as functions of an
-    example: ``mu`` -> vector, ``lam`` -> nonnegative scalar, ``nu`` ->
-    (weights, atoms) with weights summing to one over finitely many jump
-    vectors (an empty support encodes the no-jump case)."""
-
-    mu: Callable[[Example], np.ndarray]
-    lam: Callable[[Example], float]
-    nu: Callable[[Example], tuple[np.ndarray, np.ndarray]]
-
-
-def gaussian_limit_law() -> ConditionalJumpLaw:
-    """Pure-diffusion law: the conditional mean is the observation itself
-    and there are no jumps."""
-    return ConditionalJumpLaw(
-        mu=lambda ex: np.asarray(ex.x, dtype=float),
-        lam=lambda ex: 0.0,
-        nu=lambda ex: (np.zeros(0), np.zeros((0, np.asarray(ex.x).shape[0]))),
-    )
-
-
-def poisson_limit_law() -> ConditionalJumpLaw:
-    """Unit-basis jump law: given counts x, the process jumped sum(x)
-    times, and a single jump is the j-th basis vector with probability
-    x_j / sum(x)."""
-
-    def nu(ex: Example):
-        x = np.asarray(ex.x, dtype=float)
-        total = x.sum()
-        if total <= 0:
-            return np.zeros(0), np.zeros((0, x.shape[0]))
-        support = np.flatnonzero(x)
-        weights = x[support] / total
-        atoms = np.zeros((support.size, x.shape[0]))
-        atoms[np.arange(support.size), support] = 1.0
-        return weights, atoms
-
-    return ConditionalJumpLaw(
-        mu=lambda ex: np.zeros(np.asarray(ex.x).shape[0]),
-        lam=lambda ex: float(np.asarray(ex.x, dtype=float).sum()),
-        nu=nu,
-    )
-
-
 # --------------------------------------------------------------------------
-# The limit loss
+# The limit objective
 # --------------------------------------------------------------------------
 
-def _limit_terms(beta, ex: Example, law, sigma):
-    """Value and raw gradient of the limit loss at centered beta."""
-    p, k = beta.shape
-    mu = law.mu(ex)
-    lam = law.lam(ex)
-    weights, atoms = law.nu(ex)
-
-    value = -float(mu @ beta[:, ex.y - 1])
-    grad = np.zeros_like(beta)
-    grad[:, ex.y - 1] -= mu
-
-    sigma_beta = sigma @ beta
-    value += 0.5 * ex.t / k * float((beta * sigma_beta).sum())
-    grad += (ex.t / k) * sigma_beta
-
-    if lam > 0.0 and weights.size:
-        scores = atoms @ beta  # (m, k)
-        lse = _logsumexp(scores, axis=1)
-        value += lam * float(weights @ (lse - scores[:, ex.y - 1]))
-        soft = np.exp(scores - lse[:, None])
-        soft[:, ex.y - 1] -= 1.0
-        grad += lam * atoms.T @ (weights[:, None] * soft)
-    return value, grad
+def _check_derived(family: LevyFamily) -> None:
+    if family.kind not in (FamilyKind.GAUSSIAN, FamilyKind.POISSON):
+        raise ParameterError(
+            f"no derived strong-thinning law for the {family.kind.value} family"
+        )
 
 
-def _limit_at(beta, x, y, law, sigma, t):
-    """Value and raw gradient of the limit loss at center(beta)."""
+def _limit_objective(beta, family: LevyFamily, sums, t_total: float):
+    """Value and raw gradient of the summed limit loss at centered beta,
+    for per-class feature sums ``sums`` (d, K) and total information
+    content ``t_total``.  ``family`` is Gaussian or Poisson."""
+    if family.kind is FamilyKind.GAUSSIAN:
+        sigma_beta = family.sigma @ beta
+        t_k = t_total / beta.shape[1]
+        value = -float((sums * beta).sum()) + 0.5 * t_k * float((beta * sigma_beta).sum())
+        return value, t_k * sigma_beta - sums
+    totals = sums.sum(axis=1)
+    lse = _logsumexp(beta, axis=1)
+    value = float(totals @ lse) - float((sums * beta).sum())
+    return value, totals[:, None] * np.exp(beta - lse[:, None]) - sums
+
+
+def _limit_at(beta, x, y, family, t):
+    """Value and raw gradient of the limit loss of one example at
+    center(beta)."""
+    _check_derived(family)
+    batch = ExampleBatch(x=np.asarray(x)[None], y=y, t=t)  # checks y >= 1 and t > 0
     beta = center_columns(np.asarray(beta, dtype=float))
-    ex = ExampleBatch(x=np.asarray(x)[None], y=y, t=t)[0]  # checks y >= 1 and t > 0
-    return _limit_terms(beta, ex, law, np.asarray(sigma, dtype=float))
+    sums = np.zeros_like(beta)
+    sums[:, y - 1] = check_example(family, batch)[0]
+    return _limit_objective(beta, family, sums, float(batch.t[0]))
 
 
-def limit_loss(
-    beta: np.ndarray,
-    x,
-    y: int,
-    law: ConditionalJumpLaw,
-    sigma: np.ndarray,
-    t: float,
-) -> float:
+def limit_loss(beta: np.ndarray, x, y: int, family: LevyFamily, t: float) -> float:
     """Limit of (1/alpha) * (expected thinned loss - log K), dropping
     beta-free constants.  ``beta`` is centered internally before
     evaluation, since the formula lives in the centered gauge."""
-    return _limit_at(beta, x, y, law, sigma, t)[0]
+    return _limit_at(beta, x, y, family, t)[0]
 
 
 def limit_loss_gradient(
-    beta: np.ndarray,
-    x,
-    y: int,
-    law: ConditionalJumpLaw,
-    sigma: np.ndarray,
-    t: float,
+    beta: np.ndarray, x, y: int, family: LevyFamily, t: float
 ) -> np.ndarray:
     """Gradient of :func:`limit_loss` as implemented, i.e. of the map
     beta -> limit_loss(center(beta)); the chain rule through the
     centering projection is included."""
-    return center_columns(_limit_at(beta, x, y, law, sigma, t)[1])
+    return center_columns(_limit_at(beta, x, y, family, t)[1])
 
 
 # --------------------------------------------------------------------------
@@ -199,15 +154,14 @@ def fit_strong_thinning(
 ) -> LogisticModel:
     """Minimize the summed limit loss (plus an optional ridge term) over
     centered coefficients.  Only the Gaussian and Poisson families have a
-    derived conditional jump law, so only they are accepted.
+    derived limit, so only they are accepted.
 
     Gaussian is a quadratic whose centered minimizer is the linear solve
     ``((t_total / K) Sigma + lambda I) beta = S - mean_k S_k``, with ``S``
-    the per-class feature sums.  Poisson reduces to a per-word weighted
-    logistic objective evaluated through aggregated class-word counts and
-    solved by L-BFGS to gradient max-norm ``tol`` (in at most ``max_iter``
-    iterations); the objective is divided by the total count, so the argmin
-    is unchanged and ``tol`` applies at unit scale instead of count scale.
+    the per-class feature sums.  Poisson is solved by L-BFGS to gradient
+    max-norm ``tol`` (in at most ``max_iter`` iterations); the objective is
+    divided by the total count, so the argmin is unchanged and ``tol``
+    applies at unit scale instead of count scale.
     """
     if ridge_lambda < 0.0:
         raise ParameterError("ridge_lambda must be nonnegative")
@@ -216,33 +170,24 @@ def fit_strong_thinning(
         raise DegenerateDataError("no examples")
     k = _check_classes(batch.y)
     p = family.d
+    _check_derived(family)
 
-    if family.kind not in (FamilyKind.GAUSSIAN, FamilyKind.POISSON):
-        raise ParameterError(
-            f"no derived strong-thinning law for the {family.kind.value} family"
-        )
     sums = np.zeros((p, k))  # per-class feature sums, or word counts
     np.add.at(sums.T, batch.y - 1, np.asarray(batch.x, dtype=float))  # in row order
+    t_total = float(sum(batch.t.tolist()))  # in row order
 
     with single_thread():  # the solve holds all of the fit's BLAS work
         if family.kind is FamilyKind.GAUSSIAN:
-            t_total = float(sum(batch.t.tolist()))  # in row order
             a = (t_total / k) * family.sigma + ridge_lambda * np.eye(p)
             beta = np.linalg.solve(a, center_columns(sums))
         else:
-            totals = sums.sum(axis=1)
-            scale = max(1.0, float(totals.sum()))
+            scale = max(1.0, float(sums.sum()))
 
             def fun_grad(gamma):
                 beta = _expand(gamma)
-                lse = _logsumexp(beta, axis=1)
-                value = (
-                    float(totals @ lse)
-                    - float((sums * beta).sum())
-                    + 0.5 * ridge_lambda * float((beta**2).sum())
-                )
-                soft = np.exp(beta - lse[:, None])
-                grad = totals[:, None] * soft - sums + ridge_lambda * beta
+                value, grad = _limit_objective(beta, family, sums, t_total)
+                value += 0.5 * ridge_lambda * float((beta**2).sum())
+                grad += ridge_lambda * beta
                 return value / scale, _contract(grad) / scale
 
             gamma, _ = _minimize_lbfgs(
@@ -276,8 +221,6 @@ def alpha_path_converges(
     n_pseudo: int,
     ridge_lambda: float = 0.0,
     seed: RngState = RngState(0),
-    tol: float = 1e-7,
-    max_iter: int = 1000,
 ) -> list[AlphaPathPoint]:
     """Distance between the thinned-fit direction and the limit direction
     along an alpha path.
@@ -287,11 +230,9 @@ def alpha_path_converges(
     distance between the normalized coefficient matrices.  Shrinking
     alpha should shrink the distance, up to Monte Carlo noise.
     """
-    limit_model = fit_strong_thinning(
-        examples, family, ridge_lambda=ridge_lambda, tol=tol, max_iter=max_iter
-    )
+    limit_model = fit_strong_thinning(examples, family, ridge_lambda=ridge_lambda)
     limit_dir = _unit_direction(limit_model.beta)
-    cfg_train = TrainConfig(ridge_lambda=ridge_lambda, tol=tol, max_iter=max_iter)
+    cfg_train = TrainConfig(ridge_lambda=ridge_lambda)
     out = []
     for j, alpha in enumerate(alphas):
         thin_cfg = ThinningConfig(alpha=alpha, n_pseudo=n_pseudo, seed=seed.substate(j))

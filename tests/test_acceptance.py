@@ -16,7 +16,6 @@ import time
 import numpy as np
 from scipy import stats
 
-import levyaug
 from levyaug import (
     Example,
     RngState,
@@ -33,7 +32,6 @@ from levyaug import (
     loss_gradient,
     naive_bayes_poisson_fit,
     poisson_family,
-    poisson_limit_law,
     poisson_thinning_kernel_enumerate,
     predict,
     thin_gamma,
@@ -264,8 +262,6 @@ def test_criterion_5_gradient_checks():
         gap = np.abs(loss_gradient(beta, x, y) - fd).max() / max(1.0, np.abs(fd).max())
         worst_logistic = max(worst_logistic, gap)
 
-    gauss = levyaug.gaussian_limit_law()
-    pois = poisson_limit_law()
     worst_limit = 0.0
     for i in range(100):
         p, k = 3, int(rng.integers(2, 4))
@@ -273,13 +269,13 @@ def test_criterion_5_gradient_checks():
         y = int(rng.integers(1, k + 1))
         t = float(rng.uniform(0.5, 3.0))
         if i % 2 == 0:
-            law, sigma = gauss, np.eye(p) * float(rng.uniform(0.5, 2.0))
+            fam = gaussian_family(p, np.eye(p) * float(rng.uniform(0.5, 2.0)))
             x = rng.standard_normal(p)
         else:
-            law, sigma = pois, np.zeros((p, p))
+            fam = poisson_family(p)
             x = rng.integers(0, 5, size=p)
-        fd = finite_diff_gradient(lambda b: limit_loss(b, x, y, law, sigma, t), beta)
-        gap = np.abs(limit_loss_gradient(beta, x, y, law, sigma, t) - fd).max()
+        fd = finite_diff_gradient(lambda b: limit_loss(b, x, y, fam, t), beta)
+        gap = np.abs(limit_loss_gradient(beta, x, y, fam, t) - fd).max()
         worst_limit = max(worst_limit, gap / max(1.0, np.abs(fd).max()))
     report(
         "5 gradient-checks",
@@ -295,11 +291,9 @@ def test_criterion_5_gradient_checks():
 def test_criterion_6a_monte_carlo_limit_gradient():
     rng = np.random.default_rng(2008)
     g = RngState(2009).generator()
-    law = poisson_limit_law()
     d, k, alpha, n = 3, 2, 0.01, 100_000
     x = np.array([3, 1, 2])
     y = 1
-    sigma = np.zeros((d, d))
     failures = 0
     from scipy.special import logsumexp
 
@@ -312,7 +306,7 @@ def test_criterion_6a_monte_carlo_limit_gradient():
         samples = (1.0 / alpha) * draws[:, :, None] * probs[:, None, :]
         mc_mean = samples.mean(axis=0)
         mc_se = samples.std(axis=0, ddof=1) / math.sqrt(n)
-        analytic = limit_loss_gradient(beta, x, y, law, sigma, 1.0)
+        analytic = limit_loss_gradient(beta, x, y, poisson_family(d), 1.0)
         if np.any(np.abs(mc_mean - analytic) > 3.0 * mc_se + 1e-12):
             failures += 1
     report(

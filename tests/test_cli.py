@@ -1,11 +1,13 @@
 import argparse
 import json
 import os
+import types
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import levyaug
 from levyaug import (
     Example,
     RngState,
@@ -225,20 +227,32 @@ def test_limit_fits_poisson_endpoint(poisson_file, tmp_path):
     assert manifest["config"]["family"] == "poisson"
 
 
-def test_limit_reads_family_from_file(poisson_file, tmp_path):
+def test_limit_reads_family_from_file(poisson_file, tmp_path, capsys):
+    gauss = tmp_path / "gauss.csv"
+    g = RngState(73).generator()
+    write_dataset(gauss, gaussian_family(2), [
+        Example(x=g.standard_normal(2), y=1 + i % 2, t=1.0) for i in range(8)
+    ])
     asserted, read = tmp_path / "asserted.txt", tmp_path / "read.txt"
-    base = ["limit", "--originals", str(poisson_file)]
-    assert main(base + ["--family", "poisson", "--out", str(asserted)]) == 0
-    assert main(base + ["--out", str(read)]) == 0
-    assert read.read_bytes() == asserted.read_bytes()
+    for data, alias in ((poisson_file, "poisson"), (gauss, "gaussian")):
+        base = ["limit", "--originals", str(data)]
+        assert main(base + ["--family", alias, "--out", str(asserted)]) == 0
+        assert main(base + ["--out", str(read)]) == 0
+        assert read.read_bytes() == asserted.read_bytes()
 
     gamma = tmp_path / "gamma.csv"
     g = RngState(72).generator()
     write_dataset(gamma, gamma_family(2), [
         Example(x=g.gamma(2.0, size=2), y=1 + i % 2, t=4.0) for i in range(6)
     ])
-    # no derived strong-thinning law for Gamma: a domain error
-    assert main(["limit", "--originals", str(gamma), "--out", str(tmp_path / "g.txt")]) == 3
+    # no derived strong-thinning law for Gamma: a domain error, asserted or not
+    base = ["limit", "--originals", str(gamma), "--out", str(tmp_path / "g.txt")]
+    for family in ([], ["--family", "gamma"]):
+        capsys.readouterr()
+        assert main(base + family) == 3
+        assert capsys.readouterr().err == (
+            "levyaug: domain error: no derived strong-thinning law for the gamma family\n"
+        )
 
 
 def test_limit_family_mismatch_exits_2(tmp_path):
@@ -350,3 +364,30 @@ def test_settable_surface_is_pinned():
     for config in (TrainConfig, ThinningConfig):
         surface[config.__name__] = sorted(f.name for f in fields(config))
     assert surface == SETTABLE_SURFACE
+
+
+# Every public name of the package.  An addition or a removal must be made
+# here too, so it shows in review.
+PUBLIC_API = [
+    "AlphaPathPoint", "DataFormatError", "DecompositionError", "DegenerateDataError",
+    "Example", "ExampleBatch", "FamilyKind", "FeatureMap", "GaussianSimSpec",
+    "LevyAugError", "LevyFamily", "LogisticModel", "OptimizationError", "ParameterError",
+    "PoissonSimSpec", "PseudoBatch", "PseudoExample", "RngState", "ShapeError",
+    "SupportError", "SweepResult", "SweepRow", "ThinningConfig", "Topic", "TopicMixture",
+    "TrainConfig", "alpha_path_converges", "calibrate", "check_example", "exact_posterior",
+    "fit_logistic", "fit_logistic_detailed", "fit_strong_thinning", "gamma_family",
+    "gaussian_family", "gen_gaussian_sim", "gen_poisson_sim", "generate_pseudo_examples",
+    "limit_loss", "limit_loss_gradient", "load_model", "log_partition", "logistic_loss",
+    "loss_gradient", "naive_bayes_poisson_fit", "poisson_family",
+    "poisson_thinning_kernel_enumerate", "predict", "render_sweep_svg", "run_alpha_sweep",
+    "save_model", "thin_gamma", "thin_gaussian", "thin_poisson", "thin_wishart",
+    "thinning_log_density", "wishart_family", "wishart_split_oracle", "write_sweep_csv",
+]
+
+
+def test_public_api_is_pinned():
+    public = sorted(
+        name for name, value in vars(levyaug).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == sorted(PUBLIC_API)

@@ -1,4 +1,3 @@
-import itertools
 import os
 import subprocess
 import sys
@@ -11,73 +10,23 @@ from levyaug import (
     DegenerateDataError,
     Example,
     ParameterError,
+    SupportError,
     RngState,
     alpha_path_converges,
     fit_strong_thinning,
     gamma_family,
     gaussian_family,
-    gaussian_limit_law,
     limit_loss,
     limit_loss_gradient,
     logistic_loss,
     naive_bayes_poisson_fit,
     poisson_family,
-    poisson_limit_law,
     predict,
+    wishart_family,
 )
 from levyaug.logistic import center_columns
 
 from conftest import finite_diff_gradient
-
-
-def _zero_sigma(d):
-    return np.zeros((d, d))
-
-
-# ---------------------------------------------------------------------------
-# limit laws
-# ---------------------------------------------------------------------------
-
-def test_limit_laws():
-    diff = gaussian_limit_law()
-    ex = Example(x=np.array([1.5, -2.0]), y=1, t=2.0)
-    assert np.allclose(diff.mu(ex), ex.x)
-    assert diff.lam(ex) == 0.0
-
-    jumps = poisson_limit_law()
-    exc = Example(x=np.array([3, 1]), y=2, t=5.0)
-    assert jumps.lam(exc) == 4.0
-    weights, atoms = jumps.nu(exc)
-    assert np.allclose(weights, [0.75, 0.25])
-    assert np.allclose(atoms, np.eye(2))
-
-
-def _decomposition_gap(law, ex):
-    """Max-norm residual of x = mu(x) + lam(x) * E_nu[z]."""
-    weights, atoms = law.nu(ex)
-    mean_jump = atoms.T @ weights if weights.size else np.zeros(np.asarray(ex.x).shape[0])
-    recon = law.mu(ex) + law.lam(ex) * mean_jump
-    return float(np.abs(np.asarray(ex.x, dtype=float) - recon).max())
-
-
-def test_decomposition_identity_poisson_exhaustive():
-    law = poisson_limit_law()
-    for d in range(1, 5):
-        for x in itertools.product(range(11), repeat=d):
-            if sum(x) > 10:
-                continue
-            ex = Example(x=np.array(x), y=1, t=1.0) if sum(x) else None
-            if ex is None:
-                # x = 0 has no jumps; mu = 0 reproduces it exactly
-                ex = Example(x=np.zeros(d, dtype=int) + 0, y=1, t=1.0)
-            assert _decomposition_gap(law, ex) <= 1e-9
-
-
-def test_decomposition_identity_gaussian(rng):
-    law = gaussian_limit_law()
-    for _ in range(20):
-        ex = Example(x=rng.standard_normal(3), y=1, t=2.0)
-        assert _decomposition_gap(law, ex) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -85,26 +34,24 @@ def test_decomposition_identity_gaussian(rng):
 # ---------------------------------------------------------------------------
 
 def test_limit_loss_gaussian_zero_beta():
-    law = gaussian_limit_law()
-    val = limit_loss(np.zeros((2, 3)), np.array([1.0, 2.0]), 2, law, np.eye(2), 1.5)
+    val = limit_loss(np.zeros((2, 3)), np.array([1.0, 2.0]), 2, gaussian_family(2), 1.5)
     assert val == 0.0
 
 
 def test_limit_loss_gaussian_hand_computed():
-    law = gaussian_limit_law()
     beta = np.array([[1.0, -1.0], [0.0, 0.0]])
-    val = limit_loss(beta, np.array([1.0, 0.0]), 1, law, np.eye(2), 2.0)
+    val = limit_loss(beta, np.array([1.0, 0.0]), 1, gaussian_family(2), 2.0)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_limit_loss_poisson_is_per_word_loss(rng):
-    law = poisson_limit_law()
     d, k = 4, 3
+    fam = poisson_family(d)
     for _ in range(10):
         beta = center_columns(rng.standard_normal((d, k)))
         x = rng.integers(0, 6, size=d)
         y = int(rng.integers(1, k + 1))
-        got = limit_loss(beta, x, y, law, _zero_sigma(d), 7.0)
+        got = limit_loss(beta, x, y, fam, 7.0)
         expect = sum(
             x[j] * logistic_loss(beta, np.eye(d)[j], y) for j in range(d)
         )
@@ -112,38 +59,51 @@ def test_limit_loss_poisson_is_per_word_loss(rng):
 
 
 def test_limit_loss_gradient_matches_fd(rng):
-    gauss = gaussian_limit_law()
-    pois = poisson_limit_law()
     for _ in range(40):
         d, k = 3, 3
         beta = rng.standard_normal((d, k))
-        sigma = np.eye(d) * rng.uniform(0.5, 2.0)
+        gauss = gaussian_family(d, np.eye(d) * rng.uniform(0.5, 2.0))
         x = rng.standard_normal(d)
         y = int(rng.integers(1, k + 1))
         t = rng.uniform(0.5, 3.0)
-        grad = limit_loss_gradient(beta, x, y, gauss, sigma, t)
-        fd = finite_diff_gradient(lambda b: limit_loss(b, x, y, gauss, sigma, t), beta)
+        grad = limit_loss_gradient(beta, x, y, gauss, t)
+        fd = finite_diff_gradient(lambda b: limit_loss(b, x, y, gauss, t), beta)
         assert np.abs(grad - fd).max() / max(1.0, np.abs(fd).max()) < 1e-5
 
         xc = rng.integers(0, 5, size=d)
-        grad = limit_loss_gradient(beta, xc, y, pois, _zero_sigma(d), t)
-        fd = finite_diff_gradient(
-            lambda b: limit_loss(b, xc, y, pois, _zero_sigma(d), t), beta
-        )
+        pois = poisson_family(d)
+        grad = limit_loss_gradient(beta, xc, y, pois, t)
+        fd = finite_diff_gradient(lambda b: limit_loss(b, xc, y, pois, t), beta)
         assert np.abs(grad - fd).max() / max(1.0, np.abs(fd).max()) < 1e-5
 
 
 def test_limit_loss_convex_midpoint(rng):
-    law = poisson_limit_law()
     d, k = 3, 2
+    fam = poisson_family(d)
     for _ in range(50):
         b1 = rng.standard_normal((d, k))
         b2 = rng.standard_normal((d, k))
         x = rng.integers(0, 5, size=d)
         y = int(rng.integers(1, k + 1))
-        args = (x, y, law, _zero_sigma(d), 2.0)
+        args = (x, y, fam, 2.0)
         mid = limit_loss(0.5 * (b1 + b2), *args)
         assert mid <= 0.5 * (limit_loss(b1, *args) + limit_loss(b2, *args)) + 1e-9
+
+
+def test_limit_loss_checks_the_example_against_the_family():
+    beta = np.zeros((2, 2))
+    for fn in (limit_loss, limit_loss_gradient):
+        with pytest.raises(SupportError):
+            fn(beta, np.array([-1.0, 2.5]), 1, poisson_family(2), 1.0)
+
+
+def test_limit_loss_rejects_underived_families():
+    beta = np.zeros((2, 2))
+    for fn in (limit_loss, limit_loss_gradient):
+        with pytest.raises(ParameterError):
+            fn(beta, np.array([1.0, 2.0]), 1, gamma_family(2), 1.0)
+        with pytest.raises(ParameterError):
+            fn(beta, 3.0 * np.eye(2), 1, wishart_family(2), 3.0)
 
 
 def test_gaussian_aggregated_display_gradients_agree(rng):
@@ -151,7 +111,7 @@ def test_gaussian_aggregated_display_gradients_agree(rng):
     # With balanced classes their projected beta-gradients coincide.
     d, k, t = 3, 3, 2.0
     sigma = np.array([[2.0, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 1.5]])
-    law = gaussian_limit_law()
+    fam = gaussian_family(d, sigma)
     examples = []
     g = RngState(41).generator()
     for y in range(1, k + 1):
@@ -161,7 +121,7 @@ def test_gaussian_aggregated_display_gradients_agree(rng):
     def grad_a(beta):
         total = np.zeros((d, k))
         for ex in examples:
-            total += limit_loss_gradient(beta, ex.x, ex.y, law, sigma, ex.t)
+            total += limit_loss_gradient(beta, ex.x, ex.y, fam, ex.t)
         return total
 
     n_per = len(examples) // k
@@ -215,7 +175,6 @@ def test_fit_strong_thinning_poisson_matches_generic_minimizer(rng):
 
     d, k = 3, 2
     fam = poisson_family(d)
-    law = poisson_limit_law()
     g = RngState(42).generator()
     examples = [
         Example(x=g.poisson(3.0, size=d) + 1, y=1 + i % k, t=4.0) for i in range(12)
@@ -229,8 +188,8 @@ def test_fit_strong_thinning_poisson_matches_generic_minimizer(rng):
         value = 0.5 * lam * (beta**2).sum()
         grad = lam * beta
         for ex in examples:
-            value += limit_loss(beta, ex.x, ex.y, law, _zero_sigma(d), ex.t)
-            grad += limit_loss_gradient(beta, ex.x, ex.y, law, _zero_sigma(d), ex.t)
+            value += limit_loss(beta, ex.x, ex.y, fam, ex.t)
+            grad += limit_loss_gradient(beta, ex.x, ex.y, fam, ex.t)
         return value, (grad[:, :-1] - grad[:, -1:]).ravel()
 
     res = minimize(objective, np.zeros(d * (k - 1)), jac=True, method="L-BFGS-B",
