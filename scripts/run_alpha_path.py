@@ -20,7 +20,7 @@ from levyaug.strong_thinning import alpha_path_converges
 
 
 def toy_examples(n: int, seed: int):
-    g = RngState(seed).generator()
+    g = RngState(seed).spawn()
     out = []
     for i in range(n):
         if i % 2 == 0:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -209,12 +208,8 @@ def _cmd_simulate(args) -> int:
 
 def _print_sweep_summary(result) -> None:
     """Mean test error per (n, alpha) over the cells that did not fail."""
-    errors: dict[tuple[int, float], list[float]] = {}
-    for r in result.rows:
-        if not math.isnan(r.test_error):
-            errors.setdefault((r.n, r.alpha), []).append(r.test_error)
-    for (n, alpha), errs in sorted(errors.items()):
-        print(f"n={n:<5d} alpha={alpha:<5g} mean_error={sum(errs) / len(errs):.4f}")
+    for (n, alpha), err in result.mean_errors().items():
+        print(f"n={n:<5d} alpha={alpha:<5g} mean_error={err:.4f}")
     print(f"{len(result.failures)} failed cells (see the manifest)")
 
 

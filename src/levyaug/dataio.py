@@ -30,7 +30,7 @@ from .families import (
     FamilyKind,
     LevyFamily,
     PseudoBatch,
-    _poisson_counts,
+    _check_rows,
     as_example_batch,
     check_example,
     gaussian_family,
@@ -208,14 +208,14 @@ def write_pseudo_dataset(path, family: LevyFamily, pseudo: PseudoBatch) -> None:
 
 def _pseudo_batch(family: LevyFamily, table: np.ndarray) -> PseudoBatch:
     origin_id, y = _integers(table[:, [0, 2]], "origin_id and y").T
-    x = _features(family, table[:, 4:])
-    if family.kind is FamilyKind.POISSON:
-        x = _poisson_counts(x)
+    x = _check_rows(family, _features(family, table[:, 4:]))
     return PseudoBatch(x_tilde=x, y=y, origin_id=origin_id, alpha=table[:, 1], t_tilde=table[:, 3])
 
 
 def read_pseudo_dataset(path) -> tuple[LevyFamily, PseudoBatch]:
-    """Parse a pseudo-example file; errors name the offending row."""
+    """Parse a pseudo-example file and check its feature rows against the
+    declared family's support (:class:`SupportError`, Poisson counts come
+    back as int64); errors name the offending row."""
     family, table = _read_table(path, _PSEUDO_MAGIC, ["origin_id", "alpha", "y", "t_tilde"])
     return family, _checked_batch(lambda rows: _pseudo_batch(family, rows), table)
 

@@ -308,29 +308,22 @@ def _check_pd(m: np.ndarray, what: str) -> None:
         raise SupportError(f"{what} must be positive-definite") from None
 
 
-def _poisson_counts(values) -> np.ndarray:
-    """Count features (of any shape) as int64, or SupportError."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise SupportError("features must be finite")
-    if np.any(values < 0) or np.any(values != np.floor(values)):
-        raise SupportError("Poisson features must be nonnegative integers")
-    return np.asarray(np.round(values), dtype=np.int64)
-
-
 def _check_rows(family: LevyFamily, rows) -> np.ndarray:
     """The support rules of :func:`check_example`, applied to every row of
-    a stack of shape (rows, *feature shape); returns the checked stack."""
+    a stack of shape (rows, *feature shape); returns the checked stack
+    (Poisson counts as int64).  Every support check runs through here."""
     arr = np.asarray(rows)
     kind = family.kind
     shape = (family.d, family.d) if kind is FamilyKind.WISHART else (family.d,)
     if arr.shape[1:] != shape:
         raise SupportError(f"{kind.value} features must have shape {shape}, got {arr.shape[1:]}")
-    if kind is FamilyKind.POISSON:
-        return _poisson_counts(arr)
     arr = np.asarray(arr, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise SupportError("features must be finite")
+    if kind is FamilyKind.POISSON:
+        if np.any(arr < 0) or np.any(arr != np.floor(arr)):
+            raise SupportError("Poisson features must be nonnegative integers")
+        return np.asarray(np.round(arr), dtype=np.int64)
     if kind is FamilyKind.GAMMA and np.any(arr <= 0.0):
         raise SupportError("Gamma features must be strictly positive")
     if kind is FamilyKind.WISHART:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -79,13 +79,17 @@ class FeatureMap(enum.Enum):
     FLATTEN_SYMMETRIC = "flatten_symmetric"
 
 
-def _phi_rows(fm: FeatureMap, X) -> np.ndarray:
-    """phi applied to every row of a stack of examples: an (n, p) design."""
+def _phi_rows(fm: FeatureMap, X, p: int | None = None) -> np.ndarray:
+    """phi applied to every row of a stack of examples: an (n, p) design.
+    A row shape phi cannot take, or a width other than ``p``, is a ShapeError."""
     X = np.asarray(X, dtype=float)
     item_ndim = 1 if fm is FeatureMap.IDENTITY else 2
     if X.ndim != item_ndim + 1 or (item_ndim == 2 and X.shape[1] != X.shape[2]):
         raise ShapeError(f"{fm.value} feature map cannot take rows of shape {X.shape[1:]}")
-    return X.reshape(X.shape[0], -1)
+    X = X.reshape(X.shape[0], -1)
+    if p is not None and X.shape[1] != p:
+        raise ShapeError(f"model expects {p} features, got {X.shape[1]}")
+    return X
 
 
 def center_columns(beta: np.ndarray) -> np.ndarray:
@@ -203,6 +207,7 @@ def _logsumexp(a, axis=None):
 
 def logistic_loss(beta: np.ndarray, x: np.ndarray, y: int) -> float:
     """Multiclass log-loss of a single (features, label) pair."""
+    _check_labels(y, np.shape(beta)[-1])
     scores = np.asarray(x, dtype=float) @ np.asarray(beta, dtype=float)
     return float(_logsumexp(scores) - scores[y - 1])
 
@@ -210,6 +215,7 @@ def logistic_loss(beta: np.ndarray, x: np.ndarray, y: int) -> float:
 def loss_gradient(beta: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
     """d loss / d beta, a p x K matrix: (softmax_k - 1{k=y}) outer phi(x)."""
     beta = np.asarray(beta, dtype=float)
+    _check_labels(y, beta.shape[-1])
     x = np.asarray(x, dtype=float)
     scores = x @ beta
     p = np.exp(scores - _logsumexp(scores))
@@ -302,7 +308,7 @@ def _minimize_lbfgs(fun_grad, x0: np.ndarray, tol: float, max_iter: int, what: s
         sol = sol - np.linalg.lstsq(hess(sol), grad.ravel(), rcond=None)[0].reshape(shape)
         grad, steps = fun_grad(sol)[1], steps + 1
     grad_norm = float(np.abs(grad).max())
-    if grad_norm > tol:
+    if not grad_norm <= tol:  # a NaN gradient fails too
         newton = f" and {steps} Newton steps" if steps else ""
         raise OptimizationError(
             f"{what} did not converge: L-BFGS-B stopped after {res.nit} iterations "
@@ -316,20 +322,30 @@ def _minimize_lbfgs(fun_grad, x0: np.ndarray, tol: float, max_iter: int, what: s
 # Fitting
 # --------------------------------------------------------------------------
 
-def _design(pseudo: PseudoBatch):
-    if len(pseudo) == 0:
-        raise DegenerateDataError("no pseudo-examples to fit on")
-    matrices = pseudo.x_tilde.ndim == 3
-    feature_map = FeatureMap.FLATTEN_SYMMETRIC if matrices else FeatureMap.IDENTITY
-    return _phi_rows(feature_map, pseudo.x_tilde), pseudo.y, pseudo.origin_id, feature_map
+def _check_labels(Y, k: int) -> None:
+    """Every label lies in 1..k: the half of :func:`_check_classes` scoring needs."""
+    bad = np.setdiff1d(Y, np.arange(1, k + 1))
+    if bad.size:
+        raise ShapeError(f"class label {bad[0]} is outside 1..{k}")
 
 
-def _check_classes(Y: np.ndarray) -> int:
-    k = int(Y.max())
+def _check_classes(Y: np.ndarray, k: int | None = None) -> int:
+    """Labels to fit or calibrate on: not empty, each in 1..k (default: the
+    largest label, which is returned) and every class present."""
+    if len(Y) == 0:
+        raise DegenerateDataError("no examples")
+    k = int(Y.max()) if k is None else k
+    _check_labels(Y, k)
     missing = sorted(set(range(1, k + 1)) - set(Y.tolist()))
     if missing:
         raise DegenerateDataError(f"no examples for class label(s) {missing}")
     return k
+
+
+def _design(pseudo: PseudoBatch):
+    matrices = pseudo.x_tilde.ndim == 3
+    feature_map = FeatureMap.FLATTEN_SYMMETRIC if matrices else FeatureMap.IDENTITY
+    return _phi_rows(feature_map, pseudo.x_tilde), pseudo.y, pseudo.origin_id, feature_map
 
 
 def default_lambda_grid(X: np.ndarray, Y: np.ndarray):
@@ -386,8 +402,8 @@ def fit_logistic_detailed(
 ) -> tuple[LogisticModel, FitReport]:
     """Fit, with the CV table and convergence diagnostics alongside."""
     with single_thread():
+        k = _check_classes(pseudo.y)
         X, Y, groups, feature_map = _design(pseudo)
-        k = _check_classes(Y)
         lambdas = cfg.ridge_lambda
         if lambdas is None:
             lambdas = default_lambda_grid(X, Y)
@@ -431,8 +447,8 @@ def fit_logistic(pseudo: PseudoBatch, cfg: TrainConfig) -> LogisticModel:
     If the config carries a lambda grid, lambda is chosen by grouped
     k-fold cross-validation (all copies of one origin share a fold).
     Raises :class:`OptimizationError` when the gradient max-norm cannot be
-    brought under ``cfg.tol`` and :class:`DegenerateDataError` when some
-    class has no examples.
+    brought under ``cfg.tol`` and :class:`DegenerateDataError` when the
+    batch is empty or some class has no examples.
     """
     return fit_logistic_detailed(pseudo, cfg)[0]
 
@@ -449,17 +465,14 @@ def calibrate(model: LogisticModel, originals: Examples) -> LogisticModel:
     intercepts ``c``.  For two classes this is exactly a univariate
     logistic regression of the label on the fitted score.  A separable
     calibration set would send ``s`` to infinity; the scale is capped at
-    1e3 (with a warning) instead.
+    1e3 (with a warning) instead.  An empty set or one of the model's K
+    classes missing raises :class:`DegenerateDataError`; a label outside
+    1..K or a width mismatch raises :class:`ShapeError`.
     """
     with single_thread():
         originals = as_example_batch(originals)
-        if len(originals) == 0:
-            raise DegenerateDataError("calibration needs at least one original example")
-        X, Y = _phi_rows(model.feature_map, originals.x), originals.y
-        k = model.n_classes
-        if int(Y.max()) > k:
-            raise ShapeError("calibration data contains labels beyond the model's classes")
-        _check_classes(Y)
+        k = _check_classes(originals.y, model.n_classes)
+        X, Y = _phi_rows(model.feature_map, originals.x, model.n_features), originals.y
         U = X @ model.beta  # per-class raw scores
         counts = np.bincount(Y, minlength=k + 1)[1:].astype(float)
 
@@ -468,12 +481,7 @@ def calibrate(model: LogisticModel, originals: Examples) -> LogisticModel:
             # Degenerate scores carry no information: scale 0, intercepts from
             # class frequencies.
             c = np.log(counts / counts.sum())
-            return LogisticModel(
-                beta=model.beta,
-                calib_c=c - c.mean(),
-                calib_scale=0.0,
-                feature_map=model.feature_map,
-            )
+            return replace(model, calib_c=c - c.mean(), calib_scale=0.0)
 
         n = X.shape[0]
 
@@ -506,40 +514,32 @@ def calibrate(model: LogisticModel, originals: Examples) -> LogisticModel:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            s = float(np.clip(s, -_SCALE_CAP, _SCALE_CAP))
         c = np.concatenate([res.x[1:], [0.0]])
-        c = c - c.mean()
-        if k > 2:
-            s = max(s, 0.0)
-        return LogisticModel(
-            beta=model.beta, calib_c=c, calib_scale=s, feature_map=model.feature_map
-        )
+        return replace(model, calib_c=c - c.mean(), calib_scale=s)
+
+
+def _calibrated_scores(model: LogisticModel, x) -> np.ndarray:
+    X = _phi_rows(model.feature_map, x, model.n_features)
+    return model.calib_scale * (X @ model.beta) + model.calib_c
 
 
 def predict(model: LogisticModel, x) -> tuple[int, np.ndarray]:
     """Label (1-based, ties to the smallest index) and class probabilities."""
-    scores = _calibrated_scores(model, _phi_rows(model.feature_map, np.asarray(x)[None]))[0]
+    scores = _calibrated_scores(model, np.asarray(x)[None])[0]
     probs = np.exp(scores - _logsumexp(scores))
     probs = probs / probs.sum()
     return int(np.argmax(scores)) + 1, probs
 
 
-def _calibrated_scores(model: LogisticModel, X: np.ndarray) -> np.ndarray:
-    if X.shape[1] != model.n_features:
-        raise ShapeError(f"model expects {model.n_features} features, got {X.shape[1]}")
-    return model.calib_scale * (X @ model.beta) + model.calib_c
-
-
 def predict_labels(model: LogisticModel, examples: Examples) -> np.ndarray:
-    X = _phi_rows(model.feature_map, as_example_batch(examples).x)
-    return np.argmax(_calibrated_scores(model, X), axis=1) + 1
+    return np.argmax(_calibrated_scores(model, as_example_batch(examples).x), axis=1) + 1
 
 
 def mean_log_loss(model: LogisticModel, examples: Examples) -> float:
     """Mean calibrated log-loss on examples (used to audit calibration)."""
     batch = as_example_batch(examples)
-    X = _phi_rows(model.feature_map, batch.x)
-    return float(_softmax_loss(_calibrated_scores(model, X), batch.y)[0].mean())
+    _check_labels(batch.y, model.n_classes)
+    return float(_softmax_loss(_calibrated_scores(model, batch.x), batch.y)[0].mean())
 
 
 # --------------------------------------------------------------------------

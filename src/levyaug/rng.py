@@ -40,9 +40,6 @@ class RngState:
     def _entropy(self, key: tuple[int, ...]) -> tuple[int, ...]:
         return (self.seed & _MASK64, self.stream & _MASK64) + tuple(k & _MASK64 for k in key)
 
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(entropy=self._entropy(())))
-
     def spawn(self, *key: int) -> np.random.Generator:
         """Generator for the substream identified by an integer key tuple."""
         return np.random.default_rng(np.random.SeedSequence(entropy=self._entropy(key)))

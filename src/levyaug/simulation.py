@@ -35,7 +35,6 @@ import numpy as np
 from .errors import LevyAugError, ParameterError
 from .families import ExampleBatch, LevyFamily, PseudoBatch, gaussian_family, poisson_family
 from .logistic import (
-    LogisticModel,
     TrainConfig,
     calibrate,
     center_columns,
@@ -196,6 +195,14 @@ class SweepResult:
             "failures": list(self.failures),
         }
 
+    def mean_errors(self) -> dict[tuple[int, float], float]:
+        """Mean test error per (n, alpha), sorted, over the cells that did not fail."""
+        errors: dict[tuple[int, float], list[float]] = {}
+        for r in self.rows:
+            if not np.isnan(r.test_error):
+                errors.setdefault((r.n, r.alpha), []).append(r.test_error)
+        return {key: float(np.mean(errs)) for key, errs in sorted(errors.items())}
+
 
 def _alpha_key(alpha: float) -> int:
     return int(round(alpha * 10**9))
@@ -208,8 +215,7 @@ def _standardized_fit(pseudo: PseudoBatch, train_cfg):
     sd = np.asarray(pseudo.x_tilde, dtype=float).std(axis=0, ddof=1)
     sd[sd == 0.0] = 1.0
     model, report = fit_logistic_detailed(replace(pseudo, x_tilde=pseudo.x_tilde / sd), train_cfg)
-    beta = center_columns(model.beta / sd[:, None])
-    return LogisticModel(beta=beta, feature_map=model.feature_map), report
+    return replace(model, beta=center_columns(model.beta / sd[:, None])), report
 
 
 def _fit_cell(family, train, alpha, n_pseudo, thin_seed, train_cfg, standardize):
@@ -367,15 +373,9 @@ def render_sweep_svg(result: SweepResult, path) -> None:
     Deliberately minimal (no plotting dependency): a fixed 640x420 canvas
     and margins, linear axes, a legend keyed by n.  NaN cells are skipped.
     """
-    by_n: dict[int, dict[float, list[float]]] = {}
-    for r in result.rows:
-        if np.isnan(r.test_error):
-            continue
-        by_n.setdefault(r.n, {}).setdefault(r.alpha, []).append(r.test_error)
-    series = {
-        n: sorted((a, float(np.mean(v))) for a, v in per_alpha.items())
-        for n, per_alpha in sorted(by_n.items())
-    }
+    series: dict[int, list[tuple[float, float]]] = {}
+    for (n, alpha), err in result.mean_errors().items():
+        series.setdefault(n, []).append((alpha, err))
     errors = [e for pts in series.values() for _, e in pts]
     y_hi = max(errors) * 1.08 if errors else 1.0
     y_lo = 0.0

@@ -154,7 +154,9 @@ def fit_strong_thinning(
 ) -> LogisticModel:
     """Minimize the summed limit loss (plus an optional ridge term) over
     centered coefficients.  Only the Gaussian and Poisson families have a
-    derived limit, so only they are accepted.
+    derived limit, so only they are accepted.  An empty batch or a missing
+    class raises :class:`DegenerateDataError`, and features outside the
+    family's support (the width included) raise :class:`SupportError`.
 
     Gaussian is a quadratic whose centered minimizer is the linear solve
     ``((t_total / K) Sigma + lambda I) beta = S - mean_k S_k``, with ``S``
@@ -166,14 +168,13 @@ def fit_strong_thinning(
     if ridge_lambda < 0.0:
         raise ParameterError("ridge_lambda must be nonnegative")
     batch = as_example_batch(examples)
-    if len(batch) == 0:
-        raise DegenerateDataError("no examples")
     k = _check_classes(batch.y)
     p = family.d
     _check_derived(family)
+    x = check_example(family, batch)
 
     sums = np.zeros((p, k))  # per-class feature sums, or word counts
-    np.add.at(sums.T, batch.y - 1, np.asarray(batch.x, dtype=float))  # in row order
+    np.add.at(sums.T, batch.y - 1, np.asarray(x, dtype=float))  # in row order
     t_total = float(sum(batch.t.tolist()))  # in row order
 
     with single_thread():  # the solve holds all of the fit's BLAS work
@@ -265,8 +266,6 @@ def naive_bayes_poisson_fit(
     if smoothing < 0.0:
         raise ParameterError("smoothing must be nonnegative")
     batch = as_example_batch(examples)
-    if len(batch) == 0:
-        raise DegenerateDataError("no examples")
     k = _check_classes(batch.y)
     d = batch.x.shape[1]
     counts = np.zeros((k, d))

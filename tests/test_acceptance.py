@@ -100,14 +100,14 @@ def test_criterion_2_marginal_correctness():
     n = 100_000
     oks = []
 
-    g = RngState(2001).generator()
+    g = RngState(2001).spawn()
     t, alpha, mu = 9.0, 0.35, np.array([0.2, 0.5, 0.3])
     full = g.poisson(t * mu, size=(n, 3))
     thinned = g.binomial(full, alpha)
     direct = g.poisson(alpha * t * mu, size=(n, 3))
     oks.append(("poisson", moments_match_3sigma(thinned, direct)))
 
-    g = RngState(2002).generator()
+    g = RngState(2002).spawn()
     t, alpha = 3.0, 0.6
     mu = np.array([1.0, -0.5])
     sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
@@ -118,14 +118,14 @@ def test_criterion_2_marginal_correctness():
     direct = alpha * t * mu + math.sqrt(alpha * t) * g.standard_normal((n, 2)) @ chol.T
     oks.append(("gaussian", moments_match_3sigma(thinned, direct)))
 
-    g = RngState(2003).generator()
+    g = RngState(2003).spawn()
     t, alpha, scale = 5.0, 0.5, 1.3
     full = g.gamma(t / 2.0, 2.0 * scale, size=(n, 1))
     thinned = thin_gamma(np.ones(1), alpha, t, g, size=n) * full
     direct = g.gamma(alpha * t / 2.0, 2.0 * scale, size=(n, 1))
     oks.append(("gamma", moments_match_3sigma(thinned, direct)))
 
-    g = RngState(2004).generator()
+    g = RngState(2004).spawn()
     t, alpha = 10.0, 0.5
     sigma = np.array([[1.0, 0.4], [0.4, 1.5]])
     chol = np.linalg.cholesky(sigma)
@@ -151,7 +151,7 @@ def test_criterion_2_marginal_correctness():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_wishart_vs_split_oracle():
-    g = RngState(2005).generator()
+    g = RngState(2005).spawn()
     sigma = np.array([[1.0, 0.4], [0.4, 1.5]])
     t, alpha, n = 12, 0.5, 10_000
     tr_oracle, tr_sampler = np.empty(n), np.empty(n)
@@ -290,7 +290,7 @@ def test_criterion_5_gradient_checks():
 
 def test_criterion_6a_monte_carlo_limit_gradient():
     rng = np.random.default_rng(2008)
-    g = RngState(2009).generator()
+    g = RngState(2009).spawn()
     d, k, alpha, n = 3, 2, 0.01, 100_000
     x = np.array([3, 1, 2])
     y = 1
@@ -320,7 +320,7 @@ def _curved_gaussian_toy(n=200, seed=2010):
     # class 1 is an UNEVEN two-atom mixture (3:1), so its best linear
     # separator genuinely rotates along the thinning path; a symmetric
     # mixture would leave no direction bias to detect
-    g = RngState(seed).generator()
+    g = RngState(seed).spawn()
     out = []
     for i in range(n):
         if i % 2 == 0:
@@ -348,7 +348,7 @@ def test_criterion_6b_alpha_path_direction():
 
 
 def test_criterion_6c_naive_bayes_equivalence():
-    g = RngState(2012).generator()
+    g = RngState(2012).spawn()
     d, n_per = 5, 20
     examples = []
     for y in (1, 2):
@@ -393,7 +393,7 @@ def test_criterion_7_thinned_training_consistency():
     cfg = TrainConfig(ridge_lambda=1e-8, max_iter=2000)
     gaps_thin, gaps_orig = [], []
     for seed in range(20):
-        g = RngState(3000 + seed).generator()
+        g = RngState(3000 + seed).spawn()
         train = _well_specified_poisson(2000, 8.0, g)
         test = _well_specified_poisson(4000, 8.0, g)
         truth = np.array([ex.y for ex in test])

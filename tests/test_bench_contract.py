@@ -26,7 +26,7 @@ def test_every_traced_name_resolves():
 
 
 def test_tracer_counts_thin_and_train(tmp_path):
-    g = RngState(5).generator()
+    g = RngState(5).spawn()
     data, pseudo, model = tmp_path / "data.csv", tmp_path / "pseudo.csv", tmp_path / "m.txt"
     examples = [Example(x=g.poisson(3.0, size=3), y=1 + i % 2, t=9.0) for i in range(10)]
     write_dataset(data, poisson_family(3), examples)
@@ -52,7 +52,7 @@ def test_tracer_counts_thin_and_train(tmp_path):
 
 
 def test_tracer_checks_a_poisson_limit_fit(tmp_path):
-    g = RngState(6).generator()
+    g = RngState(6).spawn()
     data, model = tmp_path / "data.csv", tmp_path / "m.txt"
     examples = [Example(x=g.poisson(4.0, size=3), y=1 + i % 2, t=12.0) for i in range(16)]
     write_dataset(data, poisson_family(3), examples)

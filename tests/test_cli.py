@@ -18,7 +18,7 @@ from levyaug import (
     poisson_family,
 )
 from levyaug.cli import build_parser, main
-from levyaug.dataio import read_pseudo_dataset, write_dataset
+from levyaug.dataio import read_pseudo_dataset, write_dataset, write_pseudo_dataset
 from levyaug.families import gamma_family, gaussian_family, wishart_family
 from levyaug.dataio import read_dataset
 
@@ -28,7 +28,7 @@ from conftest import random_pd_matrix
 @pytest.fixture
 def poisson_file(tmp_path):
     fam = poisson_family(3)
-    g = RngState(71).generator()
+    g = RngState(71).spawn()
     examples = [
         Example(x=g.poisson(3.0, size=3), y=1 + i % 2, t=9.0) for i in range(12)
     ]
@@ -151,7 +151,7 @@ def test_train_single_lambda_skips_cv(poisson_file, tmp_path):
 
 
 def test_train_dimension_mismatch_exits_2(tmp_path, capsys):
-    g = RngState(8).generator()
+    g = RngState(8).spawn()
     paths = {}
     for d in (4, 6):
         examples = [
@@ -171,6 +171,26 @@ def test_train_dimension_mismatch_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "d=4" in err and "d=6" in err
     assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+def test_train_checks_pseudo_rows_against_the_family(tmp_path, capsys, bad):
+    fam = gamma_family(2)
+    originals = [Example(x=np.array([1.0 + i, 2.0]), y=1 + i % 2, t=2.0) for i in range(6)]
+    x_tilde = np.array([[bad, 1.0]] + [[0.5 + i, 1.0] for i in range(1, 6)])
+    pseudo = levyaug.PseudoBatch(
+        x_tilde=x_tilde, y=[1 + i % 2 for i in range(6)], origin_id=range(6), alpha=0.5,
+        t_tilde=1.0,
+    )
+    data, pseudo_path, model = tmp_path / "g.csv", tmp_path / "pseudo.csv", tmp_path / "m.txt"
+    write_dataset(data, fam, originals)
+    write_pseudo_dataset(pseudo_path, fam, pseudo)
+    assert main([
+        "train", "--pseudo", str(pseudo_path), "--originals", str(data),
+        "--out", str(model), "--ridge-lambda", "0.1",
+    ]) == 3
+    assert "row 1:" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_train_finishes_where_lbfgs_stops_short(tmp_path, monkeypatch):
@@ -229,7 +249,7 @@ def test_limit_fits_poisson_endpoint(poisson_file, tmp_path):
 
 def test_limit_reads_family_from_file(poisson_file, tmp_path, capsys):
     gauss = tmp_path / "gauss.csv"
-    g = RngState(73).generator()
+    g = RngState(73).spawn()
     write_dataset(gauss, gaussian_family(2), [
         Example(x=g.standard_normal(2), y=1 + i % 2, t=1.0) for i in range(8)
     ])
@@ -241,7 +261,7 @@ def test_limit_reads_family_from_file(poisson_file, tmp_path, capsys):
         assert read.read_bytes() == asserted.read_bytes()
 
     gamma = tmp_path / "gamma.csv"
-    g = RngState(72).generator()
+    g = RngState(72).spawn()
     write_dataset(gamma, gamma_family(2), [
         Example(x=g.gamma(2.0, size=2), y=1 + i % 2, t=4.0) for i in range(6)
     ])

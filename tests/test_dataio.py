@@ -94,14 +94,16 @@ def test_pseudo_round_trip(tmp_path):
 
 def test_pseudo_errors_name_the_offending_row(tmp_path):
     path = tmp_path / "pseudo.csv"
-    head = "# levyaug-pseudo v1 family=poisson d=2\norigin_id,alpha,y,t_tilde,x_1,x_2\n"
-    for rows, error in (
-        ("0,0.5,1,1.0,2,0\n0,1.5,1,1.0,2,0\n", ParameterError),
-        ("0,0.5,1,1.0,2,0\n1,0.5,2,1.0,0.5,0\n", SupportError),
-        ("0,0.5,1,1.0,2,0\n1.5,0.5,2,1.0,1,0\n", DataFormatError),
-        ("0,0.5,1,1.0,2,0\nnan,0.5,2,1.0,1,0\n", DataFormatError),
+    head = "# levyaug-pseudo v1 family={} d=2\norigin_id,alpha,y,t_tilde,x_1,x_2\n"
+    for family, rows, error in (
+        ("poisson", "0,0.5,1,1.0,2,0\n0,1.5,1,1.0,2,0\n", ParameterError),
+        ("poisson", "0,0.5,1,1.0,2,0\n1,0.5,2,1.0,0.5,0\n", SupportError),
+        ("poisson", "0,0.5,1,1.0,2,0\n1.5,0.5,2,1.0,1,0\n", DataFormatError),
+        ("poisson", "0,0.5,1,1.0,2,0\nnan,0.5,2,1.0,1,0\n", DataFormatError),
+        ("gamma", "0,0.5,1,1.0,2,1\n1,0.5,2,1.0,-0.5,1\n", SupportError),
+        ("gaussian", "0,0.5,1,1.0,2,1\n1,0.5,2,1.0,nan,1\n", SupportError),
     ):
-        path.write_text(head + rows)
+        path.write_text(head.format(family) + rows)
         with pytest.raises(error, match="row 2"):
             read_pseudo_dataset(path)
 

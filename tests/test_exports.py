@@ -1,7 +1,10 @@
-"""Every name a module exports in ``__all__`` exists, so ``import *`` works."""
+"""Every name a module exports in ``__all__`` exists, so ``import *`` works,
+and no module imports a name it never uses (no linter ships with the repo)."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +18,38 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ lists missing names {missing}"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never uses.  ``from __future__`` imports,
+    names listed in ``__all__`` and lines marked ``# noqa`` are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa" not in lines[alias.lineno - 1]:
+                    imported[(alias.asname or alias.name).split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+SOURCES = sorted(p for p in Path(levyaug.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = _unused_imports(path.read_text(encoding="utf-8"))
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_unused_import_guard_flags_an_orphan():
+    assert _unused_imports("import math\nimport os\nos.getcwd()\n") == ["math (line 1)"]
+    assert _unused_imports("import math  # noqa: F401\n__all__ = ['x']\nfrom a import x\n") == []

@@ -96,6 +96,6 @@ GOLDEN_DRAWS = {
 def test_thin_draws_are_pinned(family):
     draw, *digests = GOLDEN_DRAWS[family]
     for size, digest in zip((None, 4), digests):
-        out = draw(RngState(41).generator(), size)
+        out = draw(RngState(41).spawn(), size)
         header = f"{out.dtype}{out.shape}".encode()
         assert hashlib.sha256(header + np.ascontiguousarray(out).tobytes()).hexdigest() == digest

@@ -15,6 +15,7 @@ from levyaug import (
     ParameterError,
     PseudoBatch,
     RngState,
+    ShapeError,
     TrainConfig,
     calibrate,
     fit_logistic,
@@ -27,7 +28,13 @@ from levyaug import (
 )
 from levyaug import logistic
 from levyaug.families import gaussian_family
-from levyaug.logistic import center_columns, default_lambda_grid, grouped_fold_assignment
+from levyaug.logistic import (
+    center_columns,
+    default_lambda_grid,
+    grouped_fold_assignment,
+    mean_log_loss,
+    predict_labels,
+)
 
 from conftest import finite_diff_gradient
 
@@ -57,6 +64,17 @@ def test_loss_at_zero_is_log_k():
         assert logistic_loss(beta, np.array([1.0, -2.0, 0.5, 3.0]), 2) == pytest.approx(
             math.log(k)
         )
+
+
+def test_labels_outside_one_to_k_are_shape_errors():
+    beta = np.zeros((2, 3))
+    x = np.array([1.0, -1.0])
+    for y in (0, 4):
+        for score in (logistic_loss, loss_gradient):
+            with pytest.raises(ShapeError):
+                score(beta, x, y)
+    with pytest.raises(ShapeError):
+        mean_log_loss(LogisticModel(beta=beta), [Example(x=x, y=4, t=1.0)])
 
 
 def test_loss_binary_examples():
@@ -162,9 +180,19 @@ def test_fit_invariant_to_duplicating_the_dataset(rng):
 
 
 def test_fit_requires_every_class():
-    pseudo = _batch([[1.0], [2.0]], [1, 3])
-    with pytest.raises(DegenerateDataError):
+    for pseudo in (_batch([[1.0], [2.0]], [1, 3]), _batch(np.zeros((0, 1)), [])):
+        with pytest.raises(DegenerateDataError):
+            fit_logistic(pseudo, TrainConfig(ridge_lambda=0.1))
+
+
+def test_nan_gradient_fails_the_convergence_check():
+    pseudo = _batch([[1.0], [np.nan], [-0.5], [-1.0]], [1, 1, 2, 2])
+    with pytest.raises(OptimizationError), np.errstate(invalid="ignore"):
         fit_logistic(pseudo, TrainConfig(ridge_lambda=0.1))
+    with pytest.raises(OptimizationError):  # the solve the Poisson limit fit uses too
+        logistic._minimize_lbfgs(
+            lambda v: (np.nan, np.full_like(v, np.nan)), np.zeros(2), 1e-7, 10, "NaN objective"
+        )
 
 
 def test_fit_nonconvergence_raises_with_grad_norm(rng):
@@ -317,7 +345,7 @@ def test_default_lambda_grid_shape(rng):
 # ---------------------------------------------------------------------------
 
 def test_calibration_self_consistency_slope_near_one():
-    g = RngState(31).generator()
+    g = RngState(31).spawn()
     n, p = 2000, 2
     beta_true = np.array([[0.9, -0.9], [-0.5, 0.5]])
     X = g.standard_normal((n, p))
@@ -348,7 +376,7 @@ def test_calibration_degenerate_scores():
 
 
 def test_calibration_symmetric_data_zero_intercept():
-    g = RngState(32).generator()
+    g = RngState(32).spawn()
     n = 4000
     m = np.array([0.8, -0.4])
     X = np.concatenate([m + g.standard_normal((n // 2, 2)),
@@ -370,6 +398,23 @@ def test_calibration_separable_data_caps_scale():
     with pytest.warns(RuntimeWarning):
         calibrated = calibrate(model, originals)
     assert abs(calibrated.calib_scale) <= 1e3
+
+
+def test_calibration_checks_the_originals_against_the_model():
+    two = LogisticModel(beta=center_columns(np.array([[1.0, 0.0], [0.0, 1.0]])))
+    three = LogisticModel(beta=center_columns(np.eye(3)[:2]))
+    rows = [Example(x=np.array([1.0, 0.0]), y=1, t=1.0),
+            Example(x=np.array([0.0, 1.0]), y=2, t=1.0)]
+    wide = [Example(x=np.array([1.0, 0.0, 2.0]), y=1 + i % 2, t=1.0) for i in range(4)]
+    for model, originals, error in (
+        (two, wide, ShapeError),  # width mismatch
+        (two, rows + [Example(x=np.array([1.0, 1.0]), y=3, t=1.0)], ShapeError),
+        (three, rows, DegenerateDataError),  # class 3 missing
+        (LogisticModel(beta=np.zeros((2, 3))), rows, DegenerateDataError),
+        (two, [], DegenerateDataError),
+    ):
+        with pytest.raises(error):
+            calibrate(model, originals)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +459,12 @@ def test_predict_monotone_in_class_score(values, k, bump):
 
 def test_predict_shape_mismatch():
     model = LogisticModel(beta=np.zeros((3, 2)))
-    with pytest.raises(Exception):
+    with pytest.raises(ShapeError):
         predict(model, np.array([1.0, 2.0]))
+    short = [Example(x=np.array([1.0, 2.0]), y=1, t=1.0)]
+    for score in (predict_labels, mean_log_loss):
+        with pytest.raises(ShapeError):
+            score(model, short)
 
 
 def test_model_gauge_enforced():

@@ -191,7 +191,7 @@ def test_kernel_table_bound():
 # ---------------------------------------------------------------------------
 
 def test_split_oracle_scalar_ratio_is_uniform():
-    g = RngState(51).generator()
+    g = RngState(51).spawn()
     ratios = []
     for _ in range(3000):
         x, x_thin = wishart_split_oracle(np.array([[1.0]]), 4, 0.5, g)
@@ -201,13 +201,13 @@ def test_split_oracle_scalar_ratio_is_uniform():
 
 
 def test_split_oracle_identity_at_alpha_one():
-    g = RngState(52).generator()
+    g = RngState(52).spawn()
     x, x_thin = wishart_split_oracle(np.eye(2), 5, 1.0, g)
     assert np.array_equal(x, x_thin)
 
 
 def test_split_oracle_mean():
-    g = RngState(53).generator()
+    g = RngState(53).spawn()
     sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
     t = 6
     draws = np.stack(
@@ -217,7 +217,7 @@ def test_split_oracle_mean():
 
 
 def test_split_oracle_rejects_fractional_times():
-    g = RngState(54).generator()
+    g = RngState(54).spawn()
     with pytest.raises(ParameterError):
         wishart_split_oracle(np.eye(2), 5, 0.5, g)  # alpha t = 2.5
     with pytest.raises(ParameterError):

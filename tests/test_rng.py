@@ -9,10 +9,10 @@ from conftest import random_pd_matrix
 
 
 def test_same_state_same_draws():
-    a = RngState(7, 3).generator().standard_normal(8)
-    b = RngState(7, 3).generator().standard_normal(8)
+    a = RngState(7, 3).spawn().standard_normal(8)
+    b = RngState(7, 3).spawn().standard_normal(8)
     assert np.array_equal(a, b)
-    c = RngState(7, 4).generator().standard_normal(8)
+    c = RngState(7, 4).spawn().standard_normal(8)
     assert not np.array_equal(a, c)
 
 
@@ -42,7 +42,7 @@ def _wishart(scale, dof, g, size=None):
 
 def test_wishart_mean_and_fractional_dof(rng):
     scale = random_pd_matrix(2, rng)
-    g = RngState(6).generator()
+    g = RngState(6).spawn()
     dof = 5.5
     draws = _wishart(scale, dof, g, size=40_000)
     mean = draws.mean(axis=0)
@@ -52,7 +52,7 @@ def test_wishart_mean_and_fractional_dof(rng):
 
 
 def test_wishart_matches_scipy_distribution():
-    g = RngState(7).generator()
+    g = RngState(7).spawn()
     draws = _wishart(np.eye(1), 4.0, g, size=20_000)[:, 0, 0]
     assert stats.kstest(draws, stats.chi2(df=4).cdf).pvalue > 0.01
 

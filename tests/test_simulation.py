@@ -27,7 +27,7 @@ FAST_CFG = TrainConfig(ridge_lambda=(1.0, 0.1, 0.01))
 
 def test_gaussian_label_marginal():
     spec = GaussianSimSpec()
-    train, _ = gen_gaussian_sim(spec, 10_000, RngState(61).generator())
+    train, _ = gen_gaussian_sim(spec, 10_000, RngState(61).spawn())
     ys = np.array([ex.y for ex in train])
     frac = (ys == 2).mean()
     assert abs(frac - 0.5) <= 3.0 * 0.5 / np.sqrt(len(ys))
@@ -35,7 +35,7 @@ def test_gaussian_label_marginal():
 
 def test_gaussian_atoms_zero_outside_signal_block():
     spec = GaussianSimSpec()
-    atoms = _draw_atoms(spec, RngState(62).generator())
+    atoms = _draw_atoms(spec, RngState(62).spawn())
     assert atoms.shape == (2, 10, 100)
     assert np.all(atoms[:, :, 20:] == 0.0)
     assert np.any(atoms[:, :, :20] != 0.0)
@@ -43,8 +43,8 @@ def test_gaussian_atoms_zero_outside_signal_block():
 
 def test_gaussian_unit_noise_around_atom():
     spec = GaussianSimSpec(atoms_per_class=1)  # single atom per class pins mu | y
-    g = RngState(63).generator()
-    atoms = _draw_atoms(spec, RngState(63).generator())
+    g = RngState(63).spawn()
+    atoms = _draw_atoms(spec, RngState(63).spawn())
     train, _ = gen_gaussian_sim(spec, 10_000, g)
     x1 = np.stack([ex.x for ex in train if ex.y == 1])
     resid = x1 - atoms[0, 0]
@@ -55,15 +55,15 @@ def test_gaussian_unit_noise_around_atom():
 
 def test_gaussian_test_set_size_is_10n_capped():
     spec = GaussianSimSpec()
-    _, test = gen_gaussian_sim(spec, 30, RngState(64).generator())
+    _, test = gen_gaussian_sim(spec, 30, RngState(64).spawn())
     assert len(test) == 300
-    _, test = gen_gaussian_sim(spec, 2000, RngState(64).generator())
+    _, test = gen_gaussian_sim(spec, 2000, RngState(64).spawn())
     assert len(test) == 10_000
 
 
 def test_poisson_expected_total_count():
     spec = PoissonSimSpec()
-    train, _ = gen_poisson_sim(spec, 1000, RngState(65).generator())
+    train, _ = gen_poisson_sim(spec, 1000, RngState(65).spawn())
     totals = np.array([ex.x.sum() for ex in train], dtype=float)
     assert abs(totals.mean() - 1000.0) / 1000.0 < 0.01
     assert np.all(train.t == 1000.0)
@@ -71,7 +71,7 @@ def test_poisson_expected_total_count():
 
 def test_poisson_class1_rates_match_normalization():
     spec = PoissonSimSpec()
-    train, _ = gen_poisson_sim(spec, 4000, RngState(66).generator())
+    train, _ = gen_poisson_sim(spec, 4000, RngState(66).spawn())
     x1 = np.stack([ex.x for ex in train if ex.y == 1]).astype(float)
     base = 1000.0 / (7.0 * np.e + 493.0)
     # pooled blocks (componentwise 3-sigma over 500 coords would trip on
@@ -82,7 +82,7 @@ def test_poisson_class1_rates_match_normalization():
 
 def test_poisson_class2_signal_block_is_elevated():
     spec = PoissonSimSpec()
-    train, _ = gen_poisson_sim(spec, 4000, RngState(67).generator())
+    train, _ = gen_poisson_sim(spec, 4000, RngState(67).spawn())
     x2 = np.stack([ex.x for ex in train if ex.y == 2]).astype(float)
     # tau > 0 always, so coordinates 8..14 run above the background block
     assert x2[:, 7:14].mean() > x2[:, 14:].mean()

@@ -113,7 +113,7 @@ def test_gaussian_aggregated_display_gradients_agree(rng):
     sigma = np.array([[2.0, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 1.5]])
     fam = gaussian_family(d, sigma)
     examples = []
-    g = RngState(41).generator()
+    g = RngState(41).spawn()
     for y in range(1, k + 1):
         for _ in range(4):
             examples.append(Example(x=g.standard_normal(d), y=y, t=t))
@@ -175,7 +175,7 @@ def test_fit_strong_thinning_poisson_matches_generic_minimizer(rng):
 
     d, k = 3, 2
     fam = poisson_family(d)
-    g = RngState(42).generator()
+    g = RngState(42).spawn()
     examples = [
         Example(x=g.poisson(3.0, size=d) + 1, y=1 + i % k, t=4.0) for i in range(12)
     ]
@@ -226,9 +226,19 @@ def test_fit_strong_thinning_rejects_underived_families(rng):
 
 
 def test_fit_strong_thinning_missing_class():
-    examples = [Example(x=np.array([1, 2]), y=2, t=1.0)]
-    with pytest.raises(DegenerateDataError):
-        fit_strong_thinning(examples, poisson_family(2))
+    for examples in ([Example(x=np.array([1, 2]), y=2, t=1.0)], []):
+        with pytest.raises(DegenerateDataError):
+            fit_strong_thinning(examples, poisson_family(2))
+
+
+def test_fit_strong_thinning_checks_the_examples_against_the_family():
+    negative = [Example(x=np.array([-1, 2.5]), y=1, t=1.0),
+                Example(x=np.array([1, 2]), y=2, t=1.0)]
+    wide = [Example(x=np.array([1, 2, 0]), y=1, t=1.0),
+            Example(x=np.array([0, 2, 1]), y=2, t=1.0)]
+    for examples in (negative, wide):
+        with pytest.raises(SupportError):
+            fit_strong_thinning(examples, poisson_family(2), ridge_lambda=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +314,7 @@ def test_naive_bayes_smoothing_floor():
 
 
 def test_naive_bayes_matches_strong_thinning_single_word_posteriors():
-    g = RngState(43).generator()
+    g = RngState(43).spawn()
     d, n_per = 4, 12
     examples = []
     for y in (1, 2):

@@ -30,18 +30,18 @@ N_DRAWS = 100_000
 # ---------------------------------------------------------------------------
 
 def test_thin_poisson_zero_vector():
-    out = thin_poisson(np.zeros(3, dtype=int), 0.7, RngState(0).generator())
+    out = thin_poisson(np.zeros(3, dtype=int), 0.7, RngState(0).spawn())
     assert np.array_equal(out, np.zeros(3, dtype=int))
 
 
 def test_thin_poisson_alpha_one_identity():
     x = np.array([8, 7, 16])
-    assert np.array_equal(thin_poisson(x, 1.0, RngState(0).generator()), x)
+    assert np.array_equal(thin_poisson(x, 1.0, RngState(0).spawn()), x)
 
 
 def test_thin_poisson_mean():
     x = np.array([8, 7, 16])
-    draws = thin_poisson(x, 0.5, RngState(1).generator(), size=N_DRAWS)
+    draws = thin_poisson(x, 0.5, RngState(1).spawn(), size=N_DRAWS)
     assert np.all(draws >= 0) and np.all(draws <= x)
     assert mean_close_3sigma(draws, 0.5 * x)
 
@@ -54,20 +54,20 @@ def test_thin_poisson_mean():
 )
 def test_thin_poisson_domination_property(counts, alpha, seed):
     x = np.array(counts)
-    out = thin_poisson(x, alpha, RngState(seed).generator())
+    out = thin_poisson(x, alpha, RngState(seed).spawn())
     assert np.all(out >= 0) and np.all(out <= x)
 
 
 def test_thin_gaussian_alpha_one_exact():
     x = np.array([1.0, -2.0])
-    out = thin_gaussian(x, 1.0, 3.0, np.eye(2), RngState(0).generator())
+    out = thin_gaussian(x, 1.0, 3.0, np.eye(2), RngState(0).spawn())
     assert np.array_equal(out, x)
 
 
 def test_thin_gaussian_covariance():
     for sigma in (np.eye(2), np.array([[2.0, 0.6], [0.6, 1.0]])):
         draws = thin_gaussian(
-            np.zeros(2), 0.5, 1.0, sigma, RngState(2).generator(), size=N_DRAWS
+            np.zeros(2), 0.5, 1.0, sigma, RngState(2).spawn(), size=N_DRAWS
         )
         emp = np.cov(draws.T)
         target = 0.25 * sigma
@@ -75,7 +75,7 @@ def test_thin_gaussian_covariance():
 
 
 def test_thin_gaussian_rejects_nonfinite_features_and_times():
-    g = RngState(0).generator()
+    g = RngState(0).spawn()
     for x in ([np.nan, 0.0], [np.inf, 0.0]):
         with pytest.raises(SupportError):
             thin_gaussian(np.array(x), 0.5, 1.0, np.eye(2), g)
@@ -85,7 +85,7 @@ def test_thin_gaussian_rejects_nonfinite_features_and_times():
 
 
 def test_thin_gaussian_rejects_a_matrix_origin():
-    g = RngState(0).generator()
+    g = RngState(0).spawn()
     with pytest.raises(SupportError):
         thin_gaussian(np.eye(2), 0.5, 1.0, np.eye(2), g)
     # a scalar origin, for every sampler, names the feature shape it expects
@@ -105,22 +105,22 @@ def test_thin_gaussian_rejects_a_matrix_origin():
 
 def test_thin_gaussian_rejects_a_covariance_of_the_wrong_size():
     with pytest.raises(ParameterError):
-        thin_gaussian(np.zeros(2), 0.5, 1.0, np.eye(3), RngState(0).generator())
+        thin_gaussian(np.zeros(2), 0.5, 1.0, np.eye(3), RngState(0).spawn())
 
 
 def test_thin_gaussian_mean():
     x = np.array([2.0, 0.0])
-    draws = thin_gaussian(x, 0.5, 4.0, np.eye(2), RngState(3).generator(), size=N_DRAWS)
+    draws = thin_gaussian(x, 0.5, 4.0, np.eye(2), RngState(3).spawn(), size=N_DRAWS)
     assert mean_close_3sigma(draws, 0.5 * x)
 
 
 def test_thin_gamma_ratio_moments():
     x = np.array([1.0, 1.0])
-    draws = thin_gamma(x, 0.5, 2.0, RngState(4).generator(), size=N_DRAWS)
+    draws = thin_gamma(x, 0.5, 2.0, RngState(4).spawn(), size=N_DRAWS)
     assert mean_close_3sigma(draws, np.array([0.5, 0.5]))
 
     x = np.array([3.0])
-    draws = thin_gamma(x, 0.25, 4.0, RngState(5).generator(), size=N_DRAWS)
+    draws = thin_gamma(x, 0.25, 4.0, RngState(5).spawn(), size=N_DRAWS)
     m = draws[:, 0] / 3.0
     # Beta(aT/2, (1-a)T/2) variance with T=4, a=1/4: (0.5*1.5)/(4*3)
     assert m.var() == pytest.approx(0.0625, rel=0.05)
@@ -129,19 +129,19 @@ def test_thin_gamma_ratio_moments():
 
 def test_thin_gamma_alpha_one_identity_and_support():
     x = np.array([2.0, 0.5])
-    assert np.array_equal(thin_gamma(x, 1.0, 2.0, RngState(0).generator()), x)
+    assert np.array_equal(thin_gamma(x, 1.0, 2.0, RngState(0).spawn()), x)
     for bad in ([1.0, 0.0], [1.0, np.inf], [np.nan, 1.0]):
         with pytest.raises(SupportError):
-            thin_gamma(np.array(bad), 0.5, 2.0, RngState(0).generator())
+            thin_gamma(np.array(bad), 0.5, 2.0, RngState(0).spawn())
     for t in (np.inf, np.nan):
         with pytest.raises(ParameterError):
-            thin_gamma(x, 0.5, t, RngState(0).generator())
+            thin_gamma(x, 0.5, t, RngState(0).spawn())
 
 
 def test_thin_wishart_reduces_to_gamma_in_1d():
     t, alpha = 6.0, 0.5
-    g1 = RngState(6).generator()
-    g2 = RngState(7).generator()
+    g1 = RngState(6).spawn()
+    g2 = RngState(7).spawn()
     n = 4000
     x = np.array([[2.0]])
     ratios_w = thin_wishart(x, alpha, t, g1, size=n)[:, 0, 0] / 2.0
@@ -153,26 +153,26 @@ def test_thin_wishart_reduces_to_gamma_in_1d():
 
 def test_thin_wishart_dof_boundary():
     # alpha t = t - d: the remaining increment sits exactly at dof = d
-    out = thin_wishart(np.eye(2), 0.8, 10.0, RngState(8).generator())
+    out = thin_wishart(np.eye(2), 0.8, 10.0, RngState(8).spawn())
     assert out.shape == (2, 2)
     with pytest.raises(ParameterError):
-        thin_wishart(np.eye(2), 0.9, 10.0, RngState(8).generator())
+        thin_wishart(np.eye(2), 0.9, 10.0, RngState(8).spawn())
     with pytest.raises(ParameterError):
-        thin_wishart(np.eye(2), 0.5, 3.0, RngState(8).generator())
+        thin_wishart(np.eye(2), 0.5, 3.0, RngState(8).spawn())
     for bad in ([[1.0, 2.0], [2.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]):
         with pytest.raises(SupportError):
-            thin_wishart(np.array(bad), 0.5, 10.0, RngState(8).generator())
+            thin_wishart(np.array(bad), 0.5, 10.0, RngState(8).spawn())
     for t in (np.inf, np.nan):
         with pytest.raises(ParameterError):
-            thin_wishart(np.eye(2), 0.5, t, RngState(8).generator())
+            thin_wishart(np.eye(2), 0.5, t, RngState(8).spawn())
     # the Wishart density condition t >= d, even where alpha = 1 draws nothing
     with pytest.raises(SupportError):
-        thin_wishart(np.eye(3), 1.0, 2.0, RngState(8).generator())
+        thin_wishart(np.eye(3), 1.0, 2.0, RngState(8).spawn())
 
 
 def test_thin_wishart_mean():
     x = np.eye(2)
-    draws = thin_wishart(x, 0.5, 10.0, RngState(9).generator(), size=10_000)
+    draws = thin_wishart(x, 0.5, 10.0, RngState(9).spawn(), size=10_000)
     mean = draws.mean(axis=0)
     assert np.linalg.norm(mean - 0.5 * x) / np.linalg.norm(0.5 * x) < 0.05
     # domination holds for every draw
@@ -185,7 +185,7 @@ def test_thin_wishart_mean():
 # ---------------------------------------------------------------------------
 
 def test_marginal_consistency_poisson():
-    g = RngState(10).generator()
+    g = RngState(10).spawn()
     t, alpha, mu = 8.0, 0.4, np.array([0.25, 0.3, 0.45])
     x_full = g.poisson(t * mu, size=(N_DRAWS, 3))
     thinned = g.binomial(x_full, alpha)
@@ -194,7 +194,7 @@ def test_marginal_consistency_poisson():
 
 
 def test_marginal_consistency_gaussian():
-    g = RngState(11).generator()
+    g = RngState(11).spawn()
     t, alpha = 3.0, 0.6
     mu = np.array([1.0, -0.5])
     x_full = t * mu + np.sqrt(t) * g.standard_normal((N_DRAWS, 2))
@@ -206,7 +206,7 @@ def test_marginal_consistency_gaussian():
 
 
 def test_marginal_consistency_gamma():
-    g = RngState(12).generator()
+    g = RngState(12).spawn()
     t, alpha, scale = 5.0, 0.5, 1.3
     x_full = g.gamma(t / 2.0, 2.0 * scale, size=(N_DRAWS, 1))
     thinned = thin_gamma(np.ones(1), alpha, t, g, size=N_DRAWS) * x_full
@@ -219,7 +219,7 @@ def test_marginal_consistency_gamma():
 # ---------------------------------------------------------------------------
 
 def test_two_stage_poisson():
-    g = RngState(13).generator()
+    g = RngState(13).spawn()
     x = np.array([14, 9, 3])
     a, b = 0.6, 0.5
     stage1 = thin_poisson(x, a, g, size=N_DRAWS)
@@ -229,7 +229,7 @@ def test_two_stage_poisson():
 
 
 def test_two_stage_gaussian():
-    g = RngState(14).generator()
+    g = RngState(14).spawn()
     x = np.array([2.0, -1.0])
     t, a, b = 4.0, 0.5, 0.6
     stage1 = thin_gaussian(x, a, t, np.eye(2), g, size=N_DRAWS)
@@ -240,7 +240,7 @@ def test_two_stage_gaussian():
 
 
 def test_two_stage_gamma():
-    g = RngState(15).generator()
+    g = RngState(15).spawn()
     x = np.array([2.5])
     t, a, b = 6.0, 0.5, 0.5
     stage1 = thin_gamma(x, a, t, g, size=N_DRAWS)
@@ -251,7 +251,7 @@ def test_two_stage_gamma():
 
 
 def test_two_stage_wishart():
-    g = RngState(16).generator()
+    g = RngState(16).spawn()
     x = 2.0 * np.eye(2)
     t, a, b = 24.0, 0.75, 2.0 / 3.0
     n = 30_000
@@ -268,7 +268,7 @@ def test_two_stage_wishart():
 # ---------------------------------------------------------------------------
 
 def _poisson_examples(n=3):
-    g = RngState(99).generator()
+    g = RngState(99).spawn()
     return [
         Example(x=g.poisson(4.0, size=2), y=1 + (i % 2), t=4.0) for i in range(n)
     ]
