@@ -60,7 +60,7 @@ from .logistic import (
     TrainConfig,
     _check_classes,
     _logsumexp,
-    _minimize_lbfgs,
+    _minimize,
     center_columns,
     fit_logistic,
 )
@@ -191,7 +191,7 @@ def fit_strong_thinning(
                 grad += ridge_lambda * beta
                 return value / scale, _contract(grad) / scale
 
-            gamma, _ = _minimize_lbfgs(
+            gamma, _ = _minimize(
                 fun_grad, np.zeros((p, k - 1)), tol, max_iter, "strong-thinning fit"
             )
             beta = _expand(gamma)

@@ -190,7 +190,7 @@ def test_nan_gradient_fails_the_convergence_check():
     with pytest.raises(OptimizationError), np.errstate(invalid="ignore"):
         fit_logistic(pseudo, TrainConfig(ridge_lambda=0.1))
     with pytest.raises(OptimizationError):  # the solve the Poisson limit fit uses too
-        logistic._minimize_lbfgs(
+        logistic._minimize(
             lambda v: (np.nan, np.full_like(v, np.nan)), np.zeros(2), 1e-7, 10, "NaN objective"
         )
 
@@ -258,7 +258,7 @@ def test_binary_fit_matches_a_k_column_solve(rng):
     X, Y = _two_class_problem(rng)
     lam, tol = 0.03, 1e-7
     beta = fit_logistic(_batch(X, Y), TrainConfig(ridge_lambda=lam, tol=tol)).beta
-    full, _ = logistic._minimize_lbfgs(
+    full, _ = logistic._minimize(
         lambda b: logistic._batch_loss_grad(b, X, Y, lam), np.zeros((4, 2)), tol, 500, "K=2"
     )
     assert np.abs(beta - full).max() <= 1e-6 * np.abs(full).max()
@@ -268,6 +268,8 @@ def test_binary_fit_matches_a_k_column_solve(rng):
 def test_newton_finish_reaches_tol_where_lbfgs_stops_short(rng, monkeypatch, k, hessian):
     # tol=1e-14 is below where L-BFGS-B stops on "relative reduction of f"
     # (gradient max-norm about 1e-12 here); the Newton steps must finish.
+    # A two-class design runs L-BFGS-B, and so the finish, only when
+    # min(n, p) is above the Newton path's threshold.
     results, hessians = [], []
     minimize, exact = logistic.minimize, getattr(logistic, hessian)
 
@@ -281,10 +283,78 @@ def test_newton_finish_reaches_tol_where_lbfgs_stops_short(rng, monkeypatch, k, 
 
     monkeypatch.setattr(logistic, "minimize", recording_minimize)
     monkeypatch.setattr(logistic, hessian, recording_hessian)
-    pseudo = _random_problem(rng, n=60, p=4, k=k)
+    wide = logistic._NEWTON_MAX_DIM + 1
+    n, p = (2 * wide, wide) if k == 2 else (60, 4)
+    pseudo = _random_problem(rng, n=n, p=p, k=k)
     report = fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=0.03, tol=1e-14))[1]
     assert len(results) == 1 and np.abs(results[0].jac).max() > 1e-14
     assert hessians and report.grad_max_norm <= 1e-14
+
+
+def _recording_solver_methods(monkeypatch):
+    """Make every ``logistic.minimize`` call record the method it ran."""
+    methods = []
+    minimize = logistic.minimize
+
+    def recording_minimize(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(logistic, "minimize", recording_minimize)
+    return methods
+
+
+def test_woodbury_step_matches_the_dense_hessian_step(rng):
+    X, _ = _two_class_problem(rng, n=20, p=60)
+    w, g, lam = 0.3 * rng.standard_normal(60), rng.standard_normal(60), 0.05
+    woodbury = logistic._newton_step(logistic._binary_hessian, X, lam, X @ X.T)(w, g)
+    dense = np.linalg.solve(logistic._binary_hessian(w, X, lam), g)
+    assert np.abs(woodbury - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("n, p", [(20, 60), (80, 6)])
+def test_newton_and_lbfgs_fits_agree_to_tolerance(rng, monkeypatch, n, p):
+    X, Y = _two_class_problem(rng, n=n, p=p)
+    lam, tol = 0.1, 1e-7
+    cfg = TrainConfig(ridge_lambda=lam, tol=tol)
+    methods = _recording_solver_methods(monkeypatch)
+    newton = fit_logistic(_batch(X, Y), cfg).beta
+    monkeypatch.setattr(logistic, "_NEWTON_MAX_DIM", 0)
+    lbfgs = fit_logistic(_batch(X, Y), cfg).beta
+    assert methods == [logistic._newton, "L-BFGS-B"]
+    # Both gradients are within tol in max-norm and the objective is
+    # lam/2-strongly convex in w = 2 beta_2.
+    bound = 2 * np.sqrt(p) * tol / (lam / 2)
+    assert np.linalg.norm(2 * (newton - lbfgs)[:, 1]) <= bound
+
+
+def test_newton_iteration_limit_names_the_newton_iterations(rng):
+    X, Y = _two_class_problem(rng, n=20, p=60)
+    with pytest.raises(OptimizationError) as err:
+        fit_logistic(_batch(X, Y), TrainConfig(ridge_lambda=0.01, max_iter=1))
+    assert "Newton stopped after 1 iterations (iteration limit reached)" in str(err.value)
+    assert err.value.grad_norm > 1e-7
+
+
+@pytest.mark.parametrize("n, p", [(20, 60), (80, 6)])
+def test_newton_path_fails_on_a_nan_design(rng, monkeypatch, n, p):
+    X, Y = _two_class_problem(rng, n=n, p=p)
+    X[3, 2] = np.nan
+    methods = _recording_solver_methods(monkeypatch)
+    with pytest.raises(OptimizationError), np.errstate(invalid="ignore"):
+        fit_logistic(_batch(X, Y), TrainConfig(ridge_lambda=0.1))
+    assert methods == [logistic._newton]
+
+
+def test_small_two_class_fit_makes_one_solve_per_lambda(rng, monkeypatch):
+    X, Y = _two_class_problem(rng, n=40, p=60)
+    grid, folds = (1.0, 0.1, 0.01), 2
+    methods = _recording_solver_methods(monkeypatch)
+    report = fit_logistic_detailed(
+        _batch(X, Y), TrainConfig(ridge_lambda=grid, n_folds=folds)
+    )[1]
+    refit = sum(lam >= report.chosen_lambda for lam in grid)
+    assert methods == [logistic._newton] * (folds * len(grid) + refit)
 
 
 def test_binary_hessian_matches_finite_differences(rng):
@@ -417,6 +487,15 @@ def test_calibration_checks_the_originals_against_the_model():
             calibrate(model, originals)
 
 
+def test_calibration_with_a_nan_original_raises():
+    model = LogisticModel(beta=np.array([[-1.0, 1.0], [0.5, -0.5]]))
+    originals = [Example(x=np.array([np.nan, 1.0]), y=1, t=1.0)] + [
+        Example(x=np.array([0.3 * i - 0.7, 0.2 * i]), y=1 + i % 2, t=1.0) for i in range(5)
+    ]
+    with pytest.raises(OptimizationError, match="not finite"):
+        calibrate(model, originals)
+
+
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------
@@ -465,6 +544,14 @@ def test_predict_shape_mismatch():
     for score in (predict_labels, mean_log_loss):
         with pytest.raises(ShapeError):
             score(model, short)
+
+
+def test_scoring_an_empty_batch():
+    model = LogisticModel(beta=np.zeros((3, 2)))
+    labels = predict_labels(model, [])
+    assert labels.shape == (0,) and labels.dtype.kind == "i"
+    with pytest.raises(DegenerateDataError, match="no examples"):
+        mean_log_loss(model, [])
 
 
 def test_model_gauge_enforced():
