@@ -99,11 +99,30 @@ def _check_family(declared, asserted) -> None:
         )
 
 
+def _comma_list(convert, what: str):
+    """An argparse ``type``: a comma list of ``convert`` values as a tuple.
+    A malformed list is a usage error (exit 2), not a traceback."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of {what}, got {text!r}"
+            ) from None
+
+    return parse
+
+
+_floats = _comma_list(float, "numbers")
+
+
 def _parse_lambda(text: str):
+    """'auto' (None: the default grid), one value, or a comma grid."""
     if text == "auto":
         return None
-    values = [float(v) for v in text.split(",")]
-    return values[0] if len(values) == 1 else tuple(values)
+    values = _floats(text)
+    return values[0] if len(values) == 1 else values
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +165,7 @@ def _cmd_train(args) -> int:
             f"pseudo-example file has d={family.d} but originals file has "
             f"d={originals_family.d}"
         )
-    cfg = TrainConfig(ridge_lambda=_parse_lambda(args.ridge_lambda), n_folds=args.folds)
+    cfg = TrainConfig(ridge_lambda=args.ridge_lambda, n_folds=args.folds)
     model, report = fit_logistic_detailed(pseudo, cfg)
     model = calibrate(model, originals)
     save_model(model, args.out, family)
@@ -173,13 +192,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = (GaussianSimSpec if args.spec == "gauss" else PoissonSimSpec)(seed=args.seed)
-    train_cfg = TrainConfig(
-        ridge_lambda=_parse_lambda(args.lambdas), n_folds=args.folds
-    )
+    train_cfg = TrainConfig(ridge_lambda=args.lambdas, n_folds=args.folds)
     result = run_alpha_sweep(
         spec,
-        alphas=tuple(float(v) for v in args.alphas.split(",")),
-        n_grid=tuple(int(v) for v in args.n_grid.split(",")) if args.n_grid else None,
+        alphas=args.alphas,
+        n_grid=args.n_grid,
         n_pseudo=args.n_pseudo,
         replicates=args.replicates,
         seed=args.seed,
@@ -272,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", required=True, help="model file to write")
     train.add_argument(
         "--ridge-lambda",
+        type=_parse_lambda,
         default="auto",
         help="'auto' (CV over the default grid), one value, or a comma grid",
     )
@@ -281,11 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a benchmark sweep over (n, alpha)")
     sim.add_argument("--spec", choices=("gauss", "poisson"), required=True)
     sim.add_argument("--out", required=True, help="sweep CSV to write")
-    sim.add_argument("--alphas", default="0,0.1,0.25,0.5,0.75,1")
-    sim.add_argument("--n-grid", default=None, help="comma list; default: the design's grid")
+    sim.add_argument("--alphas", type=_floats, default="0,0.1,0.25,0.5,0.75,1")
+    sim.add_argument(
+        "--n-grid",
+        type=_comma_list(int, "integers"),
+        default=None,
+        help="comma list; default: the design's grid",
+    )
     sim.add_argument("-B", "--n-pseudo", type=int, default=32)
     sim.add_argument("--replicates", type=int, default=None)
-    sim.add_argument("--lambdas", default="auto")
+    sim.add_argument("--lambdas", type=_parse_lambda, default="auto")
     sim.add_argument("--folds", type=int, default=5)
     sim.add_argument(
         "--standardize",

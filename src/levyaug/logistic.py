@@ -35,6 +35,20 @@ On one BLAS thread, a warm-started 12-lambda path at p = 500 took:
     n = 256: Newton 31 ms, L-BFGS-B 42 ms (Poisson counts); 34 against 33 ms (Gaussian)
     n = 400: Newton 90 ms, L-BFGS-B 74 ms (Poisson counts); 109 against 54 ms (Gaussian)
 
+A design with fewer than 35% nonzero entries, such as Poisson counts thinned
+at a small alpha, is stored as a float64 CSR matrix with its transpose built
+once per lambda path; a denser one is a dense array.  Hessians densify it a
+block of rows at a time.  The threshold is where CSR stops being the faster
+format.  One two-class loss/gradient evaluation on a 2,560 x 500 Poisson
+fold (8b's design at alphas 0.1 to 0.75), on one BLAS thread, took (median
+of three runs):
+
+    nonzeros  0.18: dense 1.10 ms, CSR 0.68 ms
+              0.33: dense 1.10 ms, CSR 0.88 ms
+              0.39: dense 1.09 ms, CSR 1.13 ms
+              0.50: dense 1.10 ms, CSR 1.43 ms
+              0.63: dense 1.08 ms, CSR 1.61 ms
+
 The regularization weight can be cross-validated on a descending grid of
 lambdas with *grouped* folds: every pseudo-example derived from one
 original lands in the same fold, so held-out scores are not contaminated
@@ -54,6 +68,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dposv
 from scipy.optimize import OptimizeResult, minimize
+from scipy.sparse import csr_array, issparse
 
 from ._blas import single_thread
 from .errors import (
@@ -85,7 +100,8 @@ __all__ = [
 _SCALE_CAP = 1e3
 _LAMBDA_GRID_SIZE, _LAMBDA_GRID_SPAN = 50, 1e-4
 _CALIB_TOL, _CALIB_MAX_ITER = 1e-9, 500
-_HESSIAN_BLOCK = 8192  # entries of X per block in _binary_hessian
+_ROW_BLOCK = 8192  # entries per block of rows where a loop avoids a copy of X
+_CSR_MAX_DENSITY = 0.35  # a design with fewer nonzeros than this fraction is CSR
 
 
 class FeatureMap(enum.Enum):
@@ -95,10 +111,11 @@ class FeatureMap(enum.Enum):
     FLATTEN_SYMMETRIC = "flatten_symmetric"
 
 
-def _phi_rows(fm: FeatureMap, X, p: int | None = None) -> np.ndarray:
-    """phi applied to every row of a stack of examples: an (n, p) design.
-    A row shape phi cannot take, or a width other than ``p``, is a ShapeError."""
-    X = np.asarray(X, dtype=float)
+def _phi_rows(fm: FeatureMap, X, p: int | None = None, dtype=float) -> np.ndarray:
+    """phi applied to every row of a stack of examples: an (n, p) design of
+    ``dtype`` (None keeps the input's).  A row shape phi cannot take, or a
+    width other than ``p``, is a ShapeError."""
+    X = np.asarray(X, dtype=dtype)
     item_ndim = 1 if fm is FeatureMap.IDENTITY else 2
     if X.ndim != item_ndim + 1 or (item_ndim == 2 and X.shape[1] != X.shape[2]):
         raise ShapeError(f"{fm.value} feature map cannot take rows of shape {X.shape[1:]}")
@@ -249,11 +266,24 @@ def _softmax_loss(scores, Y):
     return lse - scores[rows, Y - 1], resid
 
 
-def _batch_loss_grad(beta, X, Y, lam):
-    """Average loss + ridge and its gradient over a design matrix."""
+def _batch_loss_grad(beta, X, Y, lam, XT):
+    """Average loss + ridge and its gradient over a design matrix; ``XT``
+    is ``X.T`` (for a CSR design, built once per path as CSR)."""
     losses, resid = _softmax_loss(X @ beta, Y)
     value = losses.mean() + 0.5 * lam * (beta**2).sum()
-    return value, X.T @ resid / X.shape[0] + lam * beta
+    return value, XT @ resid / X.shape[0] + lam * beta
+
+
+def _dense(a):
+    return a.toarray() if issparse(a) else a
+
+
+def _dense_row_blocks(X):
+    """(first row, block) over ``X`` in dense blocks of about
+    _ROW_BLOCK entries, so that no temporary is the size of ``X``."""
+    rows = max(1, _ROW_BLOCK // X.shape[1])
+    for lo in range(0, X.shape[0], rows):
+        yield lo, _dense(X[lo : lo + rows])
 
 
 def _batch_hessian(beta, X, lam):
@@ -262,19 +292,23 @@ def _batch_hessian(beta, X, lam):
     (n, p), k = X.shape, beta.shape[1]
     scores = X @ beta
     prob = np.exp(scores - _logsumexp(scores, axis=1)[:, None])
-    w = prob[:, :, None] * (np.eye(k) - prob[:, None, :])
-    blocks = np.array([[(X.T * w[:, a, b]) @ X / n for b in range(k)] for a in range(k)])
-    return blocks.transpose(2, 0, 3, 1).reshape(p * k, p * k) + lam * np.eye(p * k)
+    w = (prob[:, :, None] * (np.eye(k) - prob[:, None, :]) / n).reshape(n, k * k)
+    blocks = np.zeros((k * k, p, p))
+    for lo, block in _dense_row_blocks(X):
+        blocks += (block.T * w[lo : lo + len(block)].T[:, None, :]) @ block
+    hess = blocks.reshape(k, k, p, p).transpose(2, 0, 3, 1).reshape(p * k, p * k)
+    return hess + lam * np.eye(p * k)
 
 
-def _binary_loss_grad(w, X, sign, lam):
+def _binary_loss_grad(w, X, sign, lam, XT):
     """The two-class objective in ``w`` (see the module docstring) and its
-    gradient; ``sign`` is -1 for class 1 and +1 for class 2."""
+    gradient; ``sign`` is -1 for class 1 and +1 for class 2, and ``XT`` is
+    as in :func:`_batch_loss_grad`."""
     margin = -sign * (X @ w)
     losses = np.logaddexp(0.0, margin)
     resid = -sign * np.exp(margin - losses)  # -s * sigmoid(-s z)
     value = losses.mean() + 0.25 * lam * (w @ w)
-    return value, X.T @ resid / X.shape[0] + 0.5 * lam * w
+    return value, XT @ resid / X.shape[0] + 0.5 * lam * w
 
 
 def _binary_curvature(z):
@@ -285,12 +319,11 @@ def _binary_curvature(z):
 def _binary_hessian(w, X, lam):
     """Exact Hessian of :func:`_binary_loss_grad`:
     X' diag(q (1 - q)) X / n + lam/2 I with q = sigmoid(w . x), summed
-    over blocks of rows so that no temporary is the size of ``X``."""
-    (n, p), curv = X.shape, _binary_curvature(X @ w) / X.shape[0]
-    hess, rows = 0.5 * lam * np.eye(p), max(1, _HESSIAN_BLOCK // p)
-    for lo in range(0, n, rows):
-        block = X[lo : lo + rows]
-        hess += (block.T * curv[lo : lo + rows]) @ block
+    over dense blocks of rows."""
+    curv = _binary_curvature(X @ w) / X.shape[0]
+    hess = 0.5 * lam * np.eye(X.shape[1])
+    for lo, block in _dense_row_blocks(X):
+        hess += (block.T * curv[lo : lo + len(block)]) @ block
     return hess
 
 
@@ -465,13 +498,36 @@ def _check_classes(Y: np.ndarray, k: int | None = None) -> int:
     return k
 
 
+def _csr(x: np.ndarray) -> csr_array:
+    """``x`` as a float64 CSR array with int32 indices (int64 past 2^31
+    nonzeros), built a block of rows at a time so that no temporary is the
+    size of ``x``."""
+    (n, p), counts = x.shape, np.count_nonzero(x, axis=1)
+    index = np.int32 if counts.sum() <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=index)
+    rows = max(1, _ROW_BLOCK // p)
+    for lo in range(0, n, rows):
+        block = x[lo : lo + rows]
+        r, c = np.nonzero(block)
+        span = slice(indptr[lo], indptr[lo + len(block)])
+        data[span], indices[span] = block[r, c], c
+    return csr_array((data, indices, indptr), shape=(n, p))
+
+
 def _design(pseudo: PseudoBatch):
+    """The fit's design matrix, labels, groups and feature map.  The design
+    is CSR when fewer than _CSR_MAX_DENSITY of its entries are nonzero
+    (see the module docstring), else a dense float64 array."""
     matrices = pseudo.x_tilde.ndim == 3
     feature_map = FeatureMap.FLATTEN_SYMMETRIC if matrices else FeatureMap.IDENTITY
-    return _phi_rows(feature_map, pseudo.x_tilde), pseudo.y, pseudo.origin_id, feature_map
+    x = _phi_rows(feature_map, pseudo.x_tilde, dtype=None)
+    X = _csr(x) if np.count_nonzero(x) < _CSR_MAX_DENSITY * x.size else x.astype(float, copy=False)
+    return X, pseudo.y, pseudo.origin_id, feature_map
 
 
-def default_lambda_grid(X: np.ndarray, Y: np.ndarray):
+def default_lambda_grid(X, Y: np.ndarray):
     """Descending log-spaced grid anchored at the max-norm of the
     unpenalized average-loss gradient at beta = 0."""
     k = int(Y.max())
@@ -501,10 +557,11 @@ def _fit_path(X, Y, lambdas, tol, max_iter):
     ``w = beta_2 - beta_1``, more classes in ``beta`` itself.  A two-class
     design with min(n, p) <= _NEWTON_MAX_DIM is solved by damped Newton at
     every lambda > 0 (through the Woodbury identity when n < p); the rest by
-    L-BFGS-B with the Newton finish."""
+    L-BFGS-B with the Newton finish.  ``X`` may be dense or CSR."""
     (n, p), k = X.shape, int(Y.max())
     newton = k == 2 and min(n, p) <= _NEWTON_MAX_DIM
-    gram = X @ X.T if newton and n < p else None
+    gram = _dense(X @ X.T) if newton and n < p else None
+    XT = X.T.tocsr() if issparse(X) else X.T
     if k == 2:
         loss_grad, hessian, coef = _binary_loss_grad, _binary_hessian, np.zeros(p)
         labels = 2.0 * Y - 3.0  # the sign s
@@ -514,7 +571,7 @@ def _fit_path(X, Y, lambdas, tol, max_iter):
     out = []
     for lam in lambdas:
         coef, grad_norm = _minimize(
-            lambda c: loss_grad(c, X, labels, lam),
+            lambda c: loss_grad(c, X, labels, lam, XT),
             coef,
             tol,
             max_iter,

@@ -291,10 +291,11 @@ def run_alpha_sweep(
     default) and folds the scaling back into the coefficients; the
     default fits the raw features.
     A failed cell is kept as a NaN row (and its message is recorded in
-    the result), never dropped.  With ``jobs > 1`` cells run in a process
-    pool of at most one worker per cell; output is independent of the
-    schedule.  Each fit runs on one BLAS thread, so the pool is the only
-    parallelism.
+    the result), never dropped; a sweep with no cells (an empty grid or
+    fewer than one replicate) raises :class:`ParameterError`.  With
+    ``jobs > 1`` cells run in a process pool of at most one worker per
+    cell; output is independent of the schedule.  Each fit runs on one
+    BLAS thread, so the pool is the only parallelism.
     """
     n_grid = tuple(spec.n_grid if n_grid is None else n_grid)
     replicates = spec.replicates if replicates is None else replicates
@@ -311,6 +312,11 @@ def run_alpha_sweep(
         for alpha in alphas
         for rep in range(replicates)
     ]
+    if not cells:
+        raise ParameterError(
+            f"the sweep has no cells: {len(n_grid)} sizes x {len(alphas)} alphas x "
+            f"{replicates} replicates"
+        )
     jobs = min(jobs, len(cells))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

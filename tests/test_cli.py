@@ -335,6 +335,52 @@ def test_simulate_prints_mean_error_per_cell(tmp_path, capsys):
     assert lines[2:] == ["0 failed cells (see the manifest)"]
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--lambdas", "1,,2"), ("--alphas", "x"), ("--n-grid", "x"), ("--n-grid", "40,1.5")],
+)
+def test_simulate_malformed_comma_list_is_a_usage_error(tmp_path, capsys, option, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--spec", "gauss", "--out", str(tmp_path / "s.csv"), option, value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {option}: expected a comma list" in err
+
+
+def test_train_malformed_ridge_lambda_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([
+            "train", "--pseudo", "p.csv", "--originals", "o.csv",
+            "--out", str(tmp_path / "m.txt"), "--ridge-lambda", "abc",
+        ])
+    assert exit_.value.code == 2
+    assert "argument --ridge-lambda: expected a comma list of numbers, got 'abc'" in (
+        capsys.readouterr().err
+    )
+
+
+def test_comma_list_options_parse_to_values():
+    parse = build_parser().parse_args
+    sim = parse(["simulate", "--spec", "gauss", "--out", "s.csv"])
+    assert (sim.alphas, sim.n_grid, sim.lambdas) == ((0.0, 0.1, 0.25, 0.5, 0.75, 1.0), None, None)
+    sim = parse(["simulate", "--spec", "gauss", "--out", "s.csv", "--n-grid", "30,50",
+                 "--lambdas", "1,0.1"])
+    assert (sim.n_grid, sim.lambdas) == ((30, 50), (1.0, 0.1))
+    train = parse(["train", "--pseudo", "p", "--originals", "o", "--out", "m",
+                   "--ridge-lambda", "0.5"])
+    assert train.ridge_lambda == 0.5
+
+
+def test_simulate_without_replicates_exits_3(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main([
+        "simulate", "--spec", "gauss", "--out", str(out), "--alphas", "1",
+        "--n-grid", "20", "--replicates", "0", "--jobs", "1",
+    ]) == 3
+    assert "no cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this OS")
 def test_simulate_jobs_default_is_the_usable_cores():
     args = build_parser().parse_args(["simulate", "--spec", "gauss", "--out", "x.csv"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import issparse
 from scipy.special import logsumexp
 
 from levyaug import (
@@ -46,8 +47,8 @@ def _batch(X, Y, origins=None):
     return PseudoBatch(x_tilde=X, y=Y, origin_id=origins, alpha=1.0, t_tilde=1.0)
 
 
-def _random_problem(rng, n=40, p=3, k=3):
-    X = rng.standard_normal((n, p))
+def _random_problem(rng, n=40, p=3, k=3, density=1.0):
+    X = rng.standard_normal((n, p)) * (rng.random((n, p)) < density)
     Y = rng.integers(1, k + 1, size=n)
     while len(np.unique(Y)) < k:
         Y = rng.integers(1, k + 1, size=n)
@@ -233,8 +234,8 @@ def test_batch_hessian_matches_finite_differences(rng):
         step = np.zeros(beta.size)
         step[i] = h
         step = step.reshape(beta.shape)
-        hi = logistic._batch_loss_grad(beta + step, X, Y, lam)[1]
-        lo = logistic._batch_loss_grad(beta - step, X, Y, lam)[1]
+        hi = logistic._batch_loss_grad(beta + step, X, Y, lam, X.T)[1]
+        lo = logistic._batch_loss_grad(beta - step, X, Y, lam, X.T)[1]
         columns.append((hi - lo).ravel() / (2 * h))
     assert np.allclose(hess, np.array(columns).T, atol=1e-6)
 
@@ -249,7 +250,7 @@ def test_binary_fit_meets_tol_on_the_multiclass_gradient(rng):
     X, Y = _two_class_problem(rng)
     lam, tol = 0.03, 1e-7
     model, report = fit_logistic_detailed(_batch(X, Y), TrainConfig(ridge_lambda=lam, tol=tol))
-    grad = logistic._batch_loss_grad(model.beta, X, Y, lam)[1]
+    grad = logistic._batch_loss_grad(model.beta, X, Y, lam, X.T)[1]
     assert np.abs(grad).max() <= tol
     assert np.abs(grad).max() == pytest.approx(report.grad_max_norm, abs=1e-15)
 
@@ -259,13 +260,12 @@ def test_binary_fit_matches_a_k_column_solve(rng):
     lam, tol = 0.03, 1e-7
     beta = fit_logistic(_batch(X, Y), TrainConfig(ridge_lambda=lam, tol=tol)).beta
     full, _ = logistic._minimize(
-        lambda b: logistic._batch_loss_grad(b, X, Y, lam), np.zeros((4, 2)), tol, 500, "K=2"
+        lambda b: logistic._batch_loss_grad(b, X, Y, lam, X.T), np.zeros((4, 2)), tol, 500, "K=2"
     )
     assert np.abs(beta - full).max() <= 1e-6 * np.abs(full).max()
 
 
-@pytest.mark.parametrize("k, hessian", [(2, "_binary_hessian"), (3, "_batch_hessian")])
-def test_newton_finish_reaches_tol_where_lbfgs_stops_short(rng, monkeypatch, k, hessian):
+def _check_newton_finish(rng, monkeypatch, k, hessian, density):
     # tol=1e-14 is below where L-BFGS-B stops on "relative reduction of f"
     # (gradient max-norm about 1e-12 here); the Newton steps must finish.
     # A two-class design runs L-BFGS-B, and so the finish, only when
@@ -285,10 +285,22 @@ def test_newton_finish_reaches_tol_where_lbfgs_stops_short(rng, monkeypatch, k, 
     monkeypatch.setattr(logistic, hessian, recording_hessian)
     wide = logistic._NEWTON_MAX_DIM + 1
     n, p = (2 * wide, wide) if k == 2 else (60, 4)
-    pseudo = _random_problem(rng, n=n, p=p, k=k)
+    pseudo = _random_problem(rng, n=n, p=p, k=k, density=density)
     report = fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=0.03, tol=1e-14))[1]
     assert len(results) == 1 and np.abs(results[0].jac).max() > 1e-14
     assert hessians and report.grad_max_norm <= 1e-14
+    return [args[1] for args in hessians]
+
+
+@pytest.mark.parametrize("k, hessian", [(2, "_binary_hessian"), (3, "_batch_hessian")])
+def test_newton_finish_reaches_tol_where_lbfgs_stops_short(rng, monkeypatch, k, hessian):
+    _check_newton_finish(rng, monkeypatch, k, hessian, density=1.0)
+
+
+@pytest.mark.parametrize("k, hessian", [(2, "_binary_hessian"), (3, "_batch_hessian")])
+def test_newton_finish_reaches_tol_on_a_csr_design(rng, monkeypatch, k, hessian):
+    designs = _check_newton_finish(rng, monkeypatch, k, hessian, density=0.2)
+    assert all(issparse(X) for X in designs)
 
 
 def _recording_solver_methods(monkeypatch):
@@ -357,14 +369,104 @@ def test_small_two_class_fit_makes_one_solve_per_lambda(rng, monkeypatch):
     assert methods == [logistic._newton] * (folds * len(grid) + refit)
 
 
+def _sparse_design(rng, n, p, density=0.2):
+    """A two-class design with about ``density`` nonzeros, so a fit runs on
+    CSR, and the same rows as a dense array."""
+    X, Y = _two_class_problem(rng, n=n, p=p)
+    X *= rng.random((n, p)) < density
+    return logistic._csr(X), X, Y
+
+
+def test_csr_loss_gradient_and_grid_equal_dense(rng):
+    S, X, Y = _sparse_design(rng, 50, 30)
+    sign, lam = 2.0 * Y - 3.0, 0.1
+    w, beta = rng.standard_normal(30), rng.standard_normal((30, 3))
+    Y3 = rng.integers(1, 4, size=50)
+    pairs = [
+        (logistic._binary_loss_grad(w, S, sign, lam, S.T.tocsr()),
+         logistic._binary_loss_grad(w, X, sign, lam, X.T)),
+        (logistic._batch_loss_grad(beta, S, Y3, lam, S.T.tocsr()),
+         logistic._batch_loss_grad(beta, X, Y3, lam, X.T)),
+    ]
+    for (value_s, grad_s), (value, grad) in pairs:
+        assert value_s == pytest.approx(value, rel=1e-12)
+        assert np.abs(grad_s - grad).max() <= 1e-12 * np.abs(grad).max()
+    assert default_lambda_grid(S, Y3) == pytest.approx(default_lambda_grid(X, Y3), rel=1e-12)
+    hessians = [
+        (logistic._binary_hessian(w, S, lam), logistic._binary_hessian(w, X, lam)),
+        (logistic._batch_hessian(beta, S, lam), logistic._batch_hessian(beta, X, lam)),
+    ]
+    for hess_s, hess in hessians:
+        assert np.abs(hess_s - hess).max() <= 1e-12 * np.abs(hess).max()
+
+
+def test_design_is_csr_below_the_density_threshold(rng):
+    n, p = 20, 10
+    below = math.ceil(logistic._CSR_MAX_DENSITY * n * p) - 1
+    for nnz, csr in ((below, True), (below + 1, False)):
+        x = np.zeros(n * p, dtype=np.int64)
+        x[rng.choice(n * p, nnz, replace=False)] = rng.integers(1, 7, size=nnz)
+        x = x.reshape(n, p)
+        X = logistic._design(_batch(x, np.arange(n) % 2 + 1))[0]
+        assert issparse(X) == csr
+        assert X.dtype == np.float64 and np.array_equal(X.toarray() if csr else X, x)
+        if csr:
+            assert X.indices.dtype == X.indptr.dtype == np.int32
+
+
+def _fits_by_format(monkeypatch, pseudo, cfg):
+    """The fit on its CSR design, then on the same rows forced dense."""
+    formats, fit_path = [], logistic._fit_path
+
+    def recording_fit_path(X, *args):
+        formats.append(issparse(X))
+        return fit_path(X, *args)
+
+    monkeypatch.setattr(logistic, "_fit_path", recording_fit_path)
+    csr = fit_logistic(pseudo, cfg).beta
+    monkeypatch.setattr(logistic, "_CSR_MAX_DENSITY", 0.0)
+    dense = fit_logistic(pseudo, cfg).beta
+    assert formats == [True, False]
+    return csr, dense
+
+
+@pytest.mark.parametrize("n, p, k", [(600, 300, 2), (40, 120, 2), (90, 12, 3)])
+def test_csr_and_dense_fits_agree_to_tolerance(rng, monkeypatch, n, p, k):
+    # (600, 300) runs L-BFGS-B, (40, 120) Newton through the Woodbury
+    # identity, (90, 12) the K-column L-BFGS-B path.
+    lam, tol = 0.1, 1e-7
+    pseudo = _random_problem(rng, n=n, p=p, k=k, density=0.2)
+    methods = _recording_solver_methods(monkeypatch)
+    csr, dense = _fits_by_format(monkeypatch, pseudo, TrainConfig(ridge_lambda=lam, tol=tol))
+    newton = k == 2 and min(n, p) <= logistic._NEWTON_MAX_DIM
+    assert methods == 2 * [logistic._newton if newton else "L-BFGS-B"]
+    # Both gradients are within tol in max-norm.  The objective is
+    # lam/2-strongly convex in w = 2 beta_2 for K = 2, and lam-strongly
+    # convex in beta for K = 3.
+    if k == 2:
+        assert np.linalg.norm(2 * (csr - dense)[:, 1]) <= 2 * np.sqrt(p) * tol / (lam / 2)
+    else:
+        assert np.linalg.norm(csr - dense) <= 2 * np.sqrt(p * k) * tol / lam
+
+
+def test_small_csr_two_class_fit_makes_one_solve_per_lambda(rng, monkeypatch):
+    _, X, Y = _sparse_design(rng, 40, 60)
+    assert issparse(logistic._design(_batch(X, Y))[0])
+    grid, folds = (1.0, 0.1, 0.01), 2
+    methods = _recording_solver_methods(monkeypatch)
+    report = fit_logistic_detailed(_batch(X, Y), TrainConfig(ridge_lambda=grid, n_folds=folds))[1]
+    refit = sum(lam >= report.chosen_lambda for lam in grid)
+    assert methods == [logistic._newton] * (folds * len(grid) + refit)
+
+
 def test_binary_hessian_matches_finite_differences(rng):
     X, Y = _two_class_problem(rng, n=30, p=3)
     sign = 2.0 * Y - 3.0
     w, lam, h = rng.standard_normal(3), 0.1, 1e-6
     columns = []
     for step in h * np.eye(3):
-        hi = logistic._binary_loss_grad(w + step, X, sign, lam)[1]
-        lo = logistic._binary_loss_grad(w - step, X, sign, lam)[1]
+        hi = logistic._binary_loss_grad(w + step, X, sign, lam, X.T)[1]
+        lo = logistic._binary_loss_grad(w - step, X, sign, lam, X.T)[1]
         columns.append((hi - lo) / (2 * h))
     assert np.allclose(logistic._binary_hessian(w, X, lam), np.array(columns).T, atol=1e-6)
 

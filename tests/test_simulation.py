@@ -195,6 +195,17 @@ def test_sweep_records_failed_cells_instead_of_dropping():
     assert len(res.failures) == 1
 
 
+@pytest.mark.parametrize(
+    "grid", [dict(replicates=0), dict(alphas=()), dict(n_grid=())]
+)
+def test_sweep_without_cells_is_a_parameter_error(grid):
+    from levyaug import ParameterError
+
+    args = dict(alphas=(1.0,), n_grid=(24,), replicates=1) | grid
+    with pytest.raises(ParameterError, match="no cells"):
+        run_alpha_sweep(GaussianSimSpec(d=12, n_signal=4), seed=5, train_cfg=FAST_CFG, **args)
+
+
 def test_monotone_data_benefit_at_alpha_one():
     spec = GaussianSimSpec(d=12, n_signal=4)
     res = run_alpha_sweep(
