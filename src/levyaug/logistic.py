@@ -21,14 +21,16 @@ Its gradient in ``w`` is the ``beta_2`` column of the gradient in ``beta``
 (the ``beta_1`` column is its negative), so the gradient max-norm, and
 with it the tolerance, is the same quantity in either parametrization.
 
-Every fit is one ``scipy.optimize.minimize`` call, and it must bring the
-gradient max-norm to ``tol`` or raise :class:`OptimizationError`.  A
-two-class fit on a design whose smaller side, min(n, p), is at most 256 is
-solved by damped Newton.  When n < p each step is an n x n solve through
-the Woodbury identity, with X X' formed once per lambda path; otherwise it
-is a Cholesky solve of the p x p Hessian.  More classes and larger designs
-run L-BFGS-B, finished by up to three Newton steps when it stops just short
-of ``tol``.  The threshold is where Newton stops being the cheaper path.
+Every fit must bring the gradient max-norm to ``tol`` or raise
+:class:`OptimizationError`.  A two-class fit on a design whose smaller side,
+min(n, p), is at most 256 is one ``scipy.optimize.minimize`` call of damped
+Newton (``_newton``).  When n < p each step is an n x n solve through the
+Woodbury identity, with X X' formed once per lambda path; otherwise it is a
+Cholesky solve of the p x p Hessian.  More classes and larger designs run
+L-BFGS-B.  When it stops short of ``tol`` for any reason but its iteration
+or evaluation limit, a second ``minimize`` call finishes with up to three
+iterations of ``_newton``.  The threshold is where Newton stops being the
+cheaper path.
 On one BLAS thread, a warm-started 12-lambda path at p = 500 took:
 
     n = 100: Newton  7 ms, L-BFGS-B 22 ms (Poisson counts), 16 ms (Gaussian)
@@ -267,11 +269,12 @@ def _softmax_loss(scores, Y):
 
 
 def _batch_loss_grad(beta, X, Y, lam, XT):
-    """Average loss + ridge and its gradient over a design matrix; ``XT``
-    is ``X.T`` (for a CSR design, built once per path as CSR)."""
+    """Average loss + ridge over a design and its gradient in ``beta.ravel()``
+    order; ``XT`` is ``X.T`` (for a CSR design, built once per path as CSR)."""
+    beta = beta.reshape(X.shape[1], -1)
     losses, resid = _softmax_loss(X @ beta, Y)
     value = losses.mean() + 0.5 * lam * (beta**2).sum()
-    return value, XT @ resid / X.shape[0] + lam * beta
+    return value, (XT @ resid / X.shape[0] + lam * beta).ravel()
 
 
 def _dense(a):
@@ -289,6 +292,7 @@ def _dense_row_blocks(X):
 def _batch_hessian(beta, X, lam):
     """Exact Hessian of :func:`_batch_loss_grad` in ``beta.ravel()`` order:
     block (a, b) is X' diag(p_a (1{a=b} - p_b)) X / n, plus lam I."""
+    beta = beta.reshape(X.shape[1], -1)
     (n, p), k = X.shape, beta.shape[1]
     scores = X @ beta
     prob = np.exp(scores - _logsumexp(scores, axis=1)[:, None])
@@ -351,7 +355,7 @@ def _spd_solve(a, b):
 
 def _newton_step(hess, X, lam, gram=None):
     """``step(c, g)``, the Newton step H(c)^{-1} g of the objective whose
-    Hessian is ``hess(c, X, lam)``, in the shape of ``c``.
+    Hessian is ``hess(c, X, lam)``, for flat ``c`` and ``g``.
 
     Given the Gram matrix ``gram = X X'`` of a two-class design and
     lam > 0, it never forms the p x p Hessian.  That Hessian is
@@ -364,12 +368,9 @@ def _newton_step(hess, X, lam, gram=None):
     makes it positive definite, and at lam = 0 a least-squares solve copes
     with a singular one.
     """
-    if lam == 0.0:
-        return lambda c, g: np.linalg.lstsq(hess(c, X, lam), g.ravel(), rcond=None)[0].reshape(
-            c.shape
-        )
-    if gram is None:
-        return lambda c, g: _spd_solve(hess(c, X, lam), g.ravel()).reshape(c.shape)
+    if lam == 0.0 or gram is None:
+        solve = _spd_solve if lam > 0.0 else lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0]
+        return lambda c, g: solve(hess(c, X, lam), g)
     n, ridge = X.shape[0], 0.5 * lam
 
     def woodbury(w, g):
@@ -428,50 +429,43 @@ def _newton(fun, x0, jac, step, maxiter, gtol, **_):
 
 def _minimize(fun_grad, x0: np.ndarray, tol: float, max_iter: int, what: str, step=None,
               newton=False):
-    """Minimize ``fun_grad`` (value and gradient) to gradient max-norm
-    ``tol``, else raise :class:`OptimizationError`.
+    """Minimize ``fun_grad`` (value and gradient of a flat vector) from the
+    flat ``x0`` to gradient max-norm ``tol``, else raise
+    :class:`OptimizationError` naming each stage that ran.
 
-    The solve is one scipy ``minimize`` call: damped Newton along ``step``
-    (:func:`_newton`) when ``newton`` is set, else L-BFGS-B.  L-BFGS-B also
-    stops once f no longer decreases in floating point ("relative reduction
-    of f"), which can leave the gradient just above ``tol``.  When it stops
-    short for any reason but its iteration or evaluation limit and ``step``
-    (a :func:`_newton_step`) is given, up to a few full Newton steps finish
-    the job: they need no decrease in f.  The ``tol`` check itself is the
-    same for every path.
+    The solve is damped Newton along ``step`` (:func:`_newton`) when
+    ``newton`` is set, else L-BFGS-B.  L-BFGS-B also stops once f no longer
+    decreases in floating point ("relative reduction of f"), which can leave
+    the gradient just above ``tol``.  When it stops short for any reason but
+    its iteration or evaluation limit and ``step`` (a :func:`_newton_step`)
+    is given, a second ``minimize`` call runs at most _NEWTON_STEPS
+    iterations of :func:`_newton` from its end point.
     """
-    shape = x0.shape
+    stages = []
 
-    def flat(v):
-        value, grad = fun_grad(v.reshape(shape))
-        return value, grad.ravel()
-
-    def flat_step(v, g):
-        return step(v.reshape(shape), g.reshape(shape)).ravel()
+    def solve(x, method, **options):
+        res = minimize(fun_grad, x, jac=True, method=method, options=options)
+        stages.append(("Newton" if method is _newton else method, res))
+        return res
 
     if newton:
-        solver, method = "Newton", _newton
-        options = dict(step=flat_step, maxiter=max_iter, gtol=tol)
+        res = solve(x0, _newton, step=step, maxiter=max_iter, gtol=tol)
     else:
-        solver = method = "L-BFGS-B"
-        options = dict(maxiter=max_iter, maxfun=20 * max_iter, gtol=0.1 * tol, ftol=0.0)
-    res = minimize(flat, x0.ravel(), jac=True, method=method, options=options)
-    sol, finish = res.x, 0
-    grad = res.jac if newton else flat(sol)[1]
-    polish = not newton and step is not None and res.status != 1
-    while polish and np.abs(grad).max() > tol and finish < _NEWTON_STEPS:
-        sol = sol - flat_step(sol, grad)
-        grad, finish = flat(sol)[1], finish + 1
-    grad_norm = float(np.abs(grad).max())
+        res = solve(x0, "L-BFGS-B", maxiter=max_iter, maxfun=20 * max_iter, gtol=0.1 * tol,
+                    ftol=0.0)
+        if step is not None and res.status != 1 and np.abs(res.jac).max() > tol:
+            res = solve(res.x, _newton, step=step, maxiter=_NEWTON_STEPS, gtol=tol)
+    grad_norm = float(np.abs(res.jac).max())
     if not grad_norm <= tol:  # a NaN gradient fails too
-        newton_steps = f" and {finish} Newton steps" if finish else ""
+        ran = ", then ".join(
+            f"{solver} stopped after {r.nit} iterations ({r.message})" for solver, r in stages
+        )
         raise OptimizationError(
-            f"{what} did not converge: {solver} stopped after {res.nit} iterations "
-            f"({res.message}){newton_steps} with gradient max-norm {grad_norm:.3e} "
+            f"{what} did not converge: {ran} with gradient max-norm {grad_norm:.3e} "
             f"> tol {tol:.1e}",
             grad_norm=grad_norm,
         )
-    return sol.reshape(shape), grad_norm
+    return res.x, grad_norm
 
 
 # --------------------------------------------------------------------------
@@ -566,7 +560,7 @@ def _fit_path(X, Y, lambdas, tol, max_iter):
         loss_grad, hessian, coef = _binary_loss_grad, _binary_hessian, np.zeros(p)
         labels = 2.0 * Y - 3.0  # the sign s
     else:
-        loss_grad, hessian, coef = _batch_loss_grad, _batch_hessian, np.zeros((p, k))
+        loss_grad, hessian, coef = _batch_loss_grad, _batch_hessian, np.zeros(p * k)
         labels = Y
     out = []
     for lam in lambdas:
@@ -579,7 +573,8 @@ def _fit_path(X, Y, lambdas, tol, max_iter):
             _newton_step(hessian, X, lam, gram),
             newton=newton and lam > 0.0,
         )
-        out.append((np.stack([-coef / 2, coef / 2], axis=1) if k == 2 else coef, grad_norm))
+        out.append((np.stack([-coef / 2, coef / 2], axis=1) if k == 2 else coef.reshape(p, k),
+                    grad_norm))
     return out
 
 
@@ -651,7 +646,9 @@ def calibrate(model: LogisticModel, originals: Examples) -> LogisticModel:
     intercepts ``c``.  For two classes this is exactly a univariate
     logistic regression of the label on the fitted score.  A separable
     calibration set would send ``s`` to infinity; the scale is capped at
-    1e3 (with a warning) instead.  An empty set or one of the model's K
+    1e3 (with a warning) instead.  Unlike a fit, it checks no gradient
+    tolerance: it raises :class:`OptimizationError` only when its final loss
+    or gradient is not finite.  An empty set or one of the model's K
     classes missing raises :class:`DegenerateDataError`; a label outside
     1..K or a width mismatch raises :class:`ShapeError`.
     """
@@ -785,45 +782,38 @@ def load_model(path) -> tuple[LogisticModel, LevyFamily | None]:
         except StopIteration:
             raise DataFormatError("model file truncated") from None
 
+    def section(header):
+        """The tokens after ``header`` on the next line, which must start with it."""
+        tokens = next_line().split()
+        if tokens[:1] != [header]:
+            raise DataFormatError(f"expected {header} line")
+        return tokens[1:]
+
     if next_line() != _MODEL_MAGIC:
         raise DataFormatError(f"not a {_MODEL_MAGIC!r} document")
     family: LevyFamily | None = None
-    tokens = next_line().split()
-    if tokens[0] != "family":
-        raise DataFormatError("expected family line")
-    if tokens[1] != "none":
-        kind = FamilyKind(tokens[1])
-        d = int(tokens[2])
+    tokens = section("family")
+    if tokens[0] != "none":
+        kind = FamilyKind(tokens[0])
+        d = int(tokens[1])
         sigma = None
         if kind is FamilyKind.GAUSSIAN:
-            head = next_line().split()
-            if head[0] != "sigma":
-                raise DataFormatError("Gaussian family must carry its covariance")
+            section("sigma")
             sigma = np.array(
                 [[float(v) for v in next_line().split()] for _ in range(d)]
             )
         family = LevyFamily(kind, d, sigma)
-    fm_line = next_line().split()
-    if fm_line[0] != "feature_map":
-        raise DataFormatError("expected feature_map line")
-    feature_map = FeatureMap(fm_line[1])
-    head = next_line().split()
-    if head[0] != "beta":
-        raise DataFormatError("expected beta header")
-    p, k = int(head[1]), int(head[2])
+    feature_map = FeatureMap(section("feature_map")[0])
+    p, k = (int(v) for v in section("beta"))
     beta = np.array([[float(v) for v in next_line().split()] for _ in range(p)])
     if beta.shape != (p, k):
         raise DataFormatError("beta block has wrong shape")
-    if next_line() != "calib_c":
-        raise DataFormatError("expected calib_c line")
+    section("calib_c")
     calib_c = np.array([float(v) for v in next_line().split()])
-    scale_line = next_line().split()
-    if scale_line[0] != "calib_scale":
-        raise DataFormatError("expected calib_scale line")
     model = LogisticModel(
         beta=beta,
         calib_c=calib_c,
-        calib_scale=float(scale_line[1]),
+        calib_scale=float(section("calib_scale")[0]),
         feature_map=feature_map,
     )
     return model, family

@@ -212,7 +212,7 @@ def _standardized_fit(pseudo: PseudoBatch, train_cfg):
     """Fit the way off-the-shelf ridge solvers do by default: scale the
     pseudo-feature columns to unit variance, fit, and fold the scaling
     back into the coefficients."""
-    sd = np.asarray(pseudo.x_tilde, dtype=float).std(axis=0, ddof=1)
+    sd = np.std(pseudo.x_tilde, axis=0, ddof=1, dtype=float)
     sd[sd == 0.0] = 1.0
     model, report = fit_logistic_detailed(replace(pseudo, x_tilde=pseudo.x_tilde / sd), train_cfg)
     return replace(model, beta=center_columns(model.beta / sd[:, None])), report
@@ -291,8 +291,9 @@ def run_alpha_sweep(
     default) and folds the scaling back into the coefficients; the
     default fits the raw features.
     A failed cell is kept as a NaN row (and its message is recorded in
-    the result), never dropped; a sweep with no cells (an empty grid or
-    fewer than one replicate) raises :class:`ParameterError`.  With
+    the result), never dropped.  A sweep with no cells (an empty grid or
+    fewer than one replicate), n_pseudo or jobs below 1, or a training
+    size below 2 raises :class:`ParameterError` before any cell runs.  With
     ``jobs > 1`` cells run in a process pool of at most one worker per
     cell; output is independent of the schedule.  Each fit runs on one
     BLAS thread, so the pool is the only parallelism.
@@ -305,6 +306,10 @@ def run_alpha_sweep(
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ParameterError(f"alpha must lie in [0, 1], got {a}")
+    if n_pseudo < 1 or jobs < 1:
+        raise ParameterError(f"n_pseudo and jobs must be >= 1, got {n_pseudo} and {jobs}")
+    if any(n < 2 for n in n_grid):
+        raise ParameterError(f"every training size must be >= 2, got n grid {list(n_grid)}")
 
     cells = [
         (spec, n, alpha, rep, seed, n_pseudo, train_cfg, standardize)

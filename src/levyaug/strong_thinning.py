@@ -135,6 +135,9 @@ def limit_loss_gradient(
 # Fitting the limit objective
 # --------------------------------------------------------------------------
 
+_MAX_ITER = 1000
+
+
 def _expand(gamma: np.ndarray) -> np.ndarray:
     """Map the free (p, K-1) block onto the centered constraint surface."""
     last = -gamma.sum(axis=1, keepdims=True)
@@ -150,7 +153,6 @@ def fit_strong_thinning(
     family: LevyFamily,
     ridge_lambda: float = 0.0,
     tol: float = 1e-7,
-    max_iter: int = 1000,
 ) -> LogisticModel:
     """Minimize the summed limit loss (plus an optional ridge term) over
     centered coefficients.  Only the Gaussian and Poisson families have a
@@ -161,7 +163,7 @@ def fit_strong_thinning(
     Gaussian is a quadratic whose centered minimizer is the linear solve
     ``((t_total / K) Sigma + lambda I) beta = S - mean_k S_k``, with ``S``
     the per-class feature sums.  Poisson is solved by L-BFGS to gradient
-    max-norm ``tol`` (in at most ``max_iter`` iterations); the objective is
+    max-norm ``tol`` (in at most 1000 iterations); the objective is
     divided by the total count, so the argmin is unchanged and ``tol``
     applies at unit scale instead of count scale.
     """
@@ -185,16 +187,16 @@ def fit_strong_thinning(
             scale = max(1.0, float(sums.sum()))
 
             def fun_grad(gamma):
-                beta = _expand(gamma)
+                beta = _expand(gamma.reshape(p, k - 1))
                 value, grad = _limit_objective(beta, family, sums, t_total)
                 value += 0.5 * ridge_lambda * float((beta**2).sum())
                 grad += ridge_lambda * beta
-                return value / scale, _contract(grad) / scale
+                return value / scale, _contract(grad).ravel() / scale
 
             gamma, _ = _minimize(
-                fun_grad, np.zeros((p, k - 1)), tol, max_iter, "strong-thinning fit"
+                fun_grad, np.zeros(p * (k - 1)), tol, _MAX_ITER, "strong-thinning fit"
             )
-            beta = _expand(gamma)
+            beta = _expand(gamma.reshape(p, k - 1))
     return LogisticModel(beta=center_columns(beta), feature_map=FeatureMap.IDENTITY)
 
 

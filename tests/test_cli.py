@@ -14,6 +14,7 @@ from levyaug import (
     ThinningConfig,
     TrainConfig,
     cli,
+    fit_strong_thinning,
     load_model,
     poisson_family,
 )
@@ -173,6 +174,23 @@ def test_train_dimension_mismatch_exits_2(tmp_path, capsys):
     assert not (tmp_path / "m.txt").exists()
 
 
+def test_train_family_mismatch_exits_2(poisson_file, tmp_path, capsys):
+    pseudo, gamma, model = tmp_path / "pseudo.csv", tmp_path / "gamma.csv", tmp_path / "m.txt"
+    assert main([
+        "thin", "--input", str(poisson_file), "--output", str(pseudo),
+        "--alpha", "0.5", "-B", "2", "--seed", "1",
+    ]) == 0
+    write_dataset(gamma, gamma_family(3), [
+        Example(x=np.array([1.0 + i, 2.0, 0.5]), y=1 + i % 2, t=2.0) for i in range(6)
+    ])
+    assert main([
+        "train", "--pseudo", str(pseudo), "--originals", str(gamma),
+        "--out", str(model), "--ridge-lambda", "0.1",
+    ]) == 2
+    assert "declare different families" in capsys.readouterr().err
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
 def test_train_checks_pseudo_rows_against_the_family(tmp_path, capsys, bad):
     fam = gamma_family(2)
@@ -245,6 +263,20 @@ def test_limit_fits_poisson_endpoint(poisson_file, tmp_path):
     manifest = json.loads((tmp_path / "limit.txt.manifest.json").read_text())
     assert manifest["seed"] is None  # limit draws nothing
     assert manifest["config"]["family"] == "poisson"
+
+
+def test_limit_no_calibrate_writes_the_limit_fit_itself(poisson_file, tmp_path):
+    model_path = tmp_path / "limit.txt"
+    assert main([
+        "limit", "--originals", str(poisson_file), "--out", str(model_path), "--no-calibrate",
+    ]) == 0
+    assert "calib_scale 1.0\n" in model_path.read_text()
+    model, family = load_model(model_path)
+    fit = fit_strong_thinning(read_dataset(poisson_file)[1], family, ridge_lambda=1e-6)
+    assert np.array_equal(model.beta, fit.beta)
+    assert model.calib_scale == 1.0 and np.array_equal(model.calib_c, np.zeros(2))
+    manifest = json.loads((tmp_path / "limit.txt.manifest.json").read_text())
+    assert manifest["config"]["calibrated"] is False
 
 
 def test_limit_reads_family_from_file(poisson_file, tmp_path, capsys):
@@ -378,6 +410,20 @@ def test_simulate_without_replicates_exits_3(tmp_path, capsys):
         "--n-grid", "20", "--replicates", "0", "--jobs", "1",
     ]) == 3
     assert "no cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, match",
+    [(["-B", "0"], "n_pseudo"), (["--n-grid", "1"], "training size"), (["--jobs", "-3"], "jobs")],
+)
+def test_simulate_with_a_bad_setting_exits_3(tmp_path, capsys, option, match):
+    out = tmp_path / "s.csv"
+    assert main([
+        "simulate", "--spec", "gauss", "--out", str(out), "--alphas", "0.5",
+        "--n-grid", "20", "--replicates", "1", "--jobs", "1", *option,
+    ]) == 3
+    assert match in capsys.readouterr().err
     assert not out.exists()
 
 

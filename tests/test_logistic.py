@@ -8,6 +8,7 @@ from scipy.sparse import issparse
 from scipy.special import logsumexp
 
 from levyaug import (
+    DataFormatError,
     DegenerateDataError,
     Example,
     FeatureMap,
@@ -260,22 +261,23 @@ def test_binary_fit_matches_a_k_column_solve(rng):
     lam, tol = 0.03, 1e-7
     beta = fit_logistic(_batch(X, Y), TrainConfig(ridge_lambda=lam, tol=tol)).beta
     full, _ = logistic._minimize(
-        lambda b: logistic._batch_loss_grad(b, X, Y, lam, X.T), np.zeros((4, 2)), tol, 500, "K=2"
+        lambda b: logistic._batch_loss_grad(b, X, Y, lam, X.T), np.zeros(8), tol, 500, "K=2"
     )
+    full = full.reshape(4, 2)
     assert np.abs(beta - full).max() <= 1e-6 * np.abs(full).max()
 
 
 def _check_newton_finish(rng, monkeypatch, k, hessian, density):
     # tol=1e-14 is below where L-BFGS-B stops on "relative reduction of f"
-    # (gradient max-norm about 1e-12 here); the Newton steps must finish.
-    # A two-class design runs L-BFGS-B, and so the finish, only when
-    # min(n, p) is above the Newton path's threshold.
+    # (gradient max-norm about 1e-12 here); a second minimize call, of
+    # _newton, must finish.  A two-class design runs L-BFGS-B, and so the
+    # finish, only when min(n, p) is above the Newton path's threshold.
     results, hessians = [], []
     minimize, exact = logistic.minimize, getattr(logistic, hessian)
 
     def recording_minimize(*args, **kwargs):
-        results.append(minimize(*args, **kwargs))
-        return results[-1]
+        results.append((kwargs["method"], minimize(*args, **kwargs)))
+        return results[-1][1]
 
     def recording_hessian(*args):
         hessians.append(args)
@@ -287,7 +289,8 @@ def _check_newton_finish(rng, monkeypatch, k, hessian, density):
     n, p = (2 * wide, wide) if k == 2 else (60, 4)
     pseudo = _random_problem(rng, n=n, p=p, k=k, density=density)
     report = fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=0.03, tol=1e-14))[1]
-    assert len(results) == 1 and np.abs(results[0].jac).max() > 1e-14
+    assert [method for method, _ in results] == ["L-BFGS-B", logistic._newton]
+    assert np.abs(results[0][1].jac).max() > 1e-14
     assert hessians and report.grad_max_norm <= 1e-14
     return [args[1] for args in hessians]
 
@@ -346,6 +349,56 @@ def test_newton_iteration_limit_names_the_newton_iterations(rng):
         fit_logistic(_batch(X, Y), TrainConfig(ridge_lambda=0.01, max_iter=1))
     assert "Newton stopped after 1 iterations (iteration limit reached)" in str(err.value)
     assert err.value.grad_norm > 1e-7
+
+
+def test_newton_halves_an_overshooting_step_and_stops_on_an_ascent_step(rng, monkeypatch):
+    X, Y = _two_class_problem(rng, n=20, p=60)
+    sign, lam, tol = 2.0 * Y - 3.0, 0.1, 1e-7
+    exact = logistic._newton_step(logistic._binary_hessian, X, lam, X @ X.T)
+
+    def solve(step):
+        return logistic.minimize(
+            lambda w: logistic._binary_loss_grad(w, X, sign, lam, X.T), np.zeros(60),
+            jac=True, method=logistic._newton, options=dict(step=step, maxiter=100, gtol=tol),
+        )
+
+    # Eight times the Newton step overshoots, so the iterations halve t,
+    # evaluating f more than once, before the Armijo test accepts a step.
+    res = solve(lambda w, g: 8.0 * exact(w, g))
+    assert res.success and np.abs(res.jac).max() <= tol
+    assert res.nfev >= 1 + 2 * res.nit
+    newton = solve(exact)
+    assert newton.nfev == 1 + newton.nit  # the full step, taken every time
+    assert np.linalg.norm(res.x - newton.x) <= 2 * np.sqrt(60) * tol / (lam / 2)
+
+    res = solve(lambda w, g: -exact(w, g))
+    assert res.nit == 0 and res.nfev == 1 + logistic._BACKTRACKS
+    assert res.message == "line search found no decrease" and not res.success
+    newton_step = logistic._newton_step
+    monkeypatch.setattr(
+        logistic, "_newton_step", lambda *args: lambda c, g: -newton_step(*args)(c, g)
+    )
+    with pytest.raises(OptimizationError, match="line search found no decrease"):
+        fit_logistic(_batch(X, Y), TrainConfig(ridge_lambda=lam, tol=tol))
+
+
+def test_unpenalized_fit_with_an_all_zero_column_meets_tol(rng):
+    # lam = 0 runs L-BFGS-B; the Hessian, singular in the zero column, is
+    # solved by least squares.
+    X, Y = _two_class_problem(rng, n=80, p=4)
+    Y = np.where(rng.random(80) < 0.3, 3 - Y, Y)  # flipped labels: not separable
+    X[:, 2] = 0.0
+    model, report = fit_logistic_detailed(_batch(X, Y), TrainConfig(ridge_lambda=0.0))
+    assert report.chosen_lambda == 0.0 and report.grad_max_norm <= 1e-7
+    assert np.all(model.beta[2] == 0.0)
+    grad = logistic._batch_loss_grad(model.beta, X, Y, 0.0, X.T)[1]
+    assert np.abs(grad).max() <= 1e-7
+
+    w, g = rng.standard_normal(4), rng.standard_normal(4)
+    hess = logistic._binary_hessian(w, X, 0.0)
+    assert np.linalg.matrix_rank(hess) == 3
+    step = logistic._newton_step(logistic._binary_hessian, X, 0.0)(w, g)
+    assert np.array_equal(step, np.linalg.lstsq(hess, g, rcond=None)[0])
 
 
 @pytest.mark.parametrize("n, p", [(20, 60), (80, 6)])
@@ -661,6 +714,16 @@ def test_model_gauge_enforced():
         LogisticModel(beta=np.ones((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [dict(tol=0.0), dict(tol=-1e-7), dict(max_iter=0), dict(n_folds=1),
+     dict(ridge_lambda=-0.1), dict(ridge_lambda=(1.0, -0.1)), dict(ridge_lambda=())],
+)
+def test_train_config_rejects_a_bad_setting(setting):
+    with pytest.raises(ParameterError):
+        TrainConfig(**setting)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -696,3 +759,23 @@ def test_model_round_trip_matrix_features(tmp_path):
     assert family is None
     assert loaded.feature_map is FeatureMap.FLATTEN_SYMMETRIC
     assert np.array_equal(loaded.beta, model.beta)
+
+
+def test_load_model_rejects_a_malformed_document(tmp_path):
+    model = LogisticModel(beta=center_columns(np.arange(6.0).reshape(3, 2)))
+    path = tmp_path / "model.txt"
+    save_model(model, path, gaussian_family(2, np.array([[2.0, 0.3], [0.3, 1.0]])))
+    lines = path.read_text().splitlines(keepends=True)
+    headers = [i for i, line in enumerate(lines) if line[0].isalpha()]
+    assert [lines[i].split()[0] for i in headers] == [
+        "levyaug-model", "family", "sigma", "feature_map", "beta", "calib_c", "calib_scale"
+    ]
+    bad = path.with_name("bad.txt")
+    documents = [lines[:keep] for keep in range(len(lines))]  # every truncation
+    documents += [lines[:i] + lines[i + 1 :] for i in headers]  # each header missing
+    documents += [lines[:i] + ["\n"] + lines[i + 1 :] for i in headers]  # or blank
+    documents.append(["levyaug-model v2\n"] + lines[1:])
+    for document in documents:
+        bad.write_text("".join(document))
+        with pytest.raises(DataFormatError):
+            load_model(bad)

@@ -206,6 +206,22 @@ def test_sweep_without_cells_is_a_parameter_error(grid):
         run_alpha_sweep(GaussianSimSpec(d=12, n_signal=4), seed=5, train_cfg=FAST_CFG, **args)
 
 
+@pytest.mark.parametrize(
+    "setting, match",
+    [(dict(n_pseudo=0), "n_pseudo"), (dict(jobs=0), "jobs"), (dict(jobs=-3), "jobs"),
+     (dict(n_grid=(24, 1)), "training size")],
+)
+def test_bad_sweep_setting_is_a_parameter_error_before_any_cell_runs(monkeypatch, setting, match):
+    from levyaug import ParameterError
+
+    ran = []
+    monkeypatch.setattr(simulation, "_run_cell", ran.append)
+    args = dict(alphas=(0.5,), n_grid=(24,), replicates=1) | setting
+    with pytest.raises(ParameterError, match=match):
+        run_alpha_sweep(GaussianSimSpec(d=12, n_signal=4), seed=5, train_cfg=FAST_CFG, **args)
+    assert ran == []
+
+
 def test_monotone_data_benefit_at_alpha_one():
     spec = GaussianSimSpec(d=12, n_signal=4)
     res = run_alpha_sweep(
