@@ -7,8 +7,8 @@ families (Poisson counts, Gaussian sums, Gamma scatter, Wishart scatter
 matrices) is possible in closed form without knowing the generative
 parameters.  On top of the samplers the package provides a calibrated
 ridge logistic-regression pipeline with origin-grouped cross-validation,
-the analytic maximum-thinning limit of that pipeline, exact brute-force
-oracles, and a benchmark simulation harness with a CLI.
+the analytic maximum-thinning limit of that pipeline, and a benchmark
+simulation harness with a CLI.
 """
 
 __version__ = "0.1.0"
@@ -30,11 +30,9 @@ from .families import (
     LevyFamily,
     PseudoBatch,
     PseudoExample,
-    Topic,
     check_example,
     gamma_family,
     gaussian_family,
-    log_partition,
     poisson_family,
     thinning_log_density,
     wishart_family,
@@ -51,12 +49,6 @@ from .logistic import (
     loss_gradient,
     predict,
     save_model,
-)
-from .oracles import (
-    TopicMixture,
-    exact_posterior,
-    poisson_thinning_kernel_enumerate,
-    wishart_split_oracle,
 )
 from .rng import RngState
 from .simulation import (

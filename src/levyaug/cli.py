@@ -15,8 +15,8 @@ seed reproduces its outputs byte for byte.  Only ``thin`` and ``simulate``
 draw random numbers, so only they take ``--seed`` (default
 ``LEVYAUG_SEED``, else 0); ``train`` and ``limit`` record a null seed.
 
-Exit codes: 0 success, 2 input format error, 3 family/domain violation,
-4 optimization failure.
+Exit codes: 0 success, 2 input format error or a file that cannot be read or
+written, 3 family/domain violation, 4 optimization failure.
 """
 
 from __future__ import annotations
@@ -353,6 +353,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except DataFormatError as exc:
         print(f"levyaug: input format error: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
+    except OSError as exc:  # a missing or unreadable file, named in the message
+        print(f"levyaug: file error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except OptimizationError as exc:
         print(f"levyaug: optimization failed: {exc}", file=sys.stderr)

@@ -14,13 +14,13 @@ pure carrier ratio in which ``theta`` cancels:
     g(x_tilde; x) = h_{alpha t}(x_tilde) * h_{(1-alpha) t}(x - x_tilde) / h_t(x).
 
 This module holds the family descriptors, the example and pseudo-example
-batches with their support invariants, ``log_partition``, and the
-carrier-ratio density ``thinning_log_density``.  The invariants are
-checked here and only here: a batch checks its labels and times when it
-is built, ``check_example`` checks its features against a family, and
-``check_alpha`` checks thinning fractions.  Every sampler in
-:mod:`levyaug.thinning` and ``thinning_log_density`` check their inputs
-through these, as a batch, before computing anything.
+batches with their support invariants, and the carrier-ratio density
+``thinning_log_density``.  The invariants are checked here and only here:
+a batch checks its labels and times when it is built, ``check_example``
+checks its features against a family, and ``check_alpha`` checks thinning
+fractions.  Every sampler in :mod:`levyaug.thinning` and
+``thinning_log_density`` check their inputs through these, as a batch,
+before computing anything.
 
 Concrete carriers (up to additive constants dropped only for Wishart):
 
@@ -51,7 +51,6 @@ __all__ = [
     "gaussian_family",
     "gamma_family",
     "wishart_family",
-    "Topic",
     "Example",
     "ExampleBatch",
     "Examples",
@@ -60,7 +59,6 @@ __all__ = [
     "PseudoBatch",
     "check_alpha",
     "check_example",
-    "log_partition",
     "thinning_log_density",
 ]
 
@@ -146,44 +144,6 @@ def gamma_family(d: int) -> LevyFamily:
 
 def wishart_family(d: int) -> LevyFamily:
     return LevyFamily(FamilyKind.WISHART, d)
-
-
-@dataclass(frozen=True, eq=False)
-class Topic:
-    """Natural parameter of one mixture component.
-
-    ``theta`` is a length-``d`` vector for the vector families and a
-    ``d x d`` symmetric negative-definite matrix for the Wishart family.
-    Domains are enforced here, at construction, so a misconfigured
-    simulation fails immediately rather than mid-run:
-
-    * Gamma requires every ``theta_j < 0`` (theta_j = -1 / (2 sigma_j^2)),
-    * Wishart requires ``theta`` negative-definite,
-    * Poisson and Gaussian accept any finite vector.
-    """
-
-    theta: np.ndarray
-    family: LevyFamily
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        kind = self.family.kind
-        d = self.family.d
-        if kind is FamilyKind.WISHART:
-            if theta.shape != (d, d):
-                raise ParameterError(f"Wishart natural parameter must be {d}x{d}")
-            if not _is_symmetric(theta):
-                raise ParameterError("Wishart natural parameter must be symmetric")
-            if np.linalg.eigvalsh(theta).max() >= 0.0:
-                raise ParameterError("Wishart natural parameter must be negative-definite")
-        else:
-            if theta.shape != (d,):
-                raise ParameterError(f"natural parameter must have length {d}")
-            if not np.all(np.isfinite(theta)):
-                raise ParameterError("natural parameter must be finite")
-            if kind is FamilyKind.GAMMA and np.any(theta >= 0.0):
-                raise ParameterError("Gamma natural parameters must be negative")
-        object.__setattr__(self, "theta", _frozen_array(theta, dtype=float))
 
 
 class Example(NamedTuple):
@@ -345,31 +305,6 @@ def check_example(family: LevyFamily, batch: ExampleBatch) -> np.ndarray:
         t = batch.t.min()
         raise SupportError(f"Wishart examples need t >= d for a density; got t={t}, d={family.d}")
     return x
-
-
-# --------------------------------------------------------------------------
-# Log-partition
-# --------------------------------------------------------------------------
-
-def log_partition(topic: Topic) -> float:
-    """psi(theta), the per-unit-time log-partition of the family.
-
-    Poisson: ``sum_j exp(theta_j)``.  Gaussian: ``theta' Sigma theta / 2``.
-    Gamma: ``-sum_j log(-2 theta_j) / 2``.  Wishart: ``-logdet(-2 theta)/2``.
-    Topic construction has already enforced the natural domain.
-    """
-    theta = topic.theta
-    kind = topic.family.kind
-    if kind is FamilyKind.POISSON:
-        return float(np.exp(theta).sum())
-    if kind is FamilyKind.GAUSSIAN:
-        return float(0.5 * theta @ topic.family.sigma @ theta)
-    if kind is FamilyKind.GAMMA:
-        return float(-0.5 * np.log(-2.0 * theta).sum())
-    sign, logdet = np.linalg.slogdet(-2.0 * theta)
-    if sign <= 0:
-        raise ParameterError("Wishart natural parameter left its domain")
-    return float(-0.5 * logdet)
 
 
 # --------------------------------------------------------------------------

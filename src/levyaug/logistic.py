@@ -76,6 +76,7 @@ from ._blas import single_thread
 from .errors import (
     DataFormatError,
     DegenerateDataError,
+    LevyAugError,
     OptimizationError,
     ParameterError,
     ShapeError,
@@ -240,32 +241,38 @@ def _logsumexp(a, axis=None):
     return total + np.squeeze(m, axis=axis)
 
 
-def logistic_loss(beta: np.ndarray, x: np.ndarray, y: int) -> float:
-    """Multiclass log-loss of a single (features, label) pair."""
-    _check_labels(y, np.shape(beta)[-1])
-    scores = np.asarray(x, dtype=float) @ np.asarray(beta, dtype=float)
-    return float(_logsumexp(scores) - scores[y - 1])
-
-
-def loss_gradient(beta: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
-    """d loss / d beta, a p x K matrix: (softmax_k - 1{k=y}) outer phi(x)."""
-    beta = np.asarray(beta, dtype=float)
-    _check_labels(y, beta.shape[-1])
-    x = np.asarray(x, dtype=float)
-    scores = x @ beta
-    p = np.exp(scores - _logsumexp(scores))
-    p[y - 1] -= 1.0
-    return np.outer(x, p)
+def _softmax(scores):
+    """Each row's softmax of ``scores``, and its log-sum-exp."""
+    lse = _logsumexp(scores, axis=1)
+    return np.exp(scores - lse[:, None]), lse
 
 
 def _softmax_loss(scores, Y):
     """Per-row log-loss of the 1-based labels ``Y`` under ``scores``, and
     each row's gradient in its scores (softmax minus one-hot)."""
     rows = np.arange(len(Y))
-    lse = _logsumexp(scores, axis=1)
-    resid = np.exp(scores - lse[:, None])
+    resid, lse = _softmax(scores)
     resid[rows, Y - 1] -= 1.0
     return lse - scores[rows, Y - 1], resid
+
+
+def _example_loss(beta, x, y):
+    """The one-row case of :func:`_softmax_loss`: the log-loss of a single
+    (features, label) pair and its gradient in the scores."""
+    beta = np.asarray(beta, dtype=float)
+    _check_labels(y, beta.shape[-1])
+    loss, resid = _softmax_loss((np.asarray(x, dtype=float) @ beta)[None], np.array([y]))
+    return loss[0], resid[0]
+
+
+def logistic_loss(beta: np.ndarray, x: np.ndarray, y: int) -> float:
+    """Multiclass log-loss of a single (features, label) pair."""
+    return float(_example_loss(beta, x, y)[0])
+
+
+def loss_gradient(beta: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
+    """d loss / d beta, a p x K matrix: (softmax_k - 1{k=y}) outer phi(x)."""
+    return np.outer(x, _example_loss(beta, x, y)[1])
 
 
 def _batch_loss_grad(beta, X, Y, lam, XT):
@@ -295,7 +302,7 @@ def _batch_hessian(beta, X, lam):
     beta = beta.reshape(X.shape[1], -1)
     (n, p), k = X.shape, beta.shape[1]
     scores = X @ beta
-    prob = np.exp(scores - _logsumexp(scores, axis=1)[:, None])
+    prob = _softmax(scores)[0]
     w = (prob[:, :, None] * (np.eye(k) - prob[:, None, :]) / n).reshape(n, k * k)
     blocks = np.zeros((k * k, p, p))
     for lo, block in _dense_row_blocks(X):
@@ -714,10 +721,9 @@ def _calibrated_scores(model: LogisticModel, x) -> np.ndarray:
 
 def predict(model: LogisticModel, x) -> tuple[int, np.ndarray]:
     """Label (1-based, ties to the smallest index) and class probabilities."""
-    scores = _calibrated_scores(model, np.asarray(x)[None])[0]
-    probs = np.exp(scores - _logsumexp(scores))
-    probs = probs / probs.sum()
-    return int(np.argmax(scores)) + 1, probs
+    scores = _calibrated_scores(model, np.asarray(x)[None])
+    probs = _softmax(scores)[0][0]  # the one row's softmax
+    return int(np.argmax(scores)) + 1, probs / probs.sum()
 
 
 def predict_labels(model: LogisticModel, examples: Examples) -> np.ndarray:
@@ -772,6 +778,8 @@ def save_model(model: LogisticModel, path, family: LevyFamily | None = None) -> 
 
 
 def load_model(path) -> tuple[LogisticModel, LevyFamily | None]:
+    """The model and family :func:`save_model` wrote.  A document that does
+    not parse, down to one bad token, raises :class:`DataFormatError`."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = [ln.rstrip("\n") for ln in handle]
     it = iter(lines)
@@ -791,29 +799,32 @@ def load_model(path) -> tuple[LogisticModel, LevyFamily | None]:
 
     if next_line() != _MODEL_MAGIC:
         raise DataFormatError(f"not a {_MODEL_MAGIC!r} document")
-    family: LevyFamily | None = None
-    tokens = section("family")
-    if tokens[0] != "none":
-        kind = FamilyKind(tokens[0])
-        d = int(tokens[1])
-        sigma = None
-        if kind is FamilyKind.GAUSSIAN:
-            section("sigma")
-            sigma = np.array(
-                [[float(v) for v in next_line().split()] for _ in range(d)]
-            )
-        family = LevyFamily(kind, d, sigma)
-    feature_map = FeatureMap(section("feature_map")[0])
-    p, k = (int(v) for v in section("beta"))
-    beta = np.array([[float(v) for v in next_line().split()] for _ in range(p)])
-    if beta.shape != (p, k):
-        raise DataFormatError("beta block has wrong shape")
-    section("calib_c")
-    calib_c = np.array([float(v) for v in next_line().split()])
+    try:
+        family: LevyFamily | None = None
+        tokens = section("family")
+        if tokens[0] != "none":
+            kind = FamilyKind(tokens[0])
+            d = int(tokens[1])
+            sigma = None
+            if kind is FamilyKind.GAUSSIAN:
+                section("sigma")
+                sigma = np.array(
+                    [[float(v) for v in next_line().split()] for _ in range(d)]
+                )
+            family = LevyFamily(kind, d, sigma)
+        feature_map = FeatureMap(section("feature_map")[0])
+        p, k = (int(v) for v in section("beta"))
+        beta = np.array([[float(v) for v in next_line().split()] for _ in range(p)])
+        if beta.shape != (p, k):
+            raise DataFormatError("beta block has wrong shape")
+        section("calib_c")
+        calib_c = np.array([float(v) for v in next_line().split()])
+        calib_scale = float(section("calib_scale")[0])
+    except LevyAugError:
+        raise
+    except (ValueError, IndexError) as exc:  # a missing or unparsable token
+        raise DataFormatError(f"malformed model file: {exc}") from None
     model = LogisticModel(
-        beta=beta,
-        calib_c=calib_c,
-        calib_scale=float(section("calib_scale")[0]),
-        feature_map=feature_map,
+        beta=beta, calib_c=calib_c, calib_scale=calib_scale, feature_map=feature_map
     )
     return model, family

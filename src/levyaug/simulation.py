@@ -388,7 +388,7 @@ def render_sweep_svg(result: SweepResult, path) -> None:
     for (n, alpha), err in result.mean_errors().items():
         series.setdefault(n, []).append((alpha, err))
     errors = [e for pts in series.values() for _, e in pts]
-    y_hi = max(errors) * 1.08 if errors else 1.0
+    y_hi = max(errors, default=0.0) * 1.08 or 1.0  # an all-zero axis still has a span
     y_lo = 0.0
     width, height, mx, my = 640, 420, 56, 36
 

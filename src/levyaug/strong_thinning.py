@@ -59,8 +59,8 @@ from .logistic import (
     LogisticModel,
     TrainConfig,
     _check_classes,
-    _logsumexp,
     _minimize,
+    _softmax,
     center_columns,
     fit_logistic,
 )
@@ -99,9 +99,9 @@ def _limit_objective(beta, family: LevyFamily, sums, t_total: float):
         value = -float((sums * beta).sum()) + 0.5 * t_k * float((beta * sigma_beta).sum())
         return value, t_k * sigma_beta - sums
     totals = sums.sum(axis=1)
-    lse = _logsumexp(beta, axis=1)
+    soft, lse = _softmax(beta)
     value = float(totals @ lse) - float((sums * beta).sum())
-    return value, totals[:, None] * np.exp(beta - lse[:, None]) - sums
+    return value, totals[:, None] * soft - sums
 
 
 def _limit_at(beta, x, y, family, t):

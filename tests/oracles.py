@@ -15,11 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import ParameterError
-from .families import FamilyKind, LevyFamily, Topic, log_partition
-from .rng import cholesky
+from levyaug.errors import ParameterError
+from levyaug.families import FamilyKind, LevyFamily, _frozen_array, _is_symmetric
+from levyaug.rng import cholesky
 
 __all__ = [
+    "Topic",
+    "log_partition",
     "TopicMixture",
     "exact_posterior",
     "poisson_thinning_kernel_enumerate",
@@ -27,6 +29,65 @@ __all__ = [
 ]
 
 _ENUM_BOUND = 12
+
+
+@dataclass(frozen=True, eq=False)
+class Topic:
+    """Natural parameter of one mixture component.
+
+    ``theta`` is a length-``d`` vector for the vector families and a
+    ``d x d`` symmetric negative-definite matrix for the Wishart family.
+    Domains are enforced here, at construction, so a misconfigured
+    simulation fails immediately rather than mid-run:
+
+    * Gamma requires every ``theta_j < 0`` (theta_j = -1 / (2 sigma_j^2)),
+    * Wishart requires ``theta`` negative-definite,
+    * Poisson and Gaussian accept any finite vector.
+    """
+
+    theta: np.ndarray
+    family: LevyFamily
+
+    def __post_init__(self):
+        theta = np.asarray(self.theta, dtype=float)
+        kind = self.family.kind
+        d = self.family.d
+        if kind is FamilyKind.WISHART:
+            if theta.shape != (d, d):
+                raise ParameterError(f"Wishart natural parameter must be {d}x{d}")
+            if not _is_symmetric(theta):
+                raise ParameterError("Wishart natural parameter must be symmetric")
+            if np.linalg.eigvalsh(theta).max() >= 0.0:
+                raise ParameterError("Wishart natural parameter must be negative-definite")
+        else:
+            if theta.shape != (d,):
+                raise ParameterError(f"natural parameter must have length {d}")
+            if not np.all(np.isfinite(theta)):
+                raise ParameterError("natural parameter must be finite")
+            if kind is FamilyKind.GAMMA and np.any(theta >= 0.0):
+                raise ParameterError("Gamma natural parameters must be negative")
+        object.__setattr__(self, "theta", _frozen_array(theta, dtype=float))
+
+
+def log_partition(topic: Topic) -> float:
+    """psi(theta), the per-unit-time log-partition of the family.
+
+    Poisson: ``sum_j exp(theta_j)``.  Gaussian: ``theta' Sigma theta / 2``.
+    Gamma: ``-sum_j log(-2 theta_j) / 2``.  Wishart: ``-logdet(-2 theta)/2``.
+    Topic construction has already enforced the natural domain.
+    """
+    theta = topic.theta
+    kind = topic.family.kind
+    if kind is FamilyKind.POISSON:
+        return float(np.exp(theta).sum())
+    if kind is FamilyKind.GAUSSIAN:
+        return float(0.5 * theta @ topic.family.sigma @ theta)
+    if kind is FamilyKind.GAMMA:
+        return float(-0.5 * np.log(-2.0 * theta).sum())
+    sign, logdet = np.linalg.slogdet(-2.0 * theta)
+    if sign <= 0:
+        raise ParameterError("Wishart natural parameter left its domain")
+    return float(-0.5 * logdet)
 
 
 @dataclass(frozen=True, eq=False)

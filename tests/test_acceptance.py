@@ -19,10 +19,7 @@ from scipy import stats
 from levyaug import (
     Example,
     RngState,
-    Topic,
-    TopicMixture,
     TrainConfig,
-    exact_posterior,
     fit_logistic,
     fit_strong_thinning,
     gaussian_family,
@@ -32,13 +29,11 @@ from levyaug import (
     loss_gradient,
     naive_bayes_poisson_fit,
     poisson_family,
-    poisson_thinning_kernel_enumerate,
     predict,
     thin_gamma,
     thin_poisson,
     thin_wishart,
     thinning_log_density,
-    wishart_split_oracle,
 )
 from levyaug.logistic import center_columns, predict_labels
 from levyaug.simulation import GaussianSimSpec, PoissonSimSpec, run_alpha_sweep
@@ -46,6 +41,13 @@ from levyaug.strong_thinning import alpha_path_converges
 from levyaug.thinning import ThinningConfig, generate_pseudo_examples
 
 from conftest import finite_diff_gradient, moments_match_3sigma
+from oracles import (
+    Topic,
+    TopicMixture,
+    exact_posterior,
+    poisson_thinning_kernel_enumerate,
+    wishart_split_oracle,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

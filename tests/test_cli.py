@@ -113,6 +113,23 @@ def test_thin_exit_codes(tmp_path, poisson_file):
     ]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["thin", "--input", "{missing}", "--output", "{out}", "--alpha", "0.5"],
+    ["thin", "--input", "{data}", "--sigma", "{missing}", "--output", "{out}",
+     "--alpha", "0.5"],
+    ["train", "--pseudo", "{missing}", "--originals", "{data}", "--out", "{out}"],
+    ["limit", "--originals", "{missing}", "--out", "{out}"],
+    ["limit", "--originals", "{data}", "--sigma", "{missing}", "--out", "{out}"],
+], ids=["thin-input", "thin-sigma", "train-pseudo", "limit-originals", "limit-sigma"])
+def test_a_missing_input_file_exits_2_and_names_it(poisson_file, tmp_path, capsys, command):
+    missing = tmp_path / "missing.csv"
+    paths = dict(missing=missing, data=poisson_file, out=tmp_path / "out.txt")
+    assert main([arg.format(**paths) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("levyaug: file error:") and str(missing) in err
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_train_writes_model_and_cv_report(poisson_file, tmp_path):
     pseudo = tmp_path / "pseudo.csv"
     assert main([
@@ -485,15 +502,14 @@ PUBLIC_API = [
     "Example", "ExampleBatch", "FamilyKind", "FeatureMap", "GaussianSimSpec",
     "LevyAugError", "LevyFamily", "LogisticModel", "OptimizationError", "ParameterError",
     "PoissonSimSpec", "PseudoBatch", "PseudoExample", "RngState", "ShapeError",
-    "SupportError", "SweepResult", "SweepRow", "ThinningConfig", "Topic", "TopicMixture",
-    "TrainConfig", "alpha_path_converges", "calibrate", "check_example", "exact_posterior",
-    "fit_logistic", "fit_logistic_detailed", "fit_strong_thinning", "gamma_family",
-    "gaussian_family", "gen_gaussian_sim", "gen_poisson_sim", "generate_pseudo_examples",
-    "limit_loss", "limit_loss_gradient", "load_model", "log_partition", "logistic_loss",
-    "loss_gradient", "naive_bayes_poisson_fit", "poisson_family",
-    "poisson_thinning_kernel_enumerate", "predict", "render_sweep_svg", "run_alpha_sweep",
-    "save_model", "thin_gamma", "thin_gaussian", "thin_poisson", "thin_wishart",
-    "thinning_log_density", "wishart_family", "wishart_split_oracle", "write_sweep_csv",
+    "SupportError", "SweepResult", "SweepRow", "ThinningConfig", "TrainConfig",
+    "alpha_path_converges", "calibrate", "check_example", "fit_logistic",
+    "fit_logistic_detailed", "fit_strong_thinning", "gamma_family", "gaussian_family",
+    "gen_gaussian_sim", "gen_poisson_sim", "generate_pseudo_examples", "limit_loss",
+    "limit_loss_gradient", "load_model", "logistic_loss", "loss_gradient",
+    "naive_bayes_poisson_fit", "poisson_family", "predict", "render_sweep_svg",
+    "run_alpha_sweep", "save_model", "thin_gamma", "thin_gaussian", "thin_poisson",
+    "thin_wishart", "thinning_log_density", "wishart_family", "write_sweep_csv",
 ]
 
 

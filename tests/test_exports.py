@@ -1,8 +1,9 @@
 """Every name a module exports in ``__all__`` exists, so ``import *`` works,
-and no module imports a name it never uses (no linter ships with the repo)."""
+no module imports a name it never uses (no linter ships with the repo), and
+the package imports nothing from the tests, whose oracles stay outside it."""
 
 import ast
-import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -10,7 +11,9 @@ import pytest
 
 import levyaug
 
+# The test-only oracles, outside the package, are held to the same checks.
 MODULES = ["levyaug"] + sorted(m.name for m in pkgutil.iter_modules(levyaug.__path__, "levyaug."))
+MODULES.append("oracles")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -44,7 +47,8 @@ def _unused_imports(source: str) -> list[str]:
 SOURCES = sorted(p for p in Path(levyaug.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + [Path(__file__).with_name("oracles.py")],
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     unused = _unused_imports(path.read_text(encoding="utf-8"))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
@@ -53,3 +57,22 @@ def test_no_unused_imports(path):
 def test_unused_import_guard_flags_an_orphan():
     assert _unused_imports("import math\nimport os\nos.getcwd()\n") == ["math (line 1)"]
     assert _unused_imports("import math  # noqa: F401\n__all__ = ['x']\nfrom a import x\n") == []
+
+
+# The test-only modules: the oracles and conftest helpers, and every test file.
+TEST_MODULES = {"tests"} | {p.stem for p in Path(__file__).parent.glob("*.py")}
+
+
+@pytest.mark.parametrize("path", SOURCES + [Path(levyaug.__file__)], ids=lambda p: p.name)
+def test_no_module_imports_from_tests(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module and node.level == 0]
+    assert not [m for m in imported if m.split(".")[0] in TEST_MODULES]
+
+
+def test_the_oracles_are_not_part_of_the_package():
+    assert not hasattr(levyaug, "oracles")
+    assert importlib.util.find_spec("levyaug.oracles") is None

@@ -16,11 +16,9 @@ from levyaug import (
     PseudoExample,
     ShapeError,
     SupportError,
-    Topic,
     check_example,
     gamma_family,
     gaussian_family,
-    log_partition,
     poisson_family,
     thinning_log_density,
     wishart_family,
@@ -29,6 +27,7 @@ from levyaug import (
 from levyaug.families import as_example_batch
 
 from conftest import random_pd_matrix
+from oracles import Topic, log_partition
 
 
 # ---------------------------------------------------------------------------

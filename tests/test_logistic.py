@@ -779,3 +779,26 @@ def test_load_model_rejects_a_malformed_document(tmp_path):
         bad.write_text("".join(document))
         with pytest.raises(DataFormatError):
             load_model(bad)
+
+
+@pytest.mark.parametrize("header, offset, line", [
+    ("family", 0, "family bogus 3"),
+    ("family", 0, "family"),
+    ("sigma", 1, "2.0"),  # a ragged sigma block
+    ("feature_map", 0, "feature_map bogus"),
+    ("beta", 0, "beta 3 x"),
+    ("beta", 0, "beta 3"),
+    ("beta", 1, "x 1.0"),
+    ("calib_c", 1, "0.0 zero"),
+    ("calib_scale", 0, "calib_scale"),
+])
+def test_load_model_rejects_a_bad_token_inside_a_section(tmp_path, header, offset, line):
+    model = LogisticModel(beta=center_columns(np.arange(6.0).reshape(3, 2)))
+    path = tmp_path / "model.txt"
+    save_model(model, path, gaussian_family(2, np.array([[2.0, 0.3], [0.3, 1.0]])))
+    lines = path.read_text().splitlines()
+    at = [ln.split(" ")[0] for ln in lines].index(header) + offset
+    lines[at] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError):
+        load_model(path)

@@ -8,17 +8,19 @@ from scipy import stats
 from levyaug import (
     ParameterError,
     RngState,
-    Topic,
-    TopicMixture,
-    exact_posterior,
     gaussian_family,
     poisson_family,
-    poisson_thinning_kernel_enumerate,
     thinning_log_density,
-    wishart_split_oracle,
 )
 
 from conftest import mean_close_3sigma
+from oracles import (
+    Topic,
+    TopicMixture,
+    exact_posterior,
+    poisson_thinning_kernel_enumerate,
+    wishart_split_oracle,
+)
 
 
 def _topic(logits, normalize=True):

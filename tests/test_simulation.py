@@ -282,3 +282,13 @@ def test_svg_render(tmp_path):
     assert text.startswith("<svg")
     assert "polyline" in text
     assert "n=24" in text
+
+
+def test_svg_render_of_an_all_zero_error_sweep(tmp_path):
+    row = simulation.SweepRow(spec_id="gauss", n=24, alpha=0.5, replicate=0, test_error=0.0,
+                              ridge_lambda=0.1, wall_ms=1.0)
+    res = simulation.SweepResult(rows=(row,), spec=GaussianSimSpec(), seed=0, alphas=(0.5,),
+                                 n_grid=(24,), replicates=1, n_pseudo=1)
+    out = tmp_path / "sweep.svg"
+    render_sweep_svg(res, out)
+    assert 'cy="384.00"' in out.read_text()  # the zero error sits on the x axis
