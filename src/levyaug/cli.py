@@ -22,6 +22,7 @@ written, 3 family/domain violation, 4 optimization failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -89,6 +90,14 @@ def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _check_output_dirs(*paths) -> None:
+    """The directory of each output path given exists, so that a run does
+    not stop after writing some of its outputs."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, "no such directory for the output", path)
 
 
 def _check_family(declared, asserted) -> None:
@@ -191,6 +200,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_output_dirs(args.out, args.plot)
     spec = (GaussianSimSpec if args.spec == "gauss" else PoissonSimSpec)(seed=args.seed)
     train_cfg = TrainConfig(ridge_lambda=args.lambdas, n_folds=args.folds)
     result = run_alpha_sweep(

@@ -105,6 +105,7 @@ _LAMBDA_GRID_SIZE, _LAMBDA_GRID_SPAN = 50, 1e-4
 _CALIB_TOL, _CALIB_MAX_ITER = 1e-9, 500
 _ROW_BLOCK = 8192  # entries per block of rows where a loop avoids a copy of X
 _CSR_MAX_DENSITY = 0.35  # a design with fewer nonzeros than this fraction is CSR
+_CV_PATIENCE = 3  # lambdas without a new best mean held-out loss before CV stops
 
 
 class FeatureMap(enum.Enum):
@@ -185,8 +186,12 @@ class TrainConfig:
     ``ridge_lambda`` may be a single value (no CV), an explicit grid
     (normalized to descending order), or None for the default grid of 50
     log-spaced values spanning a 1e4 range below the gradient scale of the
-    unpenalized loss at beta = 0.  Cross-validation picks the lambda with
-    the least mean held-out log-loss.
+    unpenalized loss at beta = 0.  Cross-validation walks a grid from its
+    largest lambda down, with every fold at each lambda, and stops once the
+    mean held-out log-loss has failed to beat its best value for 3 lambdas
+    in a row; it picks the lambda with the least mean held-out log-loss
+    among those it solved.  A grid of 3 or fewer values is always solved
+    whole.
     """
 
     ridge_lambda: float | tuple[float, ...] | None = None
@@ -218,7 +223,9 @@ class TrainConfig:
 class FitReport:
     """What the fit did: the lambda finally used, the per-lambda CV table
     (lambda, mean held-out loss, mean held-out error), and the final
-    gradient max-norm."""
+    gradient max-norm.  The table has one row per grid value, in descending
+    order; the rows past the point where cross-validation stopped (see
+    :class:`TrainConfig`) have NaN loss and error.  Without CV it is empty."""
 
     chosen_lambda: float
     cv_table: tuple[tuple[float, float, float], ...]
@@ -552,23 +559,34 @@ def grouped_fold_assignment(groups: np.ndarray, n_folds: int) -> np.ndarray:
     return index % n_folds
 
 
-def _fit_path(X, Y, lambdas, tol, max_iter):
-    """Fit the descending lambda path with warm starts; returns one
-    (beta, gradient max-norm) per lambda.  Two classes are fit in
-    ``w = beta_2 - beta_1``, more classes in ``beta`` itself.  A two-class
-    design with min(n, p) <= _NEWTON_MAX_DIM is solved by damped Newton at
-    every lambda > 0 (through the Woodbury identity when n < p); the rest by
-    L-BFGS-B with the Newton finish.  ``X`` may be dense or CSR."""
+def _fit_path(X, Y, lambdas, tol, max_iter, coef=None):
+    """Fit the descending lambda path with warm starts, the first solve
+    starting from the flat coefficient ``coef`` (default zero); returns one
+    (beta, gradient max-norm) per lambda and the final flat coefficient, the
+    warm start of a path that continues this one.  Continuing a path this
+    way repeats exactly the solves of one longer path.  Cross-validation
+    (:func:`_cross_validate`) fits each fold so, one lambda at a time, and
+    stops every fold's path once the mean held-out loss has failed to beat
+    its best value for _CV_PATIENCE lambdas in a row; the smaller lambdas
+    are never solved, and their CV table rows are NaN.  The refit at the
+    chosen lambda is one path from the top of the grid.
+
+    Two classes are fit in ``w = beta_2 - beta_1``, more classes in
+    ``beta`` itself.  A two-class design with min(n, p) <= _NEWTON_MAX_DIM
+    is solved by damped Newton at every lambda > 0 (through the Woodbury
+    identity when n < p); the rest by L-BFGS-B with the Newton finish.
+    ``X`` may be dense or CSR."""
     (n, p), k = X.shape, int(Y.max())
     newton = k == 2 and min(n, p) <= _NEWTON_MAX_DIM
     gram = _dense(X @ X.T) if newton and n < p else None
     XT = X.T.tocsr() if issparse(X) else X.T
     if k == 2:
-        loss_grad, hessian, coef = _binary_loss_grad, _binary_hessian, np.zeros(p)
+        loss_grad, hessian, width = _binary_loss_grad, _binary_hessian, p
         labels = 2.0 * Y - 3.0  # the sign s
     else:
-        loss_grad, hessian, coef = _batch_loss_grad, _batch_hessian, np.zeros(p * k)
+        loss_grad, hessian, width = _batch_loss_grad, _batch_hessian, p * k
         labels = Y
+    coef = np.zeros(width) if coef is None else coef
     out = []
     for lam in lambdas:
         coef, grad_norm = _minimize(
@@ -582,7 +600,39 @@ def _fit_path(X, Y, lambdas, tol, max_iter):
         )
         out.append((np.stack([-coef / 2, coef / 2], axis=1) if k == 2 else coef.reshape(p, k),
                     grad_norm))
-    return out
+    return out, coef
+
+
+def _cross_validate(X, Y, groups, lambdas, cfg: TrainConfig):
+    """Mean held-out (loss, error) per lambda over grouped folds, as an
+    (len(lambdas), 2) array; the rows past the stop are NaN.
+
+    The folds advance together down the grid, each from its own warm
+    start, and the loop stops once the mean held-out loss has failed to
+    beat its best value for _CV_PATIENCE lambdas in a row: past the CV
+    minimum the small-lambda solves are the costly ones.  Only one fold's
+    design is alive at a time; it is sliced again for every (lambda, fold),
+    so that only the fold masks and warm starts persist between lambdas.
+    """
+    folds = grouped_fold_assignment(groups, cfg.n_folds)
+    masks = [folds != f for f in range(cfg.n_folds)]
+    for f, mask in enumerate(masks):
+        if len(np.unique(Y[mask])) < int(Y.max()):
+            raise DegenerateDataError(f"fold {f} lost a class; use fewer folds")
+    coefs = [None] * cfg.n_folds
+    scores = np.full((len(lambdas), 2, cfg.n_folds), np.nan)
+    best, since_best = np.inf, 0
+    for j, lam in enumerate(lambdas):
+        for f, mask in enumerate(masks):
+            [(beta, _)], coefs[f] = _fit_path(
+                X[mask], Y[mask], (lam,), cfg.tol, cfg.max_iter, coefs[f]
+            )
+            scores[j, :, f] = _heldout_metrics(beta, X[~mask], Y[~mask])
+        loss = scores[j, 0].mean()
+        best, since_best = (loss, 0) if loss < best else (best, since_best + 1)
+        if since_best == _CV_PATIENCE:
+            break
+    return scores.mean(axis=2)
 
 
 def fit_logistic_detailed(
@@ -590,7 +640,7 @@ def fit_logistic_detailed(
 ) -> tuple[LogisticModel, FitReport]:
     """Fit, with the CV table and convergence diagnostics alongside."""
     with single_thread():
-        k = _check_classes(pseudo.y)
+        _check_classes(pseudo.y)
         X, Y, groups, feature_map = _design(pseudo)
         lambdas = cfg.ridge_lambda
         if lambdas is None:
@@ -602,23 +652,13 @@ def fit_logistic_detailed(
         if len(lambdas) == 1:
             chosen = lambdas[0]
         else:
-            folds = grouped_fold_assignment(groups, cfg.n_folds)
-            scores = np.zeros((len(lambdas), 2, cfg.n_folds))
-            for f in range(cfg.n_folds):
-                mask = folds != f
-                if len(np.unique(Y[mask])) < k:
-                    raise DegenerateDataError(f"fold {f} lost a class; use fewer folds")
-                path = _fit_path(X[mask], Y[mask], lambdas, cfg.tol, cfg.max_iter)
-                for j, (beta, _) in enumerate(path):
-                    scores[j, :, f] = _heldout_metrics(beta, X[~mask], Y[~mask])
-            mean_loss = scores[:, 0, :].mean(axis=1)
-            mean_err = scores[:, 1, :].mean(axis=1)
+            means = _cross_validate(X, Y, groups, lambdas, cfg)
             cv_table = tuple(
-                (lam, float(l), float(e)) for lam, l, e in zip(lambdas, mean_loss, mean_err)
+                (lam, float(l), float(e)) for lam, (l, e) in zip(lambdas, means)
             )
-            chosen = lambdas[int(np.argmin(mean_loss))]
+            chosen = lambdas[int(np.nanargmin(means[:, 0]))]
 
-        path = _fit_path(
+        path, _ = _fit_path(
             X, Y, [lam for lam in lambdas if lam >= chosen], cfg.tol, cfg.max_iter
         )
         beta, grad_norm = path[-1]
@@ -779,7 +819,8 @@ def save_model(model: LogisticModel, path, family: LevyFamily | None = None) -> 
 
 def load_model(path) -> tuple[LogisticModel, LevyFamily | None]:
     """The model and family :func:`save_model` wrote.  A document that does
-    not parse, down to one bad token, raises :class:`DataFormatError`."""
+    not parse, down to one bad token or a line after ``calib_scale``,
+    raises :class:`DataFormatError`."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = [ln.rstrip("\n") for ln in handle]
     it = iter(lines)
@@ -819,11 +860,15 @@ def load_model(path) -> tuple[LogisticModel, LevyFamily | None]:
             raise DataFormatError("beta block has wrong shape")
         section("calib_c")
         calib_c = np.array([float(v) for v in next_line().split()])
+        if len(calib_c) != k:
+            raise DataFormatError("calib_c line must have one entry per class")
         calib_scale = float(section("calib_scale")[0])
     except LevyAugError:
         raise
     except (ValueError, IndexError) as exc:  # a missing or unparsable token
         raise DataFormatError(f"malformed model file: {exc}") from None
+    if next(it, None) is not None:
+        raise DataFormatError("model file continues after calib_scale")
     model = LogisticModel(
         beta=beta, calib_c=calib_c, calib_scale=calib_scale, feature_map=feature_map
     )

@@ -153,6 +153,27 @@ def test_train_writes_model_and_cv_report(poisson_file, tmp_path):
     assert manifest["config"]["chosen_lambda"] in (1.0, 0.1, 0.01)
 
 
+def test_train_cv_report_keeps_a_row_per_lambda_past_the_stop(poisson_file, tmp_path):
+    pseudo, model = tmp_path / "pseudo.csv", tmp_path / "model.txt"
+    assert main([
+        "thin", "--input", str(poisson_file), "--output", str(pseudo),
+        "--alpha", "0.5", "-B", "6", "--seed", "5",
+    ]) == 0
+    grid = np.geomspace(100.0, 1e-4, 13).tolist()
+    assert main([
+        "train", "--pseudo", str(pseudo), "--originals", str(poisson_file),
+        "--out", str(model), "--ridge-lambda", ",".join(map(repr, grid)), "--folds", "3",
+    ]) == 0
+    lines = (tmp_path / "model.txt.cv.csv").read_text().splitlines()
+    assert lines[0] == "lambda,mean_heldout_loss,mean_heldout_error"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [float(row[0]) for row in rows] == grid
+    solved = [row[1:] != ["nan", "nan"] for row in rows]
+    stop = solved.index(False)
+    assert 0 < stop < len(grid) and not any(solved[stop:])
+    assert all(np.isfinite(float(v)) for row in rows[:stop] for v in row[1:])
+
+
 def test_train_single_lambda_skips_cv(poisson_file, tmp_path):
     pseudo = tmp_path / "pseudo.csv"
     main([
@@ -428,6 +449,20 @@ def test_simulate_without_replicates_exits_3(tmp_path, capsys):
     ]) == 3
     assert "no cells" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("output", ["--out", "--plot"])
+def test_simulate_into_a_missing_directory_exits_2_and_writes_nothing(tmp_path, capsys, output):
+    paths = {"--out": tmp_path / "s.csv", "--plot": tmp_path / "s.svg"}
+    paths[output] = tmp_path / "nodir" / paths[output].name
+    assert main([
+        "simulate", "--spec", "gauss", "--out", str(paths["--out"]),
+        "--plot", str(paths["--plot"]), "--alphas", "1", "--n-grid", "20",
+        "--replicates", "1", "-B", "2", "--jobs", "1",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("levyaug: file error:") and str(paths[output]) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

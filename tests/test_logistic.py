@@ -556,6 +556,102 @@ def test_cv_selects_from_grid_and_reports(rng):
     assert model.beta.shape == (2, 2)
 
 
+def _noisy_problem(rng, n, p, k, density=1.0, signal=0.3):
+    """Labels drawn from a random softmax model, two rows per origin: on a
+    long grid the held-out loss has its minimum inside the grid."""
+    X = rng.standard_normal((n, p)) * (rng.random((n, p)) < density)
+    scores = X @ (signal * rng.standard_normal((p, k)))
+    prob = np.exp(scores - scores.max(axis=1, keepdims=True))
+    prob /= prob.sum(axis=1, keepdims=True)
+    Y = (prob.cumsum(axis=1) < rng.random((n, 1))).sum(axis=1) + 1
+    return _batch(X, Y, np.arange(n) // 2)
+
+
+def _full_grid_cv(pseudo, cfg):
+    """The reference: every fold solves the whole grid as one warm-started
+    :func:`_fit_path`; the mean held-out (loss, error) per lambda."""
+    X, Y, groups, _ = logistic._design(pseudo)
+    folds = grouped_fold_assignment(groups, cfg.n_folds)
+    scores = np.zeros((len(cfg.ridge_lambda), 2, cfg.n_folds))
+    for f in range(cfg.n_folds):
+        mask = folds != f
+        path, _ = logistic._fit_path(X[mask], Y[mask], cfg.ridge_lambda, cfg.tol, cfg.max_iter)
+        for j, (beta, _) in enumerate(path):
+            scores[j, :, f] = logistic._heldout_metrics(beta, X[~mask], Y[~mask])
+    return scores.mean(axis=2)
+
+
+def _expected_stop(losses):
+    """The last index the stop rule solves, applied to a full loss column."""
+    best, since_best = np.inf, 0
+    for j, loss in enumerate(losses):
+        best, since_best = (loss, 0) if loss < best else (best, since_best + 1)
+        if since_best == logistic._CV_PATIENCE:
+            return j
+    return len(losses) - 1
+
+
+def _counting_solves(monkeypatch):
+    """Make every ``logistic._minimize`` call (one lambda's solve) count."""
+    solves, minimize = [], logistic._minimize
+
+    def counting_minimize(*args, **kwargs):
+        solves.append(args[4])
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(logistic, "_minimize", counting_minimize)
+    return solves
+
+
+@pytest.mark.parametrize("n, p, k, density", [
+    (60, 12, 2, 1.0),   # Newton on the p x p Hessian
+    (40, 60, 2, 1.0),   # Newton through the Woodbury identity
+    (60, 12, 3, 1.0),   # L-BFGS-B in beta
+    (400, 300, 2, 0.2),  # L-BFGS-B on a CSR design
+])
+def test_cv_stops_once_the_heldout_loss_stops_improving(rng, monkeypatch, n, p, k, density):
+    pseudo = _noisy_problem(rng, n, p, k, density)
+    grid = tuple(np.geomspace(10.0, 1e-3, 12).tolist())
+    cfg = TrainConfig(ridge_lambda=grid, n_folds=4)
+    solves = _counting_solves(monkeypatch)
+    report = fit_logistic_detailed(pseudo, cfg)[1]
+    monkeypatch.undo()
+    reference = _full_grid_cv(pseudo, cfg)
+    stop = _expected_stop(reference[:, 0])
+    assert stop < len(grid) - 1  # the case under test: the path stopped early
+
+    table = np.array(report.cv_table)
+    assert table.shape == (len(grid), 3) and np.array_equal(table[:, 0], grid)
+    assert np.array_equal(table[: stop + 1, 1:], reference[: stop + 1])
+    assert np.isnan(table[stop + 1 :, 1:]).all()
+    best = int(np.argmin(table[: stop + 1, 1]))
+    assert report.chosen_lambda == grid[best] and stop == best + logistic._CV_PATIENCE
+    refit = best + 1
+    assert len(solves) == cfg.n_folds * (stop + 1) + refit
+
+
+def test_cv_solves_the_whole_grid_while_the_heldout_loss_falls(rng):
+    pseudo = _noisy_problem(rng, 200, 3, 2, signal=3.0)
+    grid = tuple(np.geomspace(10.0, 0.1, 12).tolist())
+    report = fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=grid, n_folds=4))[1]
+    losses = [loss for _, loss, _ in report.cv_table]
+    assert np.all(np.diff(losses) < 0)
+    assert report.chosen_lambda == grid[-1]
+
+
+def test_cv_never_stops_on_a_grid_of_three(rng):
+    # The loss rises from the first lambda, so a longer grid stops at its
+    # fourth value; three values are always all solved.
+    pseudo = _noisy_problem(rng, 60, 12, 2, signal=0.0)
+    grid = (10.0, 0.1, 1e-3, 1e-4, 1e-5)
+    long = fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=grid, n_folds=4))[1]
+    assert np.all(np.diff([loss for _, loss, _ in long.cv_table[:4]]) > 0)
+    assert np.isnan(long.cv_table[4][1])
+    short = fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=grid[:3], n_folds=4))[1]
+    assert short.cv_table == long.cv_table[:3]
+    assert short.chosen_lambda == long.chosen_lambda == grid[0]
+
+
 def test_default_lambda_grid_shape(rng):
     X = rng.standard_normal((50, 3))
     Y = rng.integers(1, 3, size=50)
@@ -790,7 +886,11 @@ def test_load_model_rejects_a_malformed_document(tmp_path):
     ("beta", 0, "beta 3"),
     ("beta", 1, "x 1.0"),
     ("calib_c", 1, "0.0 zero"),
+    ("calib_c", 1, "0.0 0.0 0.0"),  # an entry per class, plus one
+    ("calib_c", 1, "0.0"),
     ("calib_scale", 0, "calib_scale"),
+    ("calib_scale", 0, "calib_scale 1.0\njunk"),  # a line after the last section
+    ("calib_scale", 0, "calib_scale 1.0\n"),
 ])
 def test_load_model_rejects_a_bad_token_inside_a_section(tmp_path, header, offset, line):
     model = LogisticModel(beta=center_columns(np.arange(6.0).reshape(3, 2)))
