@@ -9,6 +9,12 @@ other workers.  ``single_thread`` pins every loaded OpenBLAS to one thread
 around foreign code and puts the previous counts back afterwards.
 
 The lookup runs on each entry (about 0.1 ms) and nothing runs at import.
+It finds only the libraries already mapped, and scipy's OpenBLAS is mapped
+when scipy is first imported.  levyaug imports scipy only in the functions
+that call it (``import levyaug`` and ``levyaug thin`` load none of it), so
+``single_thread`` first loads the scipy modules every solver uses
+(``load_scipy``), then scans.  Otherwise a solve in a fresh process would
+load scipy inside the block and run it on scipy's OpenBLAS at full width.
 Where no OpenBLAS is mapped, for example with another BLAS or on an OS
 without ``/proc/self/maps``, the helper does nothing.
 """
@@ -58,9 +64,20 @@ def _thread_controls():
     return controls
 
 
+def load_scipy() -> None:
+    """Import the scipy modules the solvers use, mapping scipy's OpenBLAS.
+    Solving commands and sweeps call it once before any timed work; after
+    the first call it costs a few dictionary lookups."""
+    import scipy.linalg.lapack  # noqa: F401
+    import scipy.optimize  # noqa: F401
+    import scipy.sparse  # noqa: F401
+
+
 @contextmanager
 def single_thread():
-    """Run the body with every loaded OpenBLAS on one thread."""
+    """Run the body with every loaded OpenBLAS on one thread, scipy's
+    included (it is loaded first)."""
+    load_scipy()
     controls = _thread_controls()
     previous = [get() for get, _ in controls]
     for _, set_ in controls:

@@ -15,6 +15,9 @@ seed reproduces its outputs byte for byte.  Only ``thin`` and ``simulate``
 draw random numbers, so only they take ``--seed`` (default
 ``LEVYAUG_SEED``, else 0); ``train`` and ``limit`` record a null seed.
 
+scipy is not loaded by ``import levyaug.cli`` or by ``thin``; the commands
+that solve (``train``, ``simulate``, ``limit``) load it once as they start.
+
 Exit codes: 0 success, 2 input format error or a file that cannot be read or
 written, 3 family/domain violation, 4 optimization failure.
 """
@@ -31,6 +34,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
+from ._blas import load_scipy
 from .dataio import (
     read_dataset,
     read_matrix,
@@ -165,6 +169,7 @@ def _cmd_thin(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    load_scipy()
     family, pseudo = read_pseudo_dataset(args.pseudo)
     originals_family, originals = read_dataset(args.originals)
     if originals_family.kind is not family.kind:
@@ -200,6 +205,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    load_scipy()
     _check_output_dirs(args.out, args.plot)
     spec = (GaussianSimSpec if args.spec == "gauss" else PoissonSimSpec)(seed=args.seed)
     train_cfg = TrainConfig(ridge_lambda=args.lambdas, n_folds=args.folds)
@@ -241,6 +247,7 @@ def _print_sweep_summary(result) -> None:
 
 
 def _cmd_limit(args) -> int:
+    load_scipy()
     sigma = read_matrix(args.sigma) if args.sigma else None
     family, originals = read_dataset(args.originals, sigma=sigma)
     _check_family(family, args.family)

@@ -21,7 +21,9 @@ class SupportError(LevyAugError, ValueError):
 
 class DecompositionError(LevyAugError, ValueError):
     """A matrix that must be symmetric positive-definite failed its
-    factorization (Cholesky or eigendecomposition)."""
+    factorization (Cholesky or eigendecomposition), or a thinned copy left
+    the bracket its origin bounds because the origin is too close to the
+    edge of the support (near-singular, or subnormal) for floating point."""
 
 
 class ShapeError(LevyAugError, ValueError):

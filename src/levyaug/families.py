@@ -40,7 +40,6 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ParameterError, ShapeError, SupportError
 
@@ -319,6 +318,8 @@ def _log_carrier(family: LevyFamily, x: np.ndarray, t: float) -> float:
     multivariate-gamma constant is dropped, so only carrier *ratios* are
     meaningful for that family.
     """
+    from scipy.special import gammaln
+
     kind, d = family.kind, family.d
     if kind is FamilyKind.POISSON:
         xi = np.asarray(x, dtype=float)

@@ -68,9 +68,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dposv
-from scipy.optimize import OptimizeResult, minimize
-from scipy.sparse import csr_array, issparse
 
 from ._blas import single_thread
 from .errors import (
@@ -292,7 +289,7 @@ def _batch_loss_grad(beta, X, Y, lam, XT):
 
 
 def _dense(a):
-    return a.toarray() if issparse(a) else a
+    return a if isinstance(a, np.ndarray) else a.toarray()
 
 
 def _dense_row_blocks(X):
@@ -363,6 +360,8 @@ _ARMIJO, _BACKTRACKS = 1e-4, 40
 def _spd_solve(a, b):
     """Solve ``a x = b`` for a symmetric positive-definite ``a`` by Cholesky
     (LAPACK dposv; it overwrites ``a``).  A failed factorization gives NaN."""
+    from scipy.linalg.lapack import dposv
+
     _, x, info = dposv(a, b, overwrite_a=True)
     return x if info == 0 else np.full_like(b, np.nan)
 
@@ -410,6 +409,8 @@ def _newton(fun, x0, jac, step, maxiter, gtol, **_):
     gradient max-norm is at most ``gtol`` or not finite, after ``maxiter``
     iterations, or when none of the first 40 values of t meets it.
     """
+    from scipy.optimize import OptimizeResult
+
     x, f, g = x0, fun(x0), jac(x0)
     nit, nfev = 0, 1
     while True:
@@ -439,6 +440,15 @@ def _newton(fun, x0, jac, step, maxiter, gtol, **_):
     return OptimizeResult(
         x=x, fun=f, jac=g, nit=nit, nfev=nfev, message=message, success=grad_norm <= gtol
     )
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the call.  Every solve calls
+    it through this module-level name, looked up at call time, so that a
+    wrapper set on it (a tracer, a test spy) sees every solve."""
+    import scipy.optimize
+
+    return scipy.optimize.minimize(*args, **kwargs)
 
 
 def _minimize(fun_grad, x0: np.ndarray, tol: float, max_iter: int, what: str, step=None,
@@ -506,10 +516,12 @@ def _check_classes(Y: np.ndarray, k: int | None = None) -> int:
     return k
 
 
-def _csr(x: np.ndarray) -> csr_array:
+def _csr(x: np.ndarray):
     """``x`` as a float64 CSR array with int32 indices (int64 past 2^31
     nonzeros), built a block of rows at a time so that no temporary is the
     size of ``x``."""
+    from scipy.sparse import csr_array
+
     (n, p), counts = x.shape, np.count_nonzero(x, axis=1)
     index = np.int32 if counts.sum() <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n + 1, dtype=index)
@@ -579,7 +591,7 @@ def _fit_path(X, Y, lambdas, tol, max_iter, coef=None):
     (n, p), k = X.shape, int(Y.max())
     newton = k == 2 and min(n, p) <= _NEWTON_MAX_DIM
     gram = _dense(X @ X.T) if newton and n < p else None
-    XT = X.T.tocsr() if issparse(X) else X.T
+    XT = X.T if isinstance(X, np.ndarray) else X.T.tocsr()
     if k == 2:
         loss_grad, hessian, width = _binary_loss_grad, _binary_hessian, p
         labels = 2.0 * Y - 3.0  # the sign s

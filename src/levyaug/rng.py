@@ -8,7 +8,7 @@ other, which is what makes pseudo-example generation reproducible under
 reordering and parallelism.  The thinning samplers draw scalars and
 vectors from the generator directly (``binomial``, ``beta``,
 ``standard_normal``) and Wishart matrices through the private Bartlett
-primitive here; their parameters (the Wishart degrees of freedom too) are
+primitives here; their parameters (the Wishart degrees of freedom too) are
 checked once, with the originals and ``alpha``, in :mod:`levyaug.thinning`.
 """
 
@@ -62,31 +62,38 @@ def cholesky(m: np.ndarray) -> np.ndarray:
 
 
 def matrix_sqrt_sym_pd(m: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a symmetric positive-definite matrix."""
+    """Symmetric square root of a symmetric positive-definite matrix, or of
+    each matrix of a stack."""
     w, v = np.linalg.eigh(m)
     if w.min() <= 0.0:
         raise DecompositionError("matrix has a nonpositive eigenvalue")
-    return (v * np.sqrt(w)) @ v.T
+    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
-def _bartlett(chol_scale, tril, dof: float, rng: np.random.Generator, size=None):
-    """Wishart(scale, dof) draws via the Bartlett decomposition, given
-    L = chol(scale), the strict lower-triangle indices of a d x d matrix
-    and a real ``dof >= d`` that the caller has checked.
+# Wishart(scale, dof) draws via the Bartlett decomposition come in two
+# steps, so that a caller can make the generator calls of many draws one at
+# a time and finish them all as one stacked computation.
 
-    The lower-triangular factor A has chi(dof - i) diagonal entries and
-    standard-normal strict lower entries, and the draw is L A A' L'.
-    """
-    d = chol_scale.shape[0]
-    n = 1 if size is None else size
+def _bartlett(d: int, dof: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The variates of ``n`` Bartlett factors of d x d Wishart draws with a
+    real ``dof >= d`` that the caller has checked, as an (n, d (d + 1) / 2)
+    stack: chi-square(dof - i) for diagonal entry i, then standard normals
+    for the strict lower triangle in row-major order."""
+    chi2 = rng.chisquare(dof - np.arange(d), size=(n, d))
+    return np.concatenate([chi2, rng.standard_normal((n, d * (d - 1) // 2))], axis=1)
+
+
+def _wishart_from_bartlett(chol_scale: np.ndarray, variates: np.ndarray) -> np.ndarray:
+    """The draws L A A' L', symmetrized, from a stack of :func:`_bartlett`
+    variates and L = chol(scale).  The lower-triangular factor A has the
+    square roots of the chi-square variates on its diagonal and the
+    normals below it."""
+    n, d = len(variates), chol_scale.shape[0]
     a = np.zeros((n, d, d))
     idx = np.arange(d)
-    chi2 = rng.chisquare(dof - idx, size=(n, d))
-    a[:, idx, idx] = np.sqrt(chi2)
-    rows, cols = tril
-    if rows.size:
-        a[:, rows, cols] = rng.standard_normal((n, rows.size))
+    a[:, idx, idx] = np.sqrt(variates[:, :d])
+    rows, cols = np.tril_indices(d, k=-1)
+    a[:, rows, cols] = variates[:, d:]
     la = chol_scale @ a
     w = la @ np.swapaxes(la, -1, -2)
-    w = 0.5 * (w + np.swapaxes(w, -1, -2))
-    return w[0] if size is None else w
+    return 0.5 * (w + np.swapaxes(w, -1, -2))

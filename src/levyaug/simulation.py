@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from ._blas import load_scipy
 from .errors import LevyAugError, ParameterError
 from .families import ExampleBatch, LevyFamily, PseudoBatch, gaussian_family, poisson_family
 from .logistic import (
@@ -296,7 +297,9 @@ def run_alpha_sweep(
     size below 2 raises :class:`ParameterError` before any cell runs.  With
     ``jobs > 1`` cells run in a process pool of at most one worker per
     cell; output is independent of the schedule.  Each fit runs on one
-    BLAS thread, so the pool is the only parallelism.
+    BLAS thread, so the pool is the only parallelism.  scipy is loaded
+    once, before the first cell and before the pool forks, so that no
+    cell's wall time and no worker pays for its import.
     """
     n_grid = tuple(spec.n_grid if n_grid is None else n_grid)
     replicates = spec.replicates if replicates is None else replicates
@@ -323,6 +326,7 @@ def run_alpha_sweep(
             f"{replicates} replicates"
         )
     jobs = min(jobs, len(cells))
+    load_scipy()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_cell, cells, chunksize=1))

@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize  # noqa: F401  (perfbench/tracer.py wraps this name)
 
 from ._blas import single_thread
 from .errors import DegenerateDataError, ParameterError
@@ -63,6 +62,7 @@ from .logistic import (
     _softmax,
     center_columns,
     fit_logistic,
+    minimize,  # noqa: F401  (perfbench/tracer.py wraps this name)
 )
 from .rng import RngState
 from .thinning import ThinningConfig, generate_pseudo_examples

@@ -13,7 +13,9 @@ sampler draws ``x_tilde`` from the conditional law of the earlier slice
 
 ``alpha = 1`` always short-circuits to identity thinning.  Every draw is
 checked against the domination invariants (thinned features stay inside
-the support bracket defined by the original).
+the support bracket defined by the original); an origin too close to the
+edge of its support for a draw to stay inside, in floating point, raises
+:class:`DecompositionError`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import DecompositionError, ParameterError, ShapeError
 from .families import (
     ExampleBatch,
     Examples,
@@ -38,7 +40,7 @@ from .families import (
     poisson_family,
     wishart_family,
 )
-from .rng import RngState, _bartlett, cholesky, matrix_sqrt_sym_pd
+from .rng import RngState, _bartlett, _wishart_from_bartlett, cholesky, matrix_sqrt_sym_pd
 
 __all__ = [
     "ThinningConfig",
@@ -74,46 +76,85 @@ class ThinningConfig:
 # Every entry point checks its originals once, as an ExampleBatch with
 # check_example (the family's support, t positive and finite, and the
 # Wishart density condition t >= d), and alpha with check_alpha.  Then
-# alpha = 1 copies the features, and alpha < 1 draws through _sampler:
-# _sampler does the per-call work (Cholesky factors, Wishart triangle
-# indices) and returns for_origin(x, t), which does the per-origin work
-# (mean and scale, Beta shapes, matrix square root, degrees of freedom)
-# and returns draw(rng, size=None).  The draw functions below call the
-# generator directly and trust their arguments; every draw of a family
-# with a domination bound (all but Gaussian) is asserted against it.
+# alpha = 1 copies the features, and alpha < 1 draws through _sampler.
+# _sampler does the per-call work (Cholesky factors).  Its for_origin(x, t)
+# does the per-origin work (mean and scale, Beta shapes, degrees of
+# freedom) and returns draw(rng, n), which makes the generator calls for n
+# copies of that origin and returns their raw draws as an (n, *raw_shape)
+# stack.  Its finish(raw, xs) takes the raw draws of every copy, stacked
+# origin by origin with the same number of copies each, and returns the
+# thinned copies.  For Wishart the raw draws are the Bartlett variates of
+# W1 and W2, and finish does all of the matrix-beta linear algebra (the
+# Wishart products, the eigendecomposition, the inverse root, the products
+# with each origin's square root) as one stacked computation, however many
+# origins and copies there are.  finish also holds the one domination
+# check of each family with a bound (all but Gaussian): a copy that leaves
+# its bracket raises DecompositionError.
 
-def _binomial(x, alpha, rng, size=None):
-    out = rng.binomial(x, alpha, size=None if size is None else (size,) + x.shape)
-    assert np.all(out >= 0) and np.all(out <= x)
-    return out
+def _binomial(x, alpha, rng, n):
+    return rng.binomial(x, alpha, size=(n,) + x.shape)
 
 
-def _gaussian(mean, scale, chol, rng, size=None):
-    z = rng.standard_normal(mean.shape if size is None else (size,) + mean.shape)
+def _gaussian(mean, scale, chol, rng, n):
+    z = rng.standard_normal((n,) + mean.shape)
     return mean + scale * (z @ chol.T)
 
 
-def _beta_scaled(x, a, b, rng, size=None):
-    m = rng.beta(a, b, size=x.shape if size is None else (size,) + x.shape)
-    m = np.clip(m, _OPEN_LO, _OPEN_HI)
-    out = m * x
-    assert np.all(out > 0.0) and np.all(out < x)
-    return out
+def _beta_scaled(x, a, b, rng, n):
+    m = rng.beta(a, b, size=(n,) + x.shape)
+    return np.clip(m, _OPEN_LO, _OPEN_HI) * x
 
 
-def _matrix_beta(x, root_x, dofs, bartlett, rng, size=None):
-    """``bartlett``: chol(I) and the strict lower-triangle indices."""
-    n = 1 if size is None else size
-    w1 = _bartlett(*bartlett, dofs[0], rng, size=n)
-    w2 = _bartlett(*bartlett, dofs[1], rng, size=n)
+def _bartlett_pair(d, dofs, rng, n):
+    """The Bartlett variates of W1 ~ Wishart(I, dofs[0]) for n copies, then
+    those of W2 ~ Wishart(I, dofs[1]), side by side in an (n, d (d + 1))
+    stack."""
+    return np.concatenate([_bartlett(d, dof, rng, n) for dof in dofs], axis=1)
+
+
+def _check_dominated(inside: np.ndarray, n_origins: int) -> None:
+    """``inside`` holds, copy by copy (origin by origin, and feature by
+    feature if it has more axes), whether a thinned copy lies in the bracket
+    its origin bounds.  A copy outside it means the origin is too close to
+    the edge of the support, a near-singular matrix or a subnormal value,
+    to thin in floating point."""
+    ok = inside.reshape(n_origins, -1).all(axis=1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise DecompositionError(
+            f"a thinned copy of origin {i} leaves the bracket its origin bounds: the "
+            "origin is too close to the edge of the support to thin in floating point"
+        )
+
+
+def _bracketed(above, below, raw, xs):
+    """The vector copies ``raw``, checked to satisfy ``above(copy, 0)`` and
+    ``below(copy, x)`` entrywise for their origin x.  The check runs origin
+    by origin, so that its temporaries stay the size of one origin's
+    copies, not of the whole batch."""
+    by_origin = raw.reshape((len(xs), -1) + xs.shape[1:])
+    inside = [np.all(above(copies, 0) & below(copies, x)) for x, copies in zip(xs, by_origin)]
+    _check_dominated(np.array(inside), len(xs))
+    return raw
+
+
+def _matrix_beta(chol, raw, xs):
+    """The copies x^{1/2} M x^{1/2}, M = (W1 + W2)^{-1/2} W1 (W1 + W2)^{-1/2},
+    from the Bartlett variates ``raw`` of W1 and W2 of every copy, given
+    chol(I); each must lie strictly between 0 and its origin x in the
+    positive-definite order."""
+    w1, w2 = (_wishart_from_bartlett(chol, v) for v in np.split(raw, 2, axis=1))
     w, v = np.linalg.eigh(w1 + w2)
     inv_root_s = np.einsum("nij,nj,nkj->nik", v, 1.0 / np.sqrt(w), v)
     m = inv_root_s @ w1 @ inv_root_s
+    copies = len(raw) // len(xs)
+    root_x = np.repeat(matrix_sqrt_sym_pd(xs), copies, axis=0)
     out = root_x @ m @ root_x
     out = 0.5 * (out + np.swapaxes(out, -1, -2))
-    assert np.all(np.linalg.eigvalsh(out)[:, 0] > 0.0)
-    assert np.all(np.linalg.eigvalsh(x - out)[:, 0] > 0.0)
-    return out[0] if size is None else out
+    gap = np.repeat(xs, copies, axis=0) - out
+    inside = (np.linalg.eigvalsh(out)[:, 0] > 0.0) & (np.linalg.eigvalsh(gap)[:, 0] > 0.0)
+    _check_dominated(inside, len(xs))
+    return out
 
 
 def _wishart_dofs(alpha: float, t: float, d: int) -> tuple[float, float]:
@@ -130,21 +171,32 @@ def _wishart_dofs(alpha: float, t: float, d: int) -> tuple[float, float]:
 
 
 def _sampler(family: LevyFamily, alpha: float):
-    """``for_origin(x, t) -> draw(rng, size=None)`` for the kernel of
-    ``family`` at a checked ``alpha < 1``, given checked origins."""
+    """``(for_origin, finish, raw_shape)`` for the kernel of ``family`` at a
+    checked ``alpha < 1``, given checked origins (see the comment above)."""
     kind, d = family.kind, family.d
     if kind is FamilyKind.POISSON:
-        return lambda x, t: partial(_binomial, x, alpha)
+        return (
+            lambda x, t: partial(_binomial, x, alpha),
+            partial(_bracketed, np.greater_equal, np.less_equal),
+            (d,),
+        )
     if kind is FamilyKind.GAUSSIAN:
         chol = cholesky(family.sigma)
-        return lambda x, t: partial(
-            _gaussian, alpha * x, np.sqrt(alpha * (1.0 - alpha) * t), chol
+        return (
+            lambda x, t: partial(_gaussian, alpha * x, np.sqrt(alpha * (1.0 - alpha) * t), chol),
+            lambda raw, xs: raw,
+            (d,),
         )
     if kind is FamilyKind.GAMMA:
-        return lambda x, t: partial(_beta_scaled, x, 0.5 * alpha * t, 0.5 * (1.0 - alpha) * t)
-    bartlett = cholesky(np.eye(d)), np.tril_indices(d, k=-1)
-    return lambda x, t: partial(
-        _matrix_beta, x, matrix_sqrt_sym_pd(x), _wishart_dofs(alpha, t, d), bartlett
+        return (
+            lambda x, t: partial(_beta_scaled, x, 0.5 * alpha * t, 0.5 * (1.0 - alpha) * t),
+            partial(_bracketed, np.greater, np.less),
+            (d,),
+        )
+    return (
+        lambda x, t: partial(_bartlett_pair, d, _wishart_dofs(alpha, t, d)),
+        partial(_matrix_beta, cholesky(np.eye(d))),
+        (d * (d + 1),),
     )
 
 
@@ -156,11 +208,13 @@ def _thin_one(family_of_d, x, alpha, t, rng, size):
         raise ShapeError(f"x must be one example's features, of shape {shape}, not a scalar")
     batch = ExampleBatch(x=np.asarray(x)[None], y=1, t=t)
     family = family_of_d(batch.x.shape[1])
-    x, t = check_example(family, batch)[0], batch.t.item()
+    xs, t = check_example(family, batch), batch.t.item()
     check_alpha(alpha)
     if alpha == 1.0:
-        return x.copy() if size is None else np.repeat(x[None], size, axis=0)
-    return _sampler(family, alpha)(x, t)(rng, size)
+        return xs[0].copy() if size is None else np.repeat(xs, size, axis=0)
+    for_origin, finish, _ = _sampler(family, alpha)
+    out = finish(for_origin(xs[0], t)(rng, 1 if size is None else size), xs)
+    return out[0] if size is None else out
 
 
 def thin_poisson(x, alpha: float, rng: np.random.Generator, size=None):
@@ -204,15 +258,16 @@ def generate_pseudo_examples(
     alpha, copies = cfg.alpha, cfg.n_pseudo
     batch = as_example_batch(examples)
     xs = check_example(family, batch)
-    if alpha == 1.0:
+    if alpha == 1.0 or len(xs) == 0:
         x_tilde = np.repeat(xs, copies, axis=0)
     else:
-        for_origin = _sampler(family, alpha)
-        x_tilde = np.empty((len(xs) * copies,) + xs.shape[1:], dtype=xs.dtype)
+        for_origin, finish, raw_shape = _sampler(family, alpha)
+        raw = np.empty((len(xs) * copies,) + raw_shape, dtype=xs.dtype)
         for i, (x, t) in enumerate(zip(xs, batch.t.tolist())):
             draw = for_origin(x, t)
             for b in range(copies):
-                x_tilde[i * copies + b] = draw(cfg.seed.spawn(i, b))
+                raw[i * copies + b] = draw(cfg.seed.spawn(i, b), 1)[0]
+        x_tilde = finish(raw, xs)
     return PseudoBatch(
         x_tilde=x_tilde,
         y=np.repeat(batch.y, copies),

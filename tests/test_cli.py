@@ -113,6 +113,23 @@ def test_thin_exit_codes(tmp_path, poisson_file):
     ]) == 2
 
 
+def test_thin_of_a_near_singular_origin_exits_3_and_writes_nothing(tmp_path, capsys):
+    # The origin passes the support check, but at this seed some of its
+    # matrix-beta copies round outside 0 < x_tilde < x.
+    data = tmp_path / "data.csv"
+    data.write_text(
+        "# levyaug-dataset v1 family=wishart d=2\ny,t,m_1,m_2,m_3\n1,6.0,1.0,0.99999999999999,1.0\n"
+    )
+    out = tmp_path / "pseudo.csv"
+    code = main([
+        "thin", "--input", str(data), "--output", str(out),
+        "--alpha", "0.5", "-B", "32", "--seed", "4",
+    ])
+    assert code == 3
+    assert "origin 0 " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
 @pytest.mark.parametrize("command", [
     ["thin", "--input", "{missing}", "--output", "{out}", "--alpha", "0.5"],
     ["thin", "--input", "{data}", "--sigma", "{missing}", "--output", "{out}",

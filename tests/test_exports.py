@@ -1,15 +1,22 @@
 """Every name a module exports in ``__all__`` exists, so ``import *`` works,
-no module imports a name it never uses (no linter ships with the repo), and
-the package imports nothing from the tests, whose oracles stay outside it."""
+no module imports a name it never uses (no linter ships with the repo), the
+package imports nothing from the tests, whose oracles stay outside it, and
+scipy is loaded only by the commands that solve."""
 
 import ast
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import levyaug
+from levyaug import Example, poisson_family
+from levyaug.dataio import write_dataset
 
 # The test-only oracles, outside the package, are held to the same checks.
 MODULES = ["levyaug"] + sorted(m.name for m in pkgutil.iter_modules(levyaug.__path__, "levyaug."))
@@ -76,3 +83,74 @@ def test_no_module_imports_from_tests(path):
 def test_the_oracles_are_not_part_of_the_package():
     assert not hasattr(levyaug, "oracles")
     assert importlib.util.find_spec("levyaug.oracles") is None
+
+
+# scipy costs about half a second to import, and only the solvers use it:
+# every module imports it inside the functions that call it.
+
+def _import_time_scipy_imports(source: str) -> list[int]:
+    """Lines that import scipy when the module itself is imported: every
+    scipy import outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES + [Path(levyaug.__file__)], ids=lambda p: p.name)
+def test_no_module_imports_scipy_at_import_time(path):
+    lines = _import_time_scipy_imports(path.read_text(encoding="utf-8"))
+    assert not lines, f"{path.name} imports scipy at module level, line(s) {lines}"
+
+
+def test_import_time_scipy_guard_flags_module_level_imports_only():
+    source = (
+        "import numpy\nimport scipy.sparse\n"
+        "if True:\n    from scipy.optimize import minimize\n"
+        "def f():\n    from scipy.special import gammaln\n    return gammaln\n"
+    )
+    assert _import_time_scipy_imports(source) == [2, 4]
+
+
+_SCIPY_LOADS = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import levyaug
+assert not scipy_modules(), ("import levyaug", scipy_modules())
+from levyaug.cli import main
+assert not scipy_modules(), ("import levyaug.cli", scipy_modules())
+data, pseudo, model = sys.argv[1:]
+assert main(["thin", "--input", data, "--output", pseudo, "--alpha", "0.5", "-B", "2"]) == 0
+assert not scipy_modules(), ("levyaug thin", scipy_modules())
+assert main(["train", "--pseudo", pseudo, "--originals", data, "--out", model,
+             "--ridge-lambda", "0.1"]) == 0
+assert "scipy.optimize" in scipy_modules(), "levyaug train did not load scipy"
+"""
+
+
+def test_scipy_is_loaded_by_the_commands_that_solve_only(tmp_path):
+    g = np.random.default_rng(5)
+    examples = [Example(x=g.poisson(3.0, size=3), y=1 + i % 2, t=9.0) for i in range(12)]
+    data = tmp_path / "data.csv"
+    write_dataset(data, poisson_family(3), examples)
+    args = [str(data), str(tmp_path / "pseudo.csv"), str(tmp_path / "model.txt")]
+    env = dict(os.environ, PYTHONPATH=str(Path(levyaug.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", _SCIPY_LOADS, *args], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

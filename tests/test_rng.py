@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from levyaug import DecompositionError, RngState
-from levyaug.rng import _bartlett, cholesky, matrix_sqrt_sym_pd
+from levyaug.rng import _bartlett, _wishart_from_bartlett, cholesky, matrix_sqrt_sym_pd
 
 from conftest import random_pd_matrix
 
@@ -35,9 +35,10 @@ def test_substate_derives_new_state():
 
 
 def _wishart(scale, dof, g, size=None):
-    """Wishart(scale, dof) draws through the Bartlett primitive thinning uses."""
+    """Wishart(scale, dof) draws through the Bartlett primitives thinning uses."""
     d = scale.shape[0]
-    return _bartlett(cholesky(scale), np.tril_indices(d, k=-1), dof, g, size)
+    w = _wishart_from_bartlett(cholesky(scale), _bartlett(d, dof, g, 1 if size is None else size))
+    return w[0] if size is None else w
 
 
 def test_wishart_mean_and_fractional_dof(rng):
@@ -55,6 +56,13 @@ def test_wishart_matches_scipy_distribution():
     g = RngState(7).spawn()
     draws = _wishart(np.eye(1), 4.0, g, size=20_000)[:, 0, 0]
     assert stats.kstest(draws, stats.chi2(df=4).cdf).pvalue > 0.01
+
+
+def test_matrix_sqrt_of_a_stack_is_the_root_of_each_matrix(rng):
+    stack = np.stack([random_pd_matrix(3, rng) for _ in range(4)])
+    roots = matrix_sqrt_sym_pd(stack)
+    for m, root in zip(stack, roots):
+        assert np.array_equal(root, matrix_sqrt_sym_pd(m))
 
 
 def test_matrix_sqrt_and_cholesky_errors(rng):

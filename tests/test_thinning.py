@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from levyaug import (
+    DecompositionError,
     Example,
+    ExampleBatch,
     ParameterError,
     RngState,
     ShapeError,
@@ -319,6 +321,35 @@ def test_pseudo_wishart_dof_precondition():
         generate_pseudo_examples(examples, cfg, fam)
     ok = ThinningConfig(alpha=1.0, n_pseudo=1, seed=RngState(25))
     generate_pseudo_examples(examples, ok, fam)
+
+
+def test_pseudo_wishart_rows_equal_single_draws_from_their_substreams():
+    # The copies are finished as one stacked computation; each row must
+    # still be the draw thin_wishart makes from that copy's substream alone.
+    g = np.random.default_rng(26)
+    d, copies, alpha = 5, 4, 0.5
+    t = np.array([12.0, 17.5, 30.0])
+    z = g.standard_normal((len(t), 20, d))
+    xs = np.einsum("mti,mtj->mij", z, z)
+    cfg = ThinningConfig(alpha=alpha, n_pseudo=copies, seed=RngState(27))
+    pseudo = generate_pseudo_examples(ExampleBatch(x=xs, y=[1, 2, 1], t=t), cfg, wishart_family(d))
+    for i in range(len(t)):
+        for b in range(copies):
+            single = thin_wishart(xs[i], alpha, t[i], cfg.seed.spawn(i, b))
+            assert np.array_equal(pseudo.x_tilde[i * copies + b], single)
+
+
+def test_a_copy_outside_its_bracket_raises_naming_the_origin():
+    # A near-singular scatter matrix passes the support check, but some of
+    # its matrix-beta copies round outside 0 < x_tilde < x.
+    near_singular = np.array([[1.0, 0.99999999999999], [0.99999999999999, 1.0]])
+    examples = [Example(x=np.eye(2), y=1, t=6.0), Example(x=near_singular, y=2, t=6.0)]
+    cfg = ThinningConfig(alpha=0.5, n_pseudo=32, seed=RngState(1))
+    with pytest.raises(DecompositionError, match="origin 1 "):
+        generate_pseudo_examples(examples, cfg, wishart_family(2))
+    # A subnormal Gamma feature: every beta multiple rounds to 0 or to x.
+    with pytest.raises(DecompositionError, match="origin 0 "):
+        thin_gamma(np.array([5e-324]), 0.5, 3.0, RngState(5).spawn())
 
 
 def test_config_validation():
