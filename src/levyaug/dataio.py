@@ -175,8 +175,7 @@ def write_dataset(path, family: LevyFamily, examples: Examples) -> None:
 def _example_batch(family: LevyFamily, table: np.ndarray) -> ExampleBatch:
     y = _integers(table[:, 0], "class labels")
     batch = ExampleBatch(x=_features(family, table[:, 2:]), y=y, t=table[:, 1])
-    check_example(family, batch)
-    return batch
+    return ExampleBatch(x=check_example(family, batch), y=batch.y, t=batch.t)
 
 
 def read_dataset(path, sigma=None) -> tuple[LevyFamily, ExampleBatch]:
@@ -185,7 +184,9 @@ def read_dataset(path, sigma=None) -> tuple[LevyFamily, ExampleBatch]:
     Structural problems raise :class:`DataFormatError`; value-domain
     problems (family support, nonpositive t, bad labels) raise the
     corresponding domain error.  Both name the offending row.  ``sigma``
-    overrides the identity covariance assumed for Gaussian files.
+    overrides the identity covariance assumed for Gaussian files.  The
+    features come back as :func:`~levyaug.families.check_example` returns
+    them (Poisson counts in the smallest integer type that holds them).
     """
     family, table = _read_table(path, _DATASET_MAGIC, ["y", "t"])
     if sigma is not None:
@@ -215,7 +216,9 @@ def _pseudo_batch(family: LevyFamily, table: np.ndarray) -> PseudoBatch:
 def read_pseudo_dataset(path) -> tuple[LevyFamily, PseudoBatch]:
     """Parse a pseudo-example file and check its feature rows against the
     declared family's support (:class:`SupportError`, Poisson counts come
-    back as int64); errors name the offending row."""
+    back in the smallest integer type that holds them, see
+    :func:`~levyaug.families.check_example`); errors name the offending
+    row."""
     family, table = _read_table(path, _PSEUDO_MAGIC, ["origin_id", "alpha", "y", "t_tilde"])
     return family, _checked_batch(lambda rows: _pseudo_batch(family, rows), table)
 

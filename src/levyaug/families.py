@@ -267,22 +267,42 @@ def _check_pd(m: np.ndarray, what: str) -> None:
         raise SupportError(f"{what} must be positive-definite") from None
 
 
+_COUNT_DTYPES = (np.uint8, np.uint16, np.uint32, np.int64)
+
+
+def _compact_counts(counts: np.ndarray) -> np.ndarray:
+    """Nonnegative integer counts in the first of uint8, uint16, uint32
+    and int64 that holds the largest of them.  A thinned copy never
+    exceeds its original, so the originals' type holds every copy.  No
+    uint64: the binomial sampler refuses it as a count.  Counts too large
+    for int64 raise :class:`SupportError`.  Unsigned counts wrap on
+    subtraction, so arithmetic on them must cast to float first."""
+    top = int(counts.max(initial=0))
+    for dtype in _COUNT_DTYPES:
+        if top <= np.iinfo(dtype).max:
+            return counts.astype(dtype, copy=False)
+    raise SupportError(f"Poisson counts must be below 2**63, got {top}")
+
+
 def _check_rows(family: LevyFamily, rows) -> np.ndarray:
     """The support rules of :func:`check_example`, applied to every row of
     a stack of shape (rows, *feature shape); returns the checked stack
-    (Poisson counts as int64).  Every support check runs through here."""
+    (Poisson counts in the type :func:`_compact_counts` picks).  Every
+    support check runs through here."""
     arr = np.asarray(rows)
     kind = family.kind
     shape = (family.d, family.d) if kind is FamilyKind.WISHART else (family.d,)
     if arr.shape[1:] != shape:
         raise SupportError(f"{kind.value} features must have shape {shape}, got {arr.shape[1:]}")
-    arr = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise SupportError("features must be finite")
+    integers = kind is FamilyKind.POISSON and arr.dtype.kind in "iu"
+    if not integers:  # integer counts are checked as they are: exact, and no float copy
+        arr = np.asarray(arr, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise SupportError("features must be finite")
     if kind is FamilyKind.POISSON:
-        if np.any(arr < 0) or np.any(arr != np.floor(arr)):
+        if np.any(arr < 0) or (not integers and np.any(arr != np.floor(arr))):
             raise SupportError("Poisson features must be nonnegative integers")
-        return np.asarray(np.round(arr), dtype=np.int64)
+        return _compact_counts(arr)
     if kind is FamilyKind.GAMMA and np.any(arr <= 0.0):
         raise SupportError("Gamma features must be strictly positive")
     if kind is FamilyKind.WISHART:
@@ -294,9 +314,11 @@ def check_example(family: LevyFamily, batch: ExampleBatch) -> np.ndarray:
     """Validate every row of a batch against a family; return the features.
 
     Vector families expect length-``d`` rows (Poisson: nonnegative
-    integers, returned as int64; Gaussian: finite reals; Gamma: strictly
-    positive reals); the Wishart family expects ``d x d`` symmetric
-    positive-definite matrices and the density condition ``t >= d``.
+    integers below 2**63, returned in the smallest of uint8, uint16,
+    uint32 and int64 that holds the batch's largest; Gaussian: finite
+    reals; Gamma: strictly positive reals); the Wishart family expects
+    ``d x d`` symmetric positive-definite matrices and the density
+    condition ``t >= d``.
     Raises :class:`SupportError` on violation.
     """
     x = _check_rows(family, batch.x)

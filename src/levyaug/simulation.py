@@ -34,7 +34,14 @@ import numpy as np
 
 from ._blas import load_scipy
 from .errors import LevyAugError, ParameterError
-from .families import ExampleBatch, LevyFamily, PseudoBatch, gaussian_family, poisson_family
+from .families import (
+    ExampleBatch,
+    LevyFamily,
+    PseudoBatch,
+    _compact_counts,
+    gaussian_family,
+    poisson_family,
+)
 from .logistic import (
     TrainConfig,
     calibrate,
@@ -132,7 +139,9 @@ def gen_poisson_sim(
     spec: PoissonSimSpec, n: int, rng: np.random.Generator
 ) -> tuple[ExampleBatch, ExampleBatch]:
     """Draw Poisson count data; the recorded information content is the
-    expected total count (rates are normalized per example)."""
+    expected total count (rates are normalized per example).  The counts
+    of each set are stored in the smallest integer type that holds them
+    (see :func:`levyaug.families.check_example`)."""
     if n < 2:
         raise ParameterError("need at least 2 training examples")
     s = spec.n_signal
@@ -149,7 +158,7 @@ def gen_poisson_sim(
             weights = np.exp(theta)
             rates = spec.total_rate * weights / weights.sum()
             x[i] = rng.poisson(rates)
-        return ExampleBatch(x=x, y=ys + 1, t=spec.total_rate)
+        return ExampleBatch(x=_compact_counts(x), y=ys + 1, t=spec.total_rate)
 
     return draw(n), draw(min(10 * n, _TEST_CAP))
 

@@ -218,7 +218,10 @@ def _thin_one(family_of_d, x, alpha, t, rng, size):
 
 
 def thin_poisson(x, alpha: float, rng: np.random.Generator, size=None):
-    """Binomially downsample a count vector; keeps each unit with prob alpha."""
+    """Binomially downsample a count vector; keeps each unit with prob alpha.
+
+    The draws come back as the generator makes them, int64; ``alpha = 1``
+    returns the checked counts, in the type :func:`check_example` picks."""
     return _thin_one(poisson_family, x, alpha, 1.0, rng, size)
 
 

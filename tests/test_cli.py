@@ -130,6 +130,21 @@ def test_thin_of_a_near_singular_origin_exits_3_and_writes_nothing(tmp_path, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
+def test_thin_of_a_count_too_large_for_int64_exits_3_naming_the_row(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text(
+        "# levyaug-dataset v1 family=poisson d=2\ny,t,x_1,x_2\n"
+        "2,5.0,1,2\n1,5.0,10000000000000000000,3\n"
+    )
+    code = main([
+        "thin", "--input", str(data), "--output", str(tmp_path / "pseudo.csv"),
+        "--alpha", "0.5", "-B", "2", "--seed", "1",
+    ])
+    assert code == 3
+    assert "row 2: Poisson counts must be below 2**63" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
 @pytest.mark.parametrize("command", [
     ["thin", "--input", "{missing}", "--output", "{out}", "--alpha", "0.5"],
     ["thin", "--input", "{data}", "--sigma", "{missing}", "--output", "{out}",

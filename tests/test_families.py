@@ -63,7 +63,7 @@ def _check_one(family, x):
 
 
 def test_feature_support_checks():
-    assert _check_one(poisson_family(2), [1, 0]).dtype == np.int64
+    assert _check_one(poisson_family(2), [1, 0]).dtype == np.uint8
     with pytest.raises(SupportError):
         _check_one(poisson_family(2), [1, -1])
     with pytest.raises(SupportError):
@@ -73,6 +73,26 @@ def test_feature_support_checks():
     with pytest.raises(SupportError):
         _check_one(wishart_family(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
     _check_one(wishart_family(2), np.eye(2))
+
+
+def test_poisson_counts_take_the_smallest_integer_type_that_holds_them():
+    fam = poisson_family(2)
+    cases = [(0, np.uint8), (255, np.uint8), (256, np.uint16), (65535, np.uint16),
+             (65536, np.uint32), (2**32 - 1, np.uint32), (2**32, np.int64),
+             (2**63 - 1, np.int64)]
+    for top, dtype in cases:
+        for x in (np.array([top, 1], dtype=np.int64), np.array([top, 1], dtype=np.uint64)):
+            checked = _check_one(fam, x)
+            assert checked.dtype == dtype and checked.tolist() == [top, 1]
+        if top < 2**53:  # exactly representable, so a float row checks the same
+            assert _check_one(fam, np.array([top, 1.0])).dtype == dtype
+    empty = check_example(fam, ExampleBatch(x=np.zeros((0, 2)), y=1, t=1.0))
+    assert empty.dtype == np.uint8 and empty.shape == (0, 2)
+    for too_large in (np.array([2**63, 1], dtype=np.uint64), [1e19, 3.0], [2.0**63, 0.0]):
+        with pytest.raises(SupportError, match="below 2\\*\\*63"):
+            _check_one(fam, too_large)
+    with pytest.raises(SupportError):
+        _check_one(fam, np.array([-1, 3], dtype=np.int8))
 
 
 def test_wishart_example_needs_t_at_least_d():

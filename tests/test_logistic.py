@@ -467,6 +467,27 @@ def test_design_is_csr_below_the_density_threshold(rng):
             assert X.indices.dtype == X.indptr.dtype == np.int32
 
 
+def test_design_of_compact_counts_equals_that_of_int64_counts(rng):
+    n, p = 20, 10
+    for density, csr in ((0.2, True), (0.9, False)):
+        x = rng.integers(1, 300, size=(n, p)) * (rng.random((n, p)) < density)
+        compact, wide = (
+            logistic._design(PseudoBatch(
+                x_tilde=x.astype(dtype), y=np.arange(n) % 2 + 1, origin_id=np.arange(n),
+                alpha=1.0, t_tilde=1.0,
+            ))[0]
+            for dtype in (np.uint16, np.int64)
+        )
+        assert issparse(compact) == issparse(wide) == csr
+        pairs = [(compact, wide)]
+        if csr:
+            pairs = [(compact.data, wide.data), (compact.indices, wide.indices),
+                     (compact.indptr, wide.indptr)]
+        for a, b in pairs:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert compact.dtype == np.float64
+
+
 def _fits_by_format(monkeypatch, pseudo, cfg):
     """The fit on its CSR design, then on the same rows forced dense."""
     formats, fit_path = [], logistic._fit_path

@@ -9,6 +9,7 @@ from levyaug import (
     AlphaPathPoint,
     DegenerateDataError,
     Example,
+    ExampleBatch,
     ParameterError,
     SupportError,
     RngState,
@@ -199,6 +200,23 @@ def test_fit_strong_thinning_poisson_matches_generic_minimizer(rng):
         np.concatenate([gamma, -gamma.sum(axis=1, keepdims=True)], axis=1)
     )
     assert np.abs(model.beta - beta).max() < 1e-6
+
+
+def test_poisson_class_sums_do_not_wrap_in_compact_counts():
+    # The Poisson limit and naive Bayes depend on the rows only through the
+    # per-class count sums.  The split rows are uint16, and their class-1
+    # sum of word 1 (80,000) would wrap if it were summed in that type.
+    fam = poisson_family(2)
+    split = ExampleBatch(
+        x=np.array([[40_000, 5], [40_000, 3], [7, 9]], dtype=np.uint16),
+        y=[1, 1, 2], t=[6.0, 6.0, 4.0],
+    )
+    merged = ExampleBatch(x=np.array([[80_000, 8], [7, 9]]), y=[1, 2], t=[12.0, 4.0])
+    fits = [fit_strong_thinning(b, fam, ridge_lambda=0.1) for b in (split, merged)]
+    assert np.array_equal(fits[0].beta, fits[1].beta)
+    bayes = [naive_bayes_poisson_fit(b) for b in (split, merged)]
+    assert np.array_equal(bayes[0].rates, bayes[1].rates)
+    assert bayes[1].rates[0, 0] == pytest.approx(80_000 / 12.0, rel=1e-3)
 
 
 def test_fit_strong_thinning_poisson_saturates_per_word():

@@ -339,6 +339,46 @@ def test_pseudo_wishart_rows_equal_single_draws_from_their_substreams():
             assert np.array_equal(pseudo.x_tilde[i * copies + b], single)
 
 
+def test_compact_origins_draw_what_int64_origins_draw():
+    # Origins are checked into the smallest integer type that holds their
+    # counts; the binomial draws must be those of the same counts as int64.
+    alpha = 0.3
+    for top in (7, 300, 70_000, 2**32):
+        x = np.array([top, 0, 5, top // 2], dtype=np.int64)
+        for size, shape in ((None, (1, 4)), (4, (4, 4))):
+            got = thin_poisson(x, alpha, RngState(31).spawn(), size=size)
+            want = RngState(31).spawn().binomial(x, alpha, size=shape)
+            assert np.array_equal(got, want[0] if size is None else want)
+    xs = np.random.default_rng(32).poisson(3.0, size=(5, 6))
+    xs[1, 2] = 300
+    cfg = ThinningConfig(alpha=alpha, n_pseudo=3, seed=RngState(33))
+    batch = ExampleBatch(x=xs, y=[1, 2, 1, 2, 1], t=2.0)
+    pseudo = generate_pseudo_examples(batch, cfg, poisson_family(6))
+    assert pseudo.x_tilde.dtype == np.uint16
+    for i in range(len(xs)):
+        for b in range(3):
+            want = cfg.seed.spawn(i, b).binomial(xs[i], alpha, size=(1, 6))[0]
+            assert np.array_equal(pseudo.x_tilde[i * 3 + b], want)
+
+
+def test_pseudo_counts_take_under_two_bytes_per_entry():
+    # Counts below 256 thin into uint8 copies; int64 copies would take 8
+    # bytes per entry of x_tilde.
+    import tracemalloc
+
+    xs = np.minimum(np.random.default_rng(34).poisson(2.0, size=(100, 500)), 255)
+    batch = ExampleBatch(x=xs, y=np.arange(100) % 2 + 1, t=1000.0)
+    cfg = ThinningConfig(alpha=0.1, n_pseudo=32, seed=RngState(35))
+    tracemalloc.start()
+    try:
+        pseudo = generate_pseudo_examples(batch, cfg, poisson_family(500))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pseudo.x_tilde.dtype == np.uint8
+    assert peak < 2 * pseudo.x_tilde.size
+
+
 def test_a_copy_outside_its_bracket_raises_naming_the_origin():
     # A near-singular scatter matrix passes the support check, but some of
     # its matrix-beta copies round outside 0 < x_tilde < x.
