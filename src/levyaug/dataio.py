@@ -124,16 +124,18 @@ def _read_table(path, magic: str, columns: list[str]) -> tuple[LevyFamily, np.nd
     header = columns + _feature_names(family)
     if len(lines) < 2 or lines[1].split(",") != header:
         raise DataFormatError(f"expected header row {','.join(header)!r}")
-    table = []
+    # Filled row by row: numpy parses each string as float() does, and only
+    # one row's values are alive at a time.
+    table = np.empty((len(lines) - 2, len(header)))
     for row, line in enumerate(lines[2:], start=1):
         parts = line.split(",")
         if len(parts) != len(header):
             raise DataFormatError(f"expected {len(header)} columns, got {len(parts)}", row=row)
         try:
-            table.append([float(v) for v in parts])
+            table[row - 1] = parts
         except ValueError:
             raise DataFormatError("non-numeric value", row=row) from None
-    return family, np.array(table, dtype=float).reshape(len(table), len(header))
+    return family, table
 
 
 def _features(family: LevyFamily, block: np.ndarray) -> np.ndarray:

@@ -38,18 +38,32 @@ On one BLAS thread, a warm-started 12-lambda path at p = 500 took:
     n = 400: Newton 90 ms, L-BFGS-B 74 ms (Poisson counts); 109 against 54 ms (Gaussian)
 
 A design with fewer than 35% nonzero entries, such as Poisson counts thinned
-at a small alpha, is stored as a float64 CSR matrix with its transpose built
-once per lambda path; a denser one is a dense array.  Hessians densify it a
-block of rows at a time.  The threshold is where CSR stops being the faster
-format.  One two-class loss/gradient evaluation on a 2,560 x 500 Poisson
-fold (8b's design at alphas 0.1 to 0.75), on one BLAS thread, took (median
-of three runs):
+at a small alpha, is stored once as a float64 CSC matrix; a denser one is a
+dense array.  ``X @ w`` runs on the CSC arrays and ``X.T @ r`` on the same
+arrays read as CSR, so no transpose is built, and each adds an output's
+terms in ascending index order, as a CSR product does.  A cross-validation
+fold solved by L-BFGS-B reads a CSC design through a row mask: its
+objective scores every row and keeps the fold's, and puts the fold's
+residuals into zeros before ``X.T @``, so every sum is the fold's own, bit
+for bit, and no fold is copied.  The other folds are sliced.  A dense fold
+is, because BLAS may sum a row differently among other rows.  A
+Newton-sized fold is, because its Gram matrix and Hessians read a CSR copy
+of its rows, densified a block of rows at a time; an L-BFGS-B solve makes
+that copy only if its Newton finish runs.  One two-class loss/gradient
+evaluation on a 2,560-row fold of a 3,200 x 500 Poisson design (8b's
+design at alphas 0.1 to 0.35), on one BLAS thread, took (the least of 7
+rounds of 150 evaluations):
 
-    nonzeros  0.18: dense 1.10 ms, CSR 0.68 ms
-              0.33: dense 1.10 ms, CSR 0.88 ms
-              0.39: dense 1.09 ms, CSR 1.13 ms
-              0.50: dense 1.10 ms, CSR 1.43 ms
-              0.63: dense 1.08 ms, CSR 1.61 ms
+    nonzeros  0.18: dense 0.95 ms, CSC under the mask 0.54 ms, CSR copy 0.44 ms
+              0.33: dense 0.91 ms, CSC under the mask 0.94 ms, CSR copy 0.73 ms
+              0.39: dense 0.91 ms, CSC under the mask 1.10 ms, CSR copy 0.82 ms
+              0.50: dense 0.91 ms, CSC under the mask 1.36 ms, CSR copy 1.09 ms
+
+The mask spends every evaluation on all 3,200 rows, but the CSR copy and
+its transpose cost 3.1 to 5.4 ms per (lambda, fold) and about 1.6 designs'
+bytes.  The threshold stays at 35%, where the CSR copies met dense: moving
+it would move designs between the sparse and the dense path, whose sums
+differ in the last bits.
 
 The regularization weight can be cross-validated on a descending grid of
 lambdas with *grouped* folds: every pseudo-example derived from one
@@ -64,6 +78,7 @@ compensates for the coefficient shrinkage/inflation thinning induces.
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -100,8 +115,8 @@ __all__ = [
 _SCALE_CAP = 1e3
 _LAMBDA_GRID_SIZE, _LAMBDA_GRID_SPAN = 50, 1e-4
 _CALIB_TOL, _CALIB_MAX_ITER = 1e-9, 500
-_ROW_BLOCK = 8192  # entries per block of rows where a loop avoids a copy of X
-_CSR_MAX_DENSITY = 0.35  # a design with fewer nonzeros than this fraction is CSR
+_BLOCK = 8192  # entries per block of rows or columns where a loop avoids a copy of X
+_CSR_MAX_DENSITY = 0.35  # a design with fewer nonzeros than this fraction is CSC
 _CV_PATIENCE = 3  # lambdas without a new best mean held-out loss before CV stops
 
 
@@ -279,13 +294,32 @@ def loss_gradient(beta: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
     return np.outer(x, _example_loss(beta, x, y)[1])
 
 
-def _batch_loss_grad(beta, X, Y, lam, XT):
+def _take(a, rows):
+    """The ``rows`` (a boolean mask; None for all) of ``a``."""
+    return a if rows is None else a[rows]
+
+
+def _spread(a, rows):
+    """``a``, the values of the ``rows`` (a boolean mask; None for all),
+    placed in zeros covering every row.  ``X.T @ _spread(r, rows)`` then
+    adds an exact zero for each row outside the mask, so every sum equals
+    the one over the masked rows alone, bit for bit."""
+    if rows is None:
+        return a
+    full = np.zeros((len(rows),) + a.shape[1:])
+    full[rows] = a
+    return full
+
+
+def _batch_loss_grad(beta, X, Y, lam, XT, rows=None):
     """Average loss + ridge over a design and its gradient in ``beta.ravel()``
-    order; ``XT`` is ``X.T`` (for a CSR design, built once per path as CSR)."""
+    order; ``XT`` is ``X.T`` (for a CSC design, a CSR view of its arrays).
+    With the boolean mask ``rows`` the average covers those rows of ``X``
+    alone, and ``Y`` holds their labels."""
     beta = beta.reshape(X.shape[1], -1)
-    losses, resid = _softmax_loss(X @ beta, Y)
+    losses, resid = _softmax_loss(_take(X @ beta, rows), Y)
     value = losses.mean() + 0.5 * lam * (beta**2).sum()
-    return value, (XT @ resid / X.shape[0] + lam * beta).ravel()
+    return value, (XT @ _spread(resid, rows) / len(losses) + lam * beta).ravel()
 
 
 def _dense(a):
@@ -294,8 +328,8 @@ def _dense(a):
 
 def _dense_row_blocks(X):
     """(first row, block) over ``X`` in dense blocks of about
-    _ROW_BLOCK entries, so that no temporary is the size of ``X``."""
-    rows = max(1, _ROW_BLOCK // X.shape[1])
+    _BLOCK entries, so that no temporary is the size of ``X``."""
+    rows = max(1, _BLOCK // X.shape[1])
     for lo in range(0, X.shape[0], rows):
         yield lo, _dense(X[lo : lo + rows])
 
@@ -315,15 +349,15 @@ def _batch_hessian(beta, X, lam):
     return hess + lam * np.eye(p * k)
 
 
-def _binary_loss_grad(w, X, sign, lam, XT):
+def _binary_loss_grad(w, X, sign, lam, XT, rows=None):
     """The two-class objective in ``w`` (see the module docstring) and its
-    gradient; ``sign`` is -1 for class 1 and +1 for class 2, and ``XT`` is
-    as in :func:`_batch_loss_grad`."""
-    margin = -sign * (X @ w)
+    gradient; ``sign`` is -1 for class 1 and +1 for class 2, and ``XT`` and
+    ``rows`` are as in :func:`_batch_loss_grad`."""
+    margin = -sign * _take(X @ w, rows)
     losses = np.logaddexp(0.0, margin)
     resid = -sign * np.exp(margin - losses)  # -s * sigmoid(-s z)
     value = losses.mean() + 0.25 * lam * (w @ w)
-    return value, XT @ resid / X.shape[0] + 0.5 * lam * w
+    return value, XT @ _spread(resid, rows) / len(losses) + 0.5 * lam * w
 
 
 def _binary_curvature(z):
@@ -342,8 +376,16 @@ def _binary_hessian(w, X, lam):
     return hess
 
 
-def _heldout_metrics(beta, X, Y):
-    scores = X @ beta
+def _heldout_metrics(beta, X, Y, rows):
+    """Mean log-loss and error rate of ``beta`` on the ``rows`` (a boolean
+    mask) of a design.  A sparse design is scored whole and the rows kept,
+    as each row's score is the same sum either way; a dense one is sliced
+    first, as BLAS may sum a row differently within another block of rows."""
+    if isinstance(X, np.ndarray):
+        scores = X[rows] @ beta
+    else:
+        scores = (X @ beta)[rows]
+    Y = Y[rows]
     loss = float(_softmax_loss(scores, Y)[0].mean())
     return loss, float((np.argmax(scores, axis=1) + 1 != Y).mean())
 
@@ -516,34 +558,35 @@ def _check_classes(Y: np.ndarray, k: int | None = None) -> int:
     return k
 
 
-def _csr(x: np.ndarray):
-    """``x`` as a float64 CSR array with int32 indices (int64 past 2^31
-    nonzeros), built a block of rows at a time so that no temporary is the
-    size of ``x``."""
-    from scipy.sparse import csr_array
+def _csc(x: np.ndarray, nnz: int):
+    """``x``, which has ``nnz`` nonzero entries, as a float64 CSC array with
+    int32 indices (int64 past 2^31 nonzeros), built a block of columns at a
+    time so that no temporary is the size of ``x``."""
+    from scipy.sparse import csc_array
 
-    (n, p), counts = x.shape, np.count_nonzero(x, axis=1)
-    index = np.int32 if counts.sum() <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(counts, out=indptr[1:])
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=index)
-    rows = max(1, _ROW_BLOCK // p)
-    for lo in range(0, n, rows):
-        block = x[lo : lo + rows]
-        r, c = np.nonzero(block)
-        span = slice(indptr[lo], indptr[lo + len(block)])
-        data[span], indices[span] = block[r, c], c
-    return csr_array((data, indices, indptr), shape=(n, p))
+    n, p = x.shape
+    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(p + 1, dtype=index)
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=index)
+    cols = max(1, _BLOCK // n)
+    for lo in range(0, p, cols):
+        block = x[:, lo : lo + cols].T
+        c, r = np.nonzero(block)  # by column, then by row
+        start = indptr[lo]
+        indptr[lo + 1 : lo + 1 + len(block)] = start + np.bincount(c, minlength=len(block)).cumsum()
+        data[start : start + len(c)], indices[start : start + len(c)] = block[c, r], r
+    return csc_array((data, indices, indptr), shape=(n, p))
 
 
 def _design(pseudo: PseudoBatch):
     """The fit's design matrix, labels, groups and feature map.  The design
-    is CSR when fewer than _CSR_MAX_DENSITY of its entries are nonzero
+    is CSC when fewer than _CSR_MAX_DENSITY of its entries are nonzero
     (see the module docstring), else a dense float64 array."""
     matrices = pseudo.x_tilde.ndim == 3
     feature_map = FeatureMap.FLATTEN_SYMMETRIC if matrices else FeatureMap.IDENTITY
     x = _phi_rows(feature_map, pseudo.x_tilde, dtype=None)
-    X = _csr(x) if np.count_nonzero(x) < _CSR_MAX_DENSITY * x.size else x.astype(float, copy=False)
+    nnz = np.count_nonzero(x)
+    X = _csc(x, nnz) if nnz < _CSR_MAX_DENSITY * x.size else x.astype(float, copy=False)
     return X, pseudo.y, pseudo.origin_id, feature_map
 
 
@@ -571,7 +614,7 @@ def grouped_fold_assignment(groups: np.ndarray, n_folds: int) -> np.ndarray:
     return index % n_folds
 
 
-def _fit_path(X, Y, lambdas, tol, max_iter, coef=None):
+def _fit_path(X, Y, lambdas, tol, max_iter, coef=None, rows=None):
     """Fit the descending lambda path with warm starts, the first solve
     starting from the flat coefficient ``coef`` (default zero); returns one
     (beta, gradient max-norm) per lambda and the final flat coefficient, the
@@ -587,11 +630,25 @@ def _fit_path(X, Y, lambdas, tol, max_iter, coef=None):
     ``beta`` itself.  A two-class design with min(n, p) <= _NEWTON_MAX_DIM
     is solved by damped Newton at every lambda > 0 (through the Woodbury
     identity when n < p); the rest by L-BFGS-B with the Newton finish.
-    ``X`` may be dense or CSR."""
-    (n, p), k = X.shape, int(Y.max())
+    ``X`` may be dense, CSC or CSR.
+
+    The fit covers the ``rows`` of ``X`` and ``Y`` (a boolean mask; None for
+    all).  An L-BFGS-B solve on a sparse design reads them through the
+    mask, with no copy (see :func:`_batch_loss_grad`).  Every other fit
+    slices them: a dense product over masked-out rows need not sum like one
+    over the rows alone, and a Newton solve reads its rows as CSR anyway.
+    The Gram matrix and the Hessians read the fitted rows as CSR, a block
+    of rows at a time; under a mask that copy is made only if the Newton
+    finish runs."""
+    Y = _take(Y, rows)
+    (n, p), k = (len(Y), X.shape[1]), int(Y.max())
     newton = k == 2 and min(n, p) <= _NEWTON_MAX_DIM
-    gram = _dense(X @ X.T) if newton and n < p else None
-    XT = X.T if isinstance(X, np.ndarray) else X.T.tocsr()
+    dense = isinstance(X, np.ndarray)
+    if rows is not None and (dense or newton):
+        X, rows = X[rows], None
+    by_rows = functools.cache(lambda: X if dense else _take(X, rows).tocsr())
+    gram = _dense(by_rows() @ by_rows().T) if newton and n < p else None
+    XT = X.T
     if k == 2:
         loss_grad, hessian, width = _binary_loss_grad, _binary_hessian, p
         labels = 2.0 * Y - 3.0  # the sign s
@@ -602,12 +659,12 @@ def _fit_path(X, Y, lambdas, tol, max_iter, coef=None):
     out = []
     for lam in lambdas:
         coef, grad_norm = _minimize(
-            lambda c: loss_grad(c, X, labels, lam, XT),
+            lambda c: loss_grad(c, X, labels, lam, XT, rows),
             coef,
             tol,
             max_iter,
             f"logistic fit at lambda={lam:.4g}",
-            _newton_step(hessian, X, lam, gram),
+            lambda c, g: _newton_step(hessian, by_rows(), lam, gram)(c, g),
             newton=newton and lam > 0.0,
         )
         out.append((np.stack([-coef / 2, coef / 2], axis=1) if k == 2 else coef.reshape(p, k),
@@ -622,9 +679,10 @@ def _cross_validate(X, Y, groups, lambdas, cfg: TrainConfig):
     The folds advance together down the grid, each from its own warm
     start, and the loop stops once the mean held-out loss has failed to
     beat its best value for _CV_PATIENCE lambdas in a row: past the CV
-    minimum the small-lambda solves are the costly ones.  Only one fold's
-    design is alive at a time; it is sliced again for every (lambda, fold),
-    so that only the fold masks and warm starts persist between lambdas.
+    minimum the small-lambda solves are the costly ones.  Only the fold
+    masks and warm starts persist between lambdas.  A fold reads a sparse
+    design through its mask; a dense or Newton-sized fold is sliced again
+    for every (lambda, fold), one at a time (see :func:`_fit_path`).
     """
     folds = grouped_fold_assignment(groups, cfg.n_folds)
     masks = [folds != f for f in range(cfg.n_folds)]
@@ -637,9 +695,9 @@ def _cross_validate(X, Y, groups, lambdas, cfg: TrainConfig):
     for j, lam in enumerate(lambdas):
         for f, mask in enumerate(masks):
             [(beta, _)], coefs[f] = _fit_path(
-                X[mask], Y[mask], (lam,), cfg.tol, cfg.max_iter, coefs[f]
+                X, Y, (lam,), cfg.tol, cfg.max_iter, coefs[f], rows=mask
             )
-            scores[j, :, f] = _heldout_metrics(beta, X[~mask], Y[~mask])
+            scores[j, :, f] = _heldout_metrics(beta, X, Y, ~mask)
         loss = scores[j, 0].mean()
         best, since_best = (loss, 0) if loss < best else (best, since_best + 1)
         if since_best == _CV_PATIENCE:

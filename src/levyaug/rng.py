@@ -26,7 +26,7 @@ __all__ = [
     "matrix_sqrt_sym_pd",
 ]
 
-_MASK64 = (1 << 64) - 1
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,18 @@ class RngState:
     seed: int
     stream: int = 0
 
-    def _entropy(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        return (self.seed & _MASK64, self.stream & _MASK64) + tuple(k & _MASK64 for k in key)
+    def _entropy(self, key: tuple[int, ...]) -> np.ndarray:
+        """The seed, the stream and the key, each taken modulo 2^64, as the
+        little-endian uint32 words ``SeedSequence`` splits an int tuple into
+        (one word for a value below 2^32, else two): the same pool, built
+        without numpy's per-int conversion."""
+        words = []
+        for value in (self.seed, self.stream, *key):
+            value &= _MASK64
+            words.append(value & _MASK32)
+            if value > _MASK32:
+                words.append(value >> 32)
+        return np.array(words, dtype=np.uint32)
 
     def spawn(self, *key: int) -> np.random.Generator:
         """Generator for the substream identified by an integer key tuple."""

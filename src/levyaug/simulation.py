@@ -141,14 +141,15 @@ def gen_poisson_sim(
     """Draw Poisson count data; the recorded information content is the
     expected total count (rates are normalized per example).  The counts
     of each set are stored in the smallest integer type that holds them
-    (see :func:`levyaug.families.check_example`)."""
+    (see :func:`levyaug.families.check_example`): the rows are drawn into a
+    ``uint8`` buffer, which widens only when a row's largest count needs it."""
     if n < 2:
         raise ParameterError("need at least 2 training examples")
     s = spec.n_signal
 
     def draw(m: int) -> ExampleBatch:
         ys = rng.integers(0, 2, size=m)
-        x = np.empty((m, spec.d), dtype=np.int64)
+        x = np.empty((m, spec.d), dtype=np.uint8)
         for i, y in enumerate(ys):
             theta = np.zeros(spec.d)
             if y == 0:
@@ -157,8 +158,11 @@ def gen_poisson_sim(
                 theta[s : 2 * s] = rng.exponential(1.0 / spec.tau_rate)
             weights = np.exp(theta)
             rates = spec.total_rate * weights / weights.sum()
-            x[i] = rng.poisson(rates)
-        return ExampleBatch(x=_compact_counts(x), y=ys + 1, t=spec.total_rate)
+            counts = rng.poisson(rates)
+            if counts.max(initial=0) > np.iinfo(x.dtype).max:
+                x = x.astype(_compact_counts(counts).dtype)
+            x[i] = counts
+        return ExampleBatch(x=x, y=ys + 1, t=spec.total_rate)
 
     return draw(n), draw(min(10 * n, _TEST_CAP))
 

@@ -153,6 +153,51 @@ def test_errors_name_the_offending_row(tmp_path):
             read_dataset(path)
 
 
+def test_reader_parses_each_value_as_float_does(tmp_path):
+    path = tmp_path / "gauss.csv"
+    spellings = ["0.1", "1e-3", " 2 ", "-0", "1_000", "+7", "1.", ".5", repr(0.1 + 0.2), "-1e-320"]
+    pairs = list(zip(spellings, reversed(spellings)))
+    rows = "\n\n".join(f"1,1.0,{a},{b}" for a, b in pairs)  # blank lines are skipped
+    path.write_text(f"# levyaug-dataset v1 family=gaussian d=2\ny,t,x_1,x_2\n{rows}\n")
+    want = np.array([[float(a), float(b)] for a, b in pairs])
+    x = read_dataset(path)[1].x
+    assert np.array_equal(x, want) and np.array_equal(np.signbit(x), np.signbit(want))
+
+
+def test_reader_errors_name_a_late_row(tmp_path):
+    path = tmp_path / "late.csv"
+    head = "# levyaug-dataset v1 family=poisson d=2\ny,t,x_1,x_2\n"
+    good = "1,1.0,2,0\n" * 499
+    for bad, message in (("1,1.0,2", "expected 4 columns, got 3"), ("1,1.0,two,0", "non-numeric")):
+        path.write_text(f"{head}{good}\n{bad}\n{good}")  # the blank line is not a row
+        with pytest.raises(DataFormatError, match=f"^row 500: {message}"):
+            read_dataset(path)
+
+
+def test_reader_holds_one_row_of_parsed_values_at_a_time(tmp_path):
+    # The file's lines, the float64 table and one row's strings; a list of
+    # parsed Python floats would take 32 bytes per value on top.
+    import tracemalloc
+
+    from levyaug.dataio import _read_table
+
+    n, d = 400, 100
+    path = tmp_path / "pseudo.csv"
+    x = np.random.default_rng(3).poisson(3.0, size=(n, d))
+    pseudo = PseudoBatch(
+        x_tilde=x, y=np.arange(n) % 2 + 1, origin_id=np.arange(n), alpha=0.5, t_tilde=1.0
+    )
+    write_pseudo_dataset(path, poisson_family(d), pseudo)
+    tracemalloc.start()
+    try:
+        _, table = _read_table(path, "levyaug-pseudo", ["origin_id", "alpha", "y", "t_tilde"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table[:, 4:], x) and table.shape == (n, d + 4)
+    assert peak < 2 * path.stat().st_size + table.nbytes
+
+
 def test_header_validation(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("y,t,x_1\n1,1.0,2\n")

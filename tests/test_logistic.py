@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import issparse
+from scipy.sparse import csr_array, issparse
 from scipy.special import logsumexp
 
 from levyaug import (
@@ -424,10 +424,10 @@ def test_small_two_class_fit_makes_one_solve_per_lambda(rng, monkeypatch):
 
 def _sparse_design(rng, n, p, density=0.2):
     """A two-class design with about ``density`` nonzeros, so a fit runs on
-    CSR, and the same rows as a dense array."""
+    CSC, and the same rows as a dense array."""
     X, Y = _two_class_problem(rng, n=n, p=p)
     X *= rng.random((n, p)) < density
-    return logistic._csr(X), X, Y
+    return logistic._csc(X, np.count_nonzero(X)), X, Y
 
 
 def test_csr_loss_gradient_and_grid_equal_dense(rng):
@@ -436,9 +436,9 @@ def test_csr_loss_gradient_and_grid_equal_dense(rng):
     w, beta = rng.standard_normal(30), rng.standard_normal((30, 3))
     Y3 = rng.integers(1, 4, size=50)
     pairs = [
-        (logistic._binary_loss_grad(w, S, sign, lam, S.T.tocsr()),
+        (logistic._binary_loss_grad(w, S, sign, lam, S.T),
          logistic._binary_loss_grad(w, X, sign, lam, X.T)),
-        (logistic._batch_loss_grad(beta, S, Y3, lam, S.T.tocsr()),
+        (logistic._batch_loss_grad(beta, S, Y3, lam, S.T),
          logistic._batch_loss_grad(beta, X, Y3, lam, X.T)),
     ]
     for (value_s, grad_s), (value, grad) in pairs:
@@ -453,6 +453,27 @@ def test_csr_loss_gradient_and_grid_equal_dense(rng):
         assert np.abs(hess_s - hess).max() <= 1e-12 * np.abs(hess).max()
 
 
+def test_masked_objectives_equal_those_of_the_sliced_rows_bit_for_bit(rng):
+    S, _, Y = _sparse_design(rng, 80, 30)
+    rows = rng.random(80) < 0.7
+    sliced = csr_array(S)[rows]  # a fold as its own CSR copy
+    sign, lam = 2.0 * Y[rows] - 3.0, 0.1
+    w, beta = rng.standard_normal(30), rng.standard_normal((30, 3))
+    Y3 = rng.integers(1, 4, size=80)
+    pairs = [
+        (logistic._binary_loss_grad(w, S, sign, lam, S.T, rows),
+         logistic._binary_loss_grad(w, sliced, sign, lam, sliced.T.tocsr())),
+        (logistic._batch_loss_grad(beta, S, Y3[rows], lam, S.T, rows),
+         logistic._batch_loss_grad(beta, sliced, Y3[rows], lam, sliced.T.tocsr())),
+    ]
+    for (value_m, grad_m), (value, grad) in pairs:
+        assert value_m == value and np.array_equal(grad_m, grad)
+    held = csr_array(S)[~rows]
+    assert logistic._heldout_metrics(beta, S, Y3, ~rows) == logistic._heldout_metrics(
+        beta, held, Y3[~rows], np.ones(held.shape[0], dtype=bool)
+    )
+
+
 def test_design_is_csr_below_the_density_threshold(rng):
     n, p = 20, 10
     below = math.ceil(logistic._CSR_MAX_DENSITY * n * p) - 1
@@ -464,6 +485,7 @@ def test_design_is_csr_below_the_density_threshold(rng):
         assert issparse(X) == csr
         assert X.dtype == np.float64 and np.array_equal(X.toarray() if csr else X, x)
         if csr:
+            assert X.format == "csc"
             assert X.indices.dtype == X.indptr.dtype == np.int32
 
 
@@ -590,15 +612,19 @@ def _noisy_problem(rng, n, p, k, density=1.0, signal=0.3):
 
 def _full_grid_cv(pseudo, cfg):
     """The reference: every fold solves the whole grid as one warm-started
-    :func:`_fit_path`; the mean held-out (loss, error) per lambda."""
+    :func:`_fit_path` on its own copy of the fold's rows (CSR for a sparse
+    design) and is scored on a copy of the held-out rows; the mean held-out
+    (loss, error) per lambda."""
     X, Y, groups, _ = logistic._design(pseudo)
+    X = X if isinstance(X, np.ndarray) else csr_array(X)
     folds = grouped_fold_assignment(groups, cfg.n_folds)
     scores = np.zeros((len(cfg.ridge_lambda), 2, cfg.n_folds))
     for f in range(cfg.n_folds):
-        mask = folds != f
-        path, _ = logistic._fit_path(X[mask], Y[mask], cfg.ridge_lambda, cfg.tol, cfg.max_iter)
+        fit, held = folds != f, folds == f
+        path, _ = logistic._fit_path(X[fit], Y[fit], cfg.ridge_lambda, cfg.tol, cfg.max_iter)
+        every = np.ones(np.count_nonzero(held), dtype=bool)
         for j, (beta, _) in enumerate(path):
-            scores[j, :, f] = logistic._heldout_metrics(beta, X[~mask], Y[~mask])
+            scores[j, :, f] = logistic._heldout_metrics(beta, X[held], Y[held], every)
     return scores.mean(axis=2)
 
 
@@ -671,6 +697,64 @@ def test_cv_never_stops_on_a_grid_of_three(rng):
     short = fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=grid[:3], n_folds=4))[1]
     assert short.cv_table == long.cv_table[:3]
     assert short.chosen_lambda == long.chosen_lambda == grid[0]
+
+
+@pytest.mark.parametrize("n, p, k, masked", [
+    (600, 300, 2, True),  # two-class L-BFGS-B: the folds read the design through masks
+    (300, 40, 3, True),   # K = 3 L-BFGS-B: masks too
+    (60, 80, 2, False),   # Newton-sized folds: sliced into CSR copies
+])
+def test_sparse_cv_equals_the_sliced_reference_bit_for_bit(rng, monkeypatch, n, p, k, masked):
+    pseudo = _noisy_problem(rng, n, p, k, density=0.2)
+    grid = tuple(np.geomspace(10.0, 1e-3, 12).tolist())
+    cfg = TrainConfig(ridge_lambda=grid, n_folds=5)
+    under_mask = []
+    for name in ("_binary_loss_grad", "_batch_loss_grad"):
+        def recording(*args, objective=getattr(logistic, name)):
+            under_mask.append(args[5] is not None)
+            return objective(*args)
+
+        monkeypatch.setattr(logistic, name, recording)
+    model, report = fit_logistic_detailed(pseudo, cfg)
+    monkeypatch.undo()
+    assert any(under_mask) == masked
+
+    reference = _full_grid_cv(pseudo, cfg)
+    reference[_expected_stop(reference[:, 0]) + 1 :] = np.nan
+    assert np.array_equal(np.array(report.cv_table)[:, 1:], reference, equal_nan=True)
+    chosen = grid[int(np.nanargmin(reference[:, 0]))]
+    assert report.chosen_lambda == chosen
+    X, Y, _, _ = logistic._design(pseudo)
+    assert X.format == "csc"
+    path, _ = logistic._fit_path(
+        csr_array(X), Y, [lam for lam in grid if lam >= chosen], cfg.tol, cfg.max_iter
+    )
+    assert np.array_equal(model.beta, center_columns(path[-1][0]))
+
+
+def test_cv_on_a_sparse_design_copies_no_fold():
+    # Every (lambda, fold) reads the CSC design through a row mask.  A copy
+    # of each fold's rows and of their transpose would hold about 1.6
+    # designs' bytes more.
+    import tracemalloc
+
+    from levyaug import ThinningConfig, generate_pseudo_examples
+    from levyaug.families import poisson_family
+    from levyaug.simulation import PoissonSimSpec, gen_poisson_sim
+
+    train, _ = gen_poisson_sim(PoissonSimSpec(), 100, RngState(5).spawn())
+    cfg = ThinningConfig(alpha=0.1, n_pseudo=32, seed=RngState(6))
+    pseudo = generate_pseudo_examples(train, cfg, poisson_family(500))
+    X = logistic._design(pseudo)[0]
+    design = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+    fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=3.0))  # loads scipy before tracing
+    tracemalloc.start()
+    try:
+        fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=(3.0, 1.0, 0.3), n_folds=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * design
 
 
 def test_default_lambda_grid_shape(rng):

@@ -34,6 +34,26 @@ def test_substate_derives_new_state():
     assert s.substate(5) != s.substate(6)
 
 
+@pytest.mark.parametrize("seed, key", [
+    (0, (0,)),
+    (2**32 - 1, (2**32 - 1, 2**32)),
+    (2**32, (2**64 - 1, 0)),
+    (2**64 - 1, ()),
+    (-3, (-1, 2**40 + 5)),
+])
+def test_spawn_words_seed_the_streams_an_int_tuple_seeds(seed, key):
+    # The entropy, as uint32 words, fills the pool that numpy builds from
+    # the int tuple (seed, stream, *key), each taken modulo 2^64.
+    state = RngState(seed, 9)
+    ints = tuple(v % 2**64 for v in (seed, 9, *key))
+    assert np.array_equal(
+        state.spawn(*key).random(6),
+        np.random.default_rng(np.random.SeedSequence(entropy=ints)).random(6),
+    )
+    mixed = np.random.SeedSequence(entropy=ints).generate_state(2, np.uint64)
+    assert state.substate(*key) == RngState(int(mixed[0]), int(mixed[1]))
+
+
 def _wishart(scale, dof, g, size=None):
     """Wishart(scale, dof) draws through the Bartlett primitives thinning uses."""
     d = scale.shape[0]

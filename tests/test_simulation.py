@@ -89,6 +89,54 @@ def test_poisson_class2_signal_block_is_elevated():
     assert x2[:, :7].mean() == pytest.approx(x2[:, 14:].mean(), rel=0.05)
 
 
+def test_poisson_counts_take_under_two_bytes_each_while_drawn():
+    # The rows are drawn into a uint8 buffer; an int64 one would take 8
+    # bytes per count.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        train, test = gen_poisson_sim(PoissonSimSpec(), 100, RngState(68).spawn())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert train.x.dtype == test.x.dtype == np.uint8
+    assert peak < 2 * (train.x.size + test.x.size)
+
+
+class _ScriptedPoisson:
+    """A generator whose ``poisson`` draws get one entry raised to a
+    scripted count on the rows named, and which records every row drawn."""
+
+    def __init__(self, rng, script):
+        self._rng, self._script, self.rows = rng, script, []
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def poisson(self, rates):
+        row = self._rng.poisson(rates)
+        if len(self.rows) in self._script:
+            row[3] = self._script[len(self.rows)]
+        self.rows.append(row)
+        return row
+
+
+@pytest.mark.parametrize("script, dtype", [
+    ({}, np.uint8),
+    ({5: 255}, np.uint8),
+    ({5: 256}, np.uint16),
+    ({2: 300, 7: 65535}, np.uint16),
+    ({2: 300, 7: 65536}, np.uint32),
+    ({4: 2**32}, np.int64),
+])
+def test_poisson_count_buffer_widens_only_past_its_type(script, dtype):
+    g = _ScriptedPoisson(RngState(69).spawn(), script)
+    train, test = gen_poisson_sim(PoissonSimSpec(d=20), 10, g)
+    assert train.x.dtype == dtype and test.x.dtype == np.uint8
+    assert np.array_equal(train.x, g.rows[:10]) and np.array_equal(test.x, g.rows[10:])
+
+
 # ---------------------------------------------------------------------------
 # sweep runner
 # ---------------------------------------------------------------------------
