@@ -294,20 +294,38 @@ def _check_rows(family: LevyFamily, rows) -> np.ndarray:
     shape = (family.d, family.d) if kind is FamilyKind.WISHART else (family.d,)
     if arr.shape[1:] != shape:
         raise SupportError(f"{kind.value} features must have shape {shape}, got {arr.shape[1:]}")
-    integers = kind is FamilyKind.POISSON and arr.dtype.kind in "iu"
-    if not integers:  # integer counts are checked as they are: exact, and no float copy
-        arr = np.asarray(arr, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise SupportError("features must be finite")
     if kind is FamilyKind.POISSON:
-        if np.any(arr < 0) or (not integers and np.any(arr != np.floor(arr))):
-            raise SupportError("Poisson features must be nonnegative integers")
-        return _compact_counts(arr)
+        return _check_counts(arr)
+    arr = np.asarray(arr, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise SupportError("features must be finite")
     if kind is FamilyKind.GAMMA and np.any(arr <= 0.0):
         raise SupportError("Gamma features must be strictly positive")
     if kind is FamilyKind.WISHART:
         _check_pd(arr, "Wishart feature matrix")
     return arr
+
+
+_FLOOR_BLOCK = 1 << 15  # values per block of the float integer check
+
+
+def _check_counts(arr: np.ndarray) -> np.ndarray:
+    """Poisson rows of shape (rows, d) as compact counts.  Integer rows are
+    checked as they are: exact, with no float copy.  Float rows, such as a
+    parsed file's strided feature block, are checked by reductions and by
+    blocks of rows, so that no temporary is the size of the stack and the
+    only copy made is the compact one."""
+    integers = arr.dtype.kind in "iu"
+    if not integers:
+        arr = np.asarray(arr, dtype=float)
+    lo, hi = arr.min(initial=0), arr.max(initial=0)  # a nan carries through both
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise SupportError("features must be finite")
+    step = max(1, _FLOOR_BLOCK // arr.shape[1])
+    blocks = (arr[i : i + step] for i in range(0, len(arr), step))
+    if lo < 0 or not (integers or all(np.array_equal(b, np.floor(b)) for b in blocks)):
+        raise SupportError("Poisson features must be nonnegative integers")
+    return _compact_counts(arr)
 
 
 def check_example(family: LevyFamily, batch: ExampleBatch) -> np.ndarray:

@@ -214,14 +214,16 @@ def _thin_one(family_of_d, x, alpha, t, rng, size):
         return xs[0].copy() if size is None else np.repeat(xs, size, axis=0)
     for_origin, finish, _ = _sampler(family, alpha)
     out = finish(for_origin(xs[0], t)(rng, 1 if size is None else size), xs)
+    out = out.astype(xs.dtype, copy=False)  # Poisson draws come as int64
     return out[0] if size is None else out
 
 
 def thin_poisson(x, alpha: float, rng: np.random.Generator, size=None):
     """Binomially downsample a count vector; keeps each unit with prob alpha.
 
-    The draws come back as the generator makes them, int64; ``alpha = 1``
-    returns the checked counts, in the type :func:`check_example` picks."""
+    The draws, like the checked counts ``alpha = 1`` returns, come back in
+    the type :func:`check_example` picks for ``x``: a copy never exceeds its
+    origin, so that type holds it."""
     return _thin_one(poisson_family, x, alpha, 1.0, rng, size)
 
 

@@ -1,9 +1,14 @@
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from levyaug import (
     DataFormatError,
     Example,
+    ExampleBatch,
     ParameterError,
     PseudoBatch,
     SupportError,
@@ -12,6 +17,7 @@ from levyaug import (
     poisson_family,
     wishart_family,
 )
+from levyaug import dataio
 from levyaug.dataio import (
     pack_symmetric,
     read_dataset,
@@ -174,28 +180,173 @@ def test_reader_errors_name_a_late_row(tmp_path):
             read_dataset(path)
 
 
-def test_reader_holds_one_row_of_parsed_values_at_a_time(tmp_path):
-    # The file's lines, the float64 table and one row's strings; a list of
-    # parsed Python floats would take 32 bytes per value on top.
-    import tracemalloc
+def test_pseudo_reader_errors_name_a_late_row(tmp_path):
+    path = tmp_path / "late.csv"
+    head = "# levyaug-pseudo v1 family=poisson d=3\norigin_id,alpha,y,t_tilde,x_1,x_2,x_3\n"
+    good = "0,0.5,1,1.0,2,0,1\n" * 499
+    for bad, message in (
+        ("0,0.5,1,1.0,2,0", "expected 7 columns, got 6"),
+        ("0,0.5,1,1.0,2,x,1", "non-numeric"),
+    ):
+        path.write_text(f"{head}{good}\n\n{bad}\n{good}")
+        with pytest.raises(DataFormatError, match=f"^row 500: {message}"):
+            read_pseudo_dataset(path)
 
-    from levyaug.dataio import _read_table
 
-    n, d = 400, 100
-    path = tmp_path / "pseudo.csv"
+def _layouts(magic, header, rows):
+    """One file's text in each layout a reader accepts: blank lines
+    anywhere are skipped and the last line needs no newline."""
+    head = f"# {magic} v1 family=poisson d=2\n{header}\n"
+    return {
+        "plain": head + "".join(f"{row}\n" for row in rows),
+        "no final newline": head + "\n".join(rows),
+        "blank lines": "\n \n" + head.replace("\n", "\n\n\t\n", 1)
+        + "".join(f"{row}\n\n" for row in rows) + "  \n\n",
+        "crlf": (head + "".join(f"{row}\n" for row in rows)).replace("\n", "\r\n"),
+    }
+
+
+@pytest.mark.parametrize("layout", ["plain", "no final newline", "blank lines", "crlf"])
+def test_readers_accept_each_layout(tmp_path, layout):
+    path = tmp_path / "data.csv"
+    text = _layouts("levyaug-dataset", "y,t,x_1,x_2", ["1,1.0,2,0", "2,3.5,0,7"])[layout]
+    path.write_bytes(text.encode())
+    _, batch = read_dataset(path)
+    assert batch.x.dtype == np.uint8 and np.array_equal(batch.x, [[2, 0], [0, 7]])
+    assert np.array_equal(batch.y, [1, 2]) and np.array_equal(batch.t, [1.0, 3.5])
+    rows = ["0,0.5,1,0.5,2,0", "1,0.5,2,1.75,0,7"]
+    text = _layouts("levyaug-pseudo", "origin_id,alpha,y,t_tilde,x_1,x_2", rows)[layout]
+    path.write_bytes(text.encode())
+    _, pseudo = read_pseudo_dataset(path)
+    assert pseudo.x_tilde.dtype == np.uint8 and np.array_equal(pseudo.x_tilde, [[2, 0], [0, 7]])
+    assert np.array_equal(pseudo.origin_id, [0, 1]) and np.array_equal(pseudo.y, [1, 2])
+    assert np.array_equal(pseudo.alpha, [0.5, 0.5]) and np.array_equal(pseudo.t_tilde, [0.5, 1.75])
+
+
+def test_readers_accept_a_header_only_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# levyaug-dataset v1 family=poisson d=2\ny,t,x_1,x_2\n")
+    _, batch = read_dataset(path)
+    assert batch.x.shape == (0, 2) and batch.x.dtype == np.uint8 and len(batch.t) == 0
+    path.write_text("# levyaug-pseudo v1 family=gamma d=2\norigin_id,alpha,y,t_tilde,x_1,x_2")
+    _, pseudo = read_pseudo_dataset(path)
+    assert pseudo.x_tilde.shape == (0, 2) and pseudo.x_tilde.dtype == np.float64
+    assert len(pseudo.origin_id) == len(pseudo.t_tilde) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_readers_read_a_pipe(tmp_path):
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+    text = "# levyaug-dataset v1 family=gaussian d=1\ny,t,x_1\n1,1.0,0.25\n2,2.0,-0.5\n"
+    writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        _, batch = read_dataset(pipe)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(batch.x, [[0.25], [-0.5]]) and np.array_equal(batch.y, [1, 2])
+
+
+def _family_features(name, rng, n):
+    """A family, n rows of its features, and the type a read returns them in."""
+    if name == "poisson":
+        return poisson_family(3), rng.poisson(3.0, size=(n, 3)), np.uint8
+    if name == "gaussian":
+        return gaussian_family(2), rng.normal(size=(n, 2)), np.float64
+    if name == "gamma":
+        return gamma_family(2), rng.gamma(2.0, size=(n, 2)), np.float64
+    m = np.stack([random_pd_matrix(2, rng) for _ in range(n)])
+    return wishart_family(2), m + np.swapaxes(m, 1, 2), np.float64
+
+
+@pytest.mark.parametrize("name", ["poisson", "gaussian", "gamma", "wishart"])
+def test_reads_return_every_array_in_its_value_and_type(tmp_path, rng, name):
+    family, x, x_type = _family_features(name, rng, 5)
+    y, t = np.array([1, 2, 1, 2, 1]), np.array([5.0, 6.5, 7.0, 8.0, 9.0])
+    write_dataset(tmp_path / "data.csv", family, ExampleBatch(x=x, y=y, t=t))
+    _, batch = read_dataset(tmp_path / "data.csv")
+    origin_id, alpha = np.array([0, 0, 1, 1, 2]), np.full(5, 0.5)
+    pseudo = PseudoBatch(x_tilde=x, y=y, origin_id=origin_id, alpha=alpha, t_tilde=t / 2)
+    write_pseudo_dataset(tmp_path / "pseudo.csv", family, pseudo)
+    _, read = read_pseudo_dataset(tmp_path / "pseudo.csv")
+    for got, want, dtype in (
+        (batch.x, x, x_type), (batch.y, y, np.int64), (batch.t, t, np.float64),
+        (read.x_tilde, x, x_type), (read.y, y, np.int64), (read.origin_id, origin_id, np.int64),
+        (read.alpha, alpha, np.float64), (read.t_tilde, t / 2, np.float64),
+    ):
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
+def _poisson_pseudo_file(path, n, d):
+    """Write n thinned Poisson rows of d counts; return their features."""
     x = np.random.default_rng(3).poisson(3.0, size=(n, d))
     pseudo = PseudoBatch(
         x_tilde=x, y=np.arange(n) % 2 + 1, origin_id=np.arange(n), alpha=0.5, t_tilde=1.0
     )
     write_pseudo_dataset(path, poisson_family(d), pseudo)
+    return x
+
+
+def test_reader_holds_one_row_of_parsed_values_at_a_time(tmp_path):
+    # The float64 table, one line and one row's strings: neither the file's
+    # lines nor a list of parsed Python floats (32 bytes per value).
+    path = tmp_path / "pseudo.csv"
+    x = _poisson_pseudo_file(path, 400, 100)
+    columns = ["origin_id", "alpha", "y", "t_tilde"]
     tracemalloc.start()
     try:
-        _, table = _read_table(path, "levyaug-pseudo", ["origin_id", "alpha", "y", "t_tilde"])
+        _, table = dataio._read_table(path, "levyaug-pseudo", columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(table[:, 4:], x) and table.shape == (n, d + 4)
-    assert peak < 2 * path.stat().st_size + table.nbytes
+    assert np.array_equal(table[:, 4:], x) and table.shape == (400, 104)
+    assert peak < table.nbytes + 64 * 1024
+
+
+def test_poisson_read_holds_one_table_and_returns_none_of_it(tmp_path, monkeypatch):
+    # The counts are compacted straight from the table's strided block, and
+    # every returned column is a copy, so the table is freed on return.
+    n, d = 800, 500
+    path = tmp_path / "pseudo.csv"
+    x = _poisson_pseudo_file(path, n, d)
+    tracemalloc.start()
+    try:
+        _, batch = read_pseudo_dataset(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = (batch.x_tilde, batch.y, batch.origin_id, batch.alpha, batch.t_tilde)
+    assert batch.x_tilde.dtype == np.uint8 and np.array_equal(batch.x_tilde, x)
+    assert peak < n * (d + 4) * 8 + batch.x_tilde.nbytes + 2**20
+    assert held < sum(col.nbytes for col in columns) + 2**19
+    tables = []
+
+    def read_table(*args, read=dataio._read_table):
+        tables.append(read(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(dataio, "_read_table", read_table)
+    _, again = read_pseudo_dataset(path)
+    table = tables[0][1]
+    for col in (again.x_tilde, again.y, again.origin_id, again.alpha, again.t_tilde):
+        assert not np.shares_memory(col, table)
+
+
+def test_writers_format_rows_a_block_at_a_time(tmp_path, monkeypatch, rng):
+    family, x, _ = _family_features("wishart", rng, 5)
+    examples = ExampleBatch(x=x, y=[1, 2, 1, 2, 1], t=np.arange(5.0) + 3.0)
+    pseudo = PseudoBatch(x_tilde=x, y=1, origin_id=np.arange(5), alpha=0.25, t_tilde=1.5)
+    whole = tmp_path / "whole.csv", tmp_path / "whole-pseudo.csv"
+    write_dataset(whole[0], family, examples)
+    write_pseudo_dataset(whole[1], family, pseudo)
+    monkeypatch.setattr(dataio, "_WRITE_VALUES", 6)  # two rows of d=2 matrices
+    blocks = tmp_path / "blocks.csv", tmp_path / "blocks-pseudo.csv"
+    write_dataset(blocks[0], family, examples)
+    write_pseudo_dataset(blocks[1], family, pseudo)
+    for a, b in zip(whole, blocks):
+        assert a.read_bytes() == b.read_bytes() and len(a.read_text().splitlines()) == 7
 
 
 def test_header_validation(tmp_path):

@@ -27,7 +27,6 @@ from levyaug import (
 from levyaug.families import as_example_batch
 
 from conftest import random_pd_matrix
-from oracles import Topic, log_partition
 
 
 # ---------------------------------------------------------------------------
@@ -46,15 +45,6 @@ def test_gaussian_family_requires_sigma():
 def test_dimension_must_be_positive():
     with pytest.raises(ParameterError):
         poisson_family(0)
-
-
-def test_topic_domain_enforced_at_construction():
-    with pytest.raises(ParameterError):
-        Topic(np.array([-0.5, 0.1]), gamma_family(2))
-    Topic(np.array([-0.5, -0.1]), gamma_family(2))
-    with pytest.raises(ParameterError):
-        Topic(np.eye(2), wishart_family(2))  # positive-definite, wrong sign
-    Topic(-np.eye(2), wishart_family(2))
 
 
 def _check_one(family, x):
@@ -143,44 +133,6 @@ def test_example_fields_are_frozen():
     for bad in (dict(y=[1, 2, 1]), dict(x=np.zeros(2))):
         with pytest.raises(ShapeError):
             ExampleBatch(**{**good, **bad})
-
-
-# ---------------------------------------------------------------------------
-# log_partition
-# ---------------------------------------------------------------------------
-
-def test_log_partition_poisson_zeros_is_d():
-    for d in (1, 3, 7):
-        assert log_partition(Topic(np.zeros(d), poisson_family(d))) == pytest.approx(d)
-
-
-def test_log_partition_gaussian_zero_theta():
-    assert log_partition(Topic(np.zeros(2), gaussian_family(2))) == 0.0
-
-
-def test_log_partition_gamma_unit_variance():
-    # sigma^2 = 1 corresponds to theta = -1/2 and psi = 0
-    assert log_partition(Topic(np.array([-0.5]), gamma_family(1))) == pytest.approx(0.0)
-
-
-@pytest.mark.parametrize("kind", ["poisson", "gaussian", "gamma", "wishart"])
-def test_log_partition_convex_on_random_pairs(kind, rng):
-    for _ in range(100):
-        if kind == "poisson":
-            fam = poisson_family(3)
-            t1, t2 = rng.normal(size=3), rng.normal(size=3)
-        elif kind == "gaussian":
-            fam = gaussian_family(3, random_pd_matrix(3, rng))
-            t1, t2 = rng.normal(size=3), rng.normal(size=3)
-        elif kind == "gamma":
-            fam = gamma_family(3)
-            t1, t2 = -rng.uniform(0.1, 5.0, size=3), -rng.uniform(0.1, 5.0, size=3)
-        else:
-            fam = wishart_family(2)
-            t1, t2 = -random_pd_matrix(2, rng), -random_pd_matrix(2, rng)
-        mid = log_partition(Topic((t1 + t2) / 2.0, fam))
-        avg = 0.5 * (log_partition(Topic(t1, fam)) + log_partition(Topic(t2, fam)))
-        assert mid <= avg + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,8 @@ _SIGMA = np.array([[2.0, 0.3], [0.3, 1.0]])
 GOLDEN_DRAWS = {
     "poisson": (
         lambda g, size: thin_poisson(np.array([2, 0, 5, 7]), 0.4, g, size=size),
-        "d8b9402fe05f0143b1479777559bbe2460b7f432f4c857ea002bd238f26956d9",
-        "dabb660488aaca79aaaf28f3d1038e98d719550b9c9d9a6a91aca2ed6c77f535",
+        "9b1670a687077e666a364aef43ac7dc047ecbc4d1100f19291be3b8352d7785b",
+        "9f9fe45f6786571ebe53d9ed595b215c53e1b124ec4b27775b32621fd618c540",
     ),
     "gaussian": (
         lambda g, size: thin_gaussian(np.array([0.5, -1.25]), 0.3, 2.0, _SIGMA, g, size=size),
