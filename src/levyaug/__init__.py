@@ -45,8 +45,6 @@ from .logistic import (
     fit_logistic,
     fit_logistic_detailed,
     load_model,
-    logistic_loss,
-    loss_gradient,
     predict,
     save_model,
 )
@@ -63,11 +61,7 @@ from .simulation import (
     write_sweep_csv,
 )
 from .strong_thinning import (
-    AlphaPathPoint,
-    alpha_path_converges,
     fit_strong_thinning,
-    limit_loss,
-    limit_loss_gradient,
     naive_bayes_poisson_fit,
 )
 from .thinning import (

@@ -13,7 +13,9 @@ recording the command line, seed, config hash and library version; apart
 from the manifest timestamp, rerunning a command with the same inputs and
 seed reproduces its outputs byte for byte.  Only ``thin`` and ``simulate``
 draw random numbers, so only they take ``--seed`` (default
-``LEVYAUG_SEED``, else 0); ``train`` and ``limit`` record a null seed.
+``LEVYAUG_SEED``, else 0) and read that variable, where a value that is not
+an integer is a usage error (exit 2); ``train`` and ``limit`` ignore it and
+record a null seed.
 
 scipy is not loaded by ``import levyaug.cli`` or by ``thin``; the commands
 that solve (``train``, ``simulate``, ``limit``) load it once as they start.
@@ -69,9 +71,21 @@ EXIT_DOMAIN = 3
 EXIT_OPTIM = 4
 
 
-def _default_seed() -> int:
-    env = os.environ.get("LEVYAUG_SEED")
-    return int(env) if env else 0
+def _env_seed() -> str:
+    """``--seed``'s default, as text: ``LEVYAUG_SEED``, else "0".  argparse
+    converts a text default only for a command that has the option and was
+    not given it, so ``train`` and ``limit`` never parse the variable."""
+    return os.environ.get("LEVYAUG_SEED") or "0"
+
+
+def _seed(text: str) -> int:
+    """``--seed``'s type.  A malformed value is a usage error (exit 2)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer for --seed or LEVYAUG_SEED, got {text!r}"
+        ) from None
 
 
 def _write_manifest(out_path: str, seed, config: dict) -> None:
@@ -297,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--t-const", type=float, default=None, help="override the t column with a constant"
     )
     thin.add_argument("--sigma", default=None, help="covariance CSV for Gaussian data")
-    thin.add_argument("--seed", type=int, default=_default_seed())
+    thin.add_argument("--seed", type=_seed, default=_env_seed())
     thin.set_defaults(func=_cmd_thin)
 
     train = sub.add_parser("train", help="fit + calibrate a model on pseudo-examples")
@@ -344,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="write measured wall times (breaks byte-reproducibility of the CSV)",
     )
-    sim.add_argument("--seed", type=int, default=_default_seed())
+    sim.add_argument("--seed", type=_seed, default=_env_seed())
     sim.set_defaults(func=_cmd_simulate)
 
     limit = sub.add_parser("limit", help="fit the strong-thinning (alpha -> 0) model")

@@ -100,8 +100,6 @@ __all__ = [
     "LogisticModel",
     "TrainConfig",
     "FitReport",
-    "logistic_loss",
-    "loss_gradient",
     "fit_logistic",
     "fit_logistic_detailed",
     "calibrate",
@@ -273,25 +271,6 @@ def _softmax_loss(scores, Y):
     resid, lse = _softmax(scores)
     resid[rows, Y - 1] -= 1.0
     return lse - scores[rows, Y - 1], resid
-
-
-def _example_loss(beta, x, y):
-    """The one-row case of :func:`_softmax_loss`: the log-loss of a single
-    (features, label) pair and its gradient in the scores."""
-    beta = np.asarray(beta, dtype=float)
-    _check_labels(y, beta.shape[-1])
-    loss, resid = _softmax_loss((np.asarray(x, dtype=float) @ beta)[None], np.array([y]))
-    return loss[0], resid[0]
-
-
-def logistic_loss(beta: np.ndarray, x: np.ndarray, y: int) -> float:
-    """Multiclass log-loss of a single (features, label) pair."""
-    return float(_example_loss(beta, x, y)[0])
-
-
-def loss_gradient(beta: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
-    """d loss / d beta, a p x K matrix: (softmax_k - 1{k=y}) outer phi(x)."""
-    return np.outer(x, _example_loss(beta, x, y)[1])
 
 
 def _take(a, rows):

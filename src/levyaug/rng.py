@@ -80,7 +80,7 @@ def matrix_sqrt_sym_pd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
-# Wishart(scale, dof) draws via the Bartlett decomposition come in two
+# Wishart(I, dof) draws via the Bartlett decomposition come in two
 # steps, so that a caller can make the generator calls of many draws one at
 # a time and finish them all as one stacked computation.
 
@@ -93,17 +93,15 @@ def _bartlett(d: int, dof: float, rng: np.random.Generator, n: int) -> np.ndarra
     return np.concatenate([chi2, rng.standard_normal((n, d * (d - 1) // 2))], axis=1)
 
 
-def _wishart_from_bartlett(chol_scale: np.ndarray, variates: np.ndarray) -> np.ndarray:
-    """The draws L A A' L', symmetrized, from a stack of :func:`_bartlett`
-    variates and L = chol(scale).  The lower-triangular factor A has the
+def _wishart_from_bartlett(d: int, variates: np.ndarray) -> np.ndarray:
+    """The d x d Wishart(I, dof) draws A A', symmetrized, from a stack of
+    :func:`_bartlett` variates.  The lower-triangular factor A has the
     square roots of the chi-square variates on its diagonal and the
-    normals below it."""
-    n, d = len(variates), chol_scale.shape[0]
-    a = np.zeros((n, d, d))
+    normals below it.  A draw with scale L L' is L A A' L'."""
+    a = np.zeros((len(variates), d, d))
     idx = np.arange(d)
     a[:, idx, idx] = np.sqrt(variates[:, :d])
     rows, cols = np.tril_indices(d, k=-1)
     a[:, rows, cols] = variates[:, d:]
-    la = chol_scale @ a
-    w = la @ np.swapaxes(la, -1, -2)
+    w = a @ np.swapaxes(a, -1, -2)
     return 0.5 * (w + np.swapaxes(w, -1, -2))

@@ -14,9 +14,9 @@ quantities:
 and equals, for coefficients in the centered gauge (columns of beta sum
 to zero),
 
-    limit_loss(beta; x, y) = -mu(x) . beta_y
-                             + (t / 2K) * sum_k beta_k' Sigma beta_k
-                             + lam(x) * sum_z nu(z | x) loss(beta; z, y).
+    L_0(beta; x, y) = -mu(x) . beta_y
+                      + (t / 2K) * sum_k beta_k' Sigma beta_k
+                      + lam(x) * sum_z nu(z | x) loss(beta; z, y).
 
 The ``LevyFamily`` fixes all three, and ``Sigma`` is its covariance, so
 summed over examples the limit depends on the data only through the
@@ -33,8 +33,9 @@ information content ``t_total``.  Two families have a derived limit:
   is why this endpoint reproduces naive-Bayes class probabilities on
   single words.
 
-The per-example loss is the summed loss of a one-example set, so both
-are one function, ``_limit_objective``.
+The per-example loss is the summed loss of a one-example set, whose
+class sums hold ``x`` in column ``y`` and zeros elsewhere, so
+``_limit_objective`` evaluates both.
 """
 
 from __future__ import annotations
@@ -44,35 +45,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import single_thread
-from .errors import DegenerateDataError, ParameterError
+from .errors import ParameterError
 from .families import (
-    ExampleBatch,
     Examples,
     FamilyKind,
     LevyFamily,
     as_example_batch,
     check_example,
+    poisson_family,
 )
 from .logistic import (
     FeatureMap,
     LogisticModel,
-    TrainConfig,
     _check_classes,
     _minimize,
     _softmax,
     center_columns,
-    fit_logistic,
     minimize,  # noqa: F401  (perfbench/tracer.py wraps this name)
 )
-from .rng import RngState
-from .thinning import ThinningConfig, generate_pseudo_examples
 
 __all__ = [
-    "limit_loss",
-    "limit_loss_gradient",
     "fit_strong_thinning",
-    "AlphaPathPoint",
-    "alpha_path_converges",
     "naive_bayes_poisson_fit",
     "PoissonNaiveBayes",
 ]
@@ -102,33 +95,6 @@ def _limit_objective(beta, family: LevyFamily, sums, t_total: float):
     soft, lse = _softmax(beta)
     value = float(totals @ lse) - float((sums * beta).sum())
     return value, totals[:, None] * soft - sums
-
-
-def _limit_at(beta, x, y, family, t):
-    """Value and raw gradient of the limit loss of one example at
-    center(beta)."""
-    _check_derived(family)
-    batch = ExampleBatch(x=np.asarray(x)[None], y=y, t=t)  # checks y >= 1 and t > 0
-    beta = center_columns(np.asarray(beta, dtype=float))
-    sums = np.zeros_like(beta)
-    sums[:, y - 1] = check_example(family, batch)[0]
-    return _limit_objective(beta, family, sums, float(batch.t[0]))
-
-
-def limit_loss(beta: np.ndarray, x, y: int, family: LevyFamily, t: float) -> float:
-    """Limit of (1/alpha) * (expected thinned loss - log K), dropping
-    beta-free constants.  ``beta`` is centered internally before
-    evaluation, since the formula lives in the centered gauge."""
-    return _limit_at(beta, x, y, family, t)[0]
-
-
-def limit_loss_gradient(
-    beta: np.ndarray, x, y: int, family: LevyFamily, t: float
-) -> np.ndarray:
-    """Gradient of :func:`limit_loss` as implemented, i.e. of the map
-    beta -> limit_loss(center(beta)); the chain rule through the
-    centering projection is included."""
-    return center_columns(_limit_at(beta, x, y, family, t)[1])
 
 
 # --------------------------------------------------------------------------
@@ -201,52 +167,6 @@ def fit_strong_thinning(
 
 
 # --------------------------------------------------------------------------
-# Path diagnostics
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AlphaPathPoint:
-    alpha: float
-    direction_distance: float
-
-
-def _unit_direction(beta: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(beta))
-    if norm == 0.0:
-        raise DegenerateDataError("fitted coefficients are identically zero")
-    return beta / norm
-
-
-def alpha_path_converges(
-    examples: Examples,
-    family: LevyFamily,
-    alphas: list[float],
-    n_pseudo: int,
-    ridge_lambda: float = 0.0,
-    seed: RngState = RngState(0),
-) -> list[AlphaPathPoint]:
-    """Distance between the thinned-fit direction and the limit direction
-    along an alpha path.
-
-    For each alpha, fits coefficients on ``n_pseudo`` thinned copies per
-    original at a fixed ridge weight (no CV) and reports the Frobenius
-    distance between the normalized coefficient matrices.  Shrinking
-    alpha should shrink the distance, up to Monte Carlo noise.
-    """
-    limit_model = fit_strong_thinning(examples, family, ridge_lambda=ridge_lambda)
-    limit_dir = _unit_direction(limit_model.beta)
-    cfg_train = TrainConfig(ridge_lambda=ridge_lambda)
-    out = []
-    for j, alpha in enumerate(alphas):
-        thin_cfg = ThinningConfig(alpha=alpha, n_pseudo=n_pseudo, seed=seed.substate(j))
-        pseudo = generate_pseudo_examples(examples, thin_cfg, family)
-        model = fit_logistic(pseudo, cfg_train)
-        dist = float(np.linalg.norm(_unit_direction(model.beta) - limit_dir))
-        out.append(AlphaPathPoint(alpha=alpha, direction_distance=dist))
-    return out
-
-
-# --------------------------------------------------------------------------
 # Naive Bayes on Poisson counts (the generative twin of the Poisson limit)
 # --------------------------------------------------------------------------
 
@@ -264,15 +184,17 @@ def naive_bayes_poisson_fit(
     smoothing: float = 0.0,
 ) -> PoissonNaiveBayes:
     """Rate estimates (count_jk + a) / (time_k + a d) with additive
-    smoothing a, plus the induced log-rate scores."""
+    smoothing a, plus the induced log-rate scores.  Features that are not
+    counts raise :class:`SupportError`."""
     if smoothing < 0.0:
         raise ParameterError("smoothing must be nonnegative")
     batch = as_example_batch(examples)
     k = _check_classes(batch.y)
     d = batch.x.shape[1]
+    x = check_example(poisson_family(d), batch)
     counts = np.zeros((k, d))
     time = np.zeros(k)
-    np.add.at(counts, batch.y - 1, np.asarray(batch.x, dtype=float))  # in row order
+    np.add.at(counts, batch.y - 1, np.asarray(x, dtype=float))  # in row order
     np.add.at(time, batch.y - 1, batch.t)
     rates = (counts + smoothing) / (time + smoothing * d)[:, None]
     with np.errstate(divide="ignore"):

@@ -77,19 +77,19 @@ class ThinningConfig:
 # check_example (the family's support, t positive and finite, and the
 # Wishart density condition t >= d), and alpha with check_alpha.  Then
 # alpha = 1 copies the features, and alpha < 1 draws through _sampler.
-# _sampler does the per-call work (Cholesky factors).  Its for_origin(x, t)
-# does the per-origin work (mean and scale, Beta shapes, degrees of
-# freedom) and returns draw(rng, n), which makes the generator calls for n
-# copies of that origin and returns their raw draws as an (n, *raw_shape)
-# stack.  Its finish(raw, xs) takes the raw draws of every copy, stacked
-# origin by origin with the same number of copies each, and returns the
-# thinned copies.  For Wishart the raw draws are the Bartlett variates of
-# W1 and W2, and finish does all of the matrix-beta linear algebra (the
-# Wishart products, the eigendecomposition, the inverse root, the products
-# with each origin's square root) as one stacked computation, however many
-# origins and copies there are.  finish also holds the one domination
-# check of each family with a bound (all but Gaussian): a copy that leaves
-# its bracket raises DecompositionError.
+# _sampler does the per-call work (the Gaussian Cholesky factor).  Its
+# for_origin(x, t) does the per-origin work (mean and scale, Beta shapes,
+# degrees of freedom) and returns draw(rng, n), which makes the generator
+# calls for n copies of that origin and returns their raw draws as an
+# (n, *raw_shape) stack.  Its finish(raw, xs) takes the raw draws of
+# every copy, stacked origin by origin with the same number of copies
+# each, and returns the thinned copies.  For Wishart the raw draws are the
+# Bartlett variates of W1 and W2, and finish does all of the matrix-beta
+# linear algebra (the Wishart products, the eigendecomposition, the inverse
+# root, the products with each origin's square root) as one stacked
+# computation, however many origins and copies there are.  finish also
+# holds the one domination check of each family with a bound (all but
+# Gaussian): a copy that leaves its bracket raises DecompositionError.
 
 def _binomial(x, alpha, rng, n):
     return rng.binomial(x, alpha, size=(n,) + x.shape)
@@ -138,12 +138,12 @@ def _bracketed(above, below, raw, xs):
     return raw
 
 
-def _matrix_beta(chol, raw, xs):
+def _matrix_beta(raw, xs):
     """The copies x^{1/2} M x^{1/2}, M = (W1 + W2)^{-1/2} W1 (W1 + W2)^{-1/2},
-    from the Bartlett variates ``raw`` of W1 and W2 of every copy, given
-    chol(I); each must lie strictly between 0 and its origin x in the
-    positive-definite order."""
-    w1, w2 = (_wishart_from_bartlett(chol, v) for v in np.split(raw, 2, axis=1))
+    from the Bartlett variates ``raw`` of W1 and W2 of every copy; each must
+    lie strictly between 0 and its origin x in the positive-definite order."""
+    d = xs.shape[-1]
+    w1, w2 = (_wishart_from_bartlett(d, v) for v in np.split(raw, 2, axis=1))
     w, v = np.linalg.eigh(w1 + w2)
     inv_root_s = np.einsum("nij,nj,nkj->nik", v, 1.0 / np.sqrt(w), v)
     m = inv_root_s @ w1 @ inv_root_s
@@ -195,7 +195,7 @@ def _sampler(family: LevyFamily, alpha: float):
         )
     return (
         lambda x, t: partial(_bartlett_pair, d, _wishart_dofs(alpha, t, d)),
-        partial(_matrix_beta, cholesky(np.eye(d))),
+        _matrix_beta,
         (d * (d + 1),),
     )
 

@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
 
+from levyaug import (
+    ThinningConfig,
+    TrainConfig,
+    fit_logistic,
+    fit_strong_thinning,
+    generate_pseudo_examples,
+)
+
 
 @pytest.fixture
 def rng():
@@ -20,6 +28,35 @@ def finite_diff_gradient(f, x0, h=1e-6):
         lo[idx] -= h
         grad[idx] = (f(hi) - f(lo)) / (2 * h)
     return grad
+
+
+def example_sums(x, y, k):
+    """The per-class feature sums (d, K) of one example: ``x`` in column
+    ``y``, zeros elsewhere.  ``strong_thinning._limit_objective`` of these
+    sums is that example's limit loss."""
+    sums = np.zeros((len(x), k))
+    sums[:, y - 1] = x
+    return sums
+
+
+def alpha_path_distances(examples, family, alphas, n_pseudo, ridge_lambda, seed):
+    """For each alpha, the Frobenius distance between the normalized
+    coefficients of a thinned fit (``n_pseudo`` copies per original from
+    ``seed.substate(j)`` for the j-th alpha, at a fixed ``ridge_lambda``,
+    no CV) and those of the alpha -> 0 limit fit.  Shrinking alpha should
+    shrink the distance, up to Monte Carlo noise: the paper's second
+    property."""
+    def unit(beta):
+        return beta / float(np.linalg.norm(beta))
+
+    limit = unit(fit_strong_thinning(examples, family, ridge_lambda=ridge_lambda).beta)
+    cfg = TrainConfig(ridge_lambda=ridge_lambda)
+    out = []
+    for j, alpha in enumerate(alphas):
+        thin_cfg = ThinningConfig(alpha=alpha, n_pseudo=n_pseudo, seed=seed.substate(j))
+        model = fit_logistic(generate_pseudo_examples(examples, thin_cfg, family), cfg)
+        out.append(float(np.linalg.norm(unit(model.beta) - limit)))
+    return out
 
 
 def random_pd_matrix(d, rng, scale=1.0):

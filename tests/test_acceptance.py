@@ -23,10 +23,6 @@ from levyaug import (
     fit_logistic,
     fit_strong_thinning,
     gaussian_family,
-    limit_loss,
-    limit_loss_gradient,
-    logistic_loss,
-    loss_gradient,
     naive_bayes_poisson_fit,
     poisson_family,
     predict,
@@ -35,12 +31,17 @@ from levyaug import (
     thin_wishart,
     thinning_log_density,
 )
-from levyaug.logistic import center_columns, predict_labels
+from levyaug.logistic import _batch_loss_grad, center_columns, predict_labels
 from levyaug.simulation import GaussianSimSpec, PoissonSimSpec, run_alpha_sweep
-from levyaug.strong_thinning import alpha_path_converges
+from levyaug.strong_thinning import _limit_objective
 from levyaug.thinning import ThinningConfig, generate_pseudo_examples
 
-from conftest import finite_diff_gradient, moments_match_3sigma
+from conftest import (
+    alpha_path_distances,
+    example_sums,
+    finite_diff_gradient,
+    moments_match_3sigma,
+)
 from oracles import (
     Topic,
     TopicMixture,
@@ -260,8 +261,10 @@ def test_criterion_5_gradient_checks():
         beta = rng.standard_normal((p, k))
         x = rng.standard_normal(p)
         y = int(rng.integers(1, k + 1))
-        fd = finite_diff_gradient(lambda b: logistic_loss(b, x, y), beta)
-        gap = np.abs(loss_gradient(beta, x, y) - fd).max() / max(1.0, np.abs(fd).max())
+        # the fits' own objective on a one-row design, without the ridge term
+        loss = lambda b: _batch_loss_grad(b, x[None], np.array([y]), 0.0, x[:, None])
+        fd = finite_diff_gradient(lambda b: loss(b)[0], beta)
+        gap = np.abs(loss(beta)[1].reshape(p, k) - fd).max() / max(1.0, np.abs(fd).max())
         worst_logistic = max(worst_logistic, gap)
 
     worst_limit = 0.0
@@ -276,8 +279,10 @@ def test_criterion_5_gradient_checks():
         else:
             fam = poisson_family(p)
             x = rng.integers(0, 5, size=p)
-        fd = finite_diff_gradient(lambda b: limit_loss(b, x, y, fam, t), beta)
-        gap = np.abs(limit_loss_gradient(beta, x, y, fam, t) - fd).max()
+        # the limit fit's own objective on one example, in the centered gauge
+        limit = lambda b: _limit_objective(center_columns(b), fam, example_sums(x, y, k), t)
+        fd = finite_diff_gradient(lambda b: limit(b)[0], beta)
+        gap = np.abs(center_columns(limit(beta)[1]) - fd).max()
         worst_limit = max(worst_limit, gap / max(1.0, np.abs(fd).max()))
     report(
         "5 gradient-checks",
@@ -308,7 +313,9 @@ def test_criterion_6a_monte_carlo_limit_gradient():
         samples = (1.0 / alpha) * draws[:, :, None] * probs[:, None, :]
         mc_mean = samples.mean(axis=0)
         mc_se = samples.std(axis=0, ddof=1) / math.sqrt(n)
-        analytic = limit_loss_gradient(beta, x, y, poisson_family(d), 1.0)
+        analytic = center_columns(
+            _limit_objective(beta, poisson_family(d), example_sums(x, y, k), 1.0)[1]
+        )
         if np.any(np.abs(mc_mean - analytic) > 3.0 * mc_se + 1e-12):
             failures += 1
     report(
@@ -336,12 +343,10 @@ def _curved_gaussian_toy(n=200, seed=2010):
 def test_criterion_6b_alpha_path_direction():
     examples = _curved_gaussian_toy()
     fam = gaussian_family(2)
-    rows = alpha_path_converges(
+    d_half, d_small = alpha_path_distances(
         examples, fam, alphas=[0.5, 0.02], n_pseudo=400,
         ridge_lambda=1e-8, seed=RngState(2011),
     )
-    d_half = next(r.direction_distance for r in rows if r.alpha == 0.5)
-    d_small = next(r.direction_distance for r in rows if r.alpha == 0.02)
     report(
         "6b alpha-path",
         d_small < d_half,

@@ -532,6 +532,32 @@ def test_env_seed_default(poisson_file, tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_malformed_env_seed_is_a_usage_error_of_the_seeded_commands_only(
+    poisson_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("LEVYAUG_SEED", "abc")
+    seeded = [
+        ["thin", "--input", str(poisson_file), "--output", str(tmp_path / "p.csv"),
+         "--alpha", "0.5"],
+        ["simulate", "--spec", "gauss", "--out", str(tmp_path / "s.csv"), "--alphas", "1",
+         "--n-grid", "20", "--replicates", "1", "--jobs", "1"],
+    ]
+    for argv in seeded:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "argument --seed: expected an integer for --seed or LEVYAUG_SEED, got 'abc'" in (
+            capsys.readouterr().err
+        )
+    pseudo = tmp_path / "p.csv"
+    assert not pseudo.exists() and not (tmp_path / "s.csv").exists()
+    # an explicit --seed never reads the variable, and train and limit take no seed
+    assert main(seeded[0] + ["--seed", "5"]) == 0
+    assert main(["train", "--pseudo", str(pseudo), "--originals", str(poisson_file),
+                 "--out", str(tmp_path / "m.txt"), "--ridge-lambda", "0.1"]) == 0
+    assert main(["limit", "--originals", str(poisson_file), "--out", str(tmp_path / "l.txt")]) == 0
+
+
 # Every option and config field has a caller.  A new one must be added here
 # too, so it shows in review.
 SETTABLE_SURFACE = {
@@ -565,15 +591,15 @@ def test_settable_surface_is_pinned():
 # Every public name of the package.  An addition or a removal must be made
 # here too, so it shows in review.
 PUBLIC_API = [
-    "AlphaPathPoint", "DataFormatError", "DecompositionError", "DegenerateDataError",
+    "DataFormatError", "DecompositionError", "DegenerateDataError",
     "Example", "ExampleBatch", "FamilyKind", "FeatureMap", "GaussianSimSpec",
     "LevyAugError", "LevyFamily", "LogisticModel", "OptimizationError", "ParameterError",
     "PoissonSimSpec", "PseudoBatch", "PseudoExample", "RngState", "ShapeError",
     "SupportError", "SweepResult", "SweepRow", "ThinningConfig", "TrainConfig",
-    "alpha_path_converges", "calibrate", "check_example", "fit_logistic",
+    "calibrate", "check_example", "fit_logistic",
     "fit_logistic_detailed", "fit_strong_thinning", "gamma_family", "gaussian_family",
-    "gen_gaussian_sim", "gen_poisson_sim", "generate_pseudo_examples", "limit_loss",
-    "limit_loss_gradient", "load_model", "logistic_loss", "loss_gradient",
+    "gen_gaussian_sim", "gen_poisson_sim", "generate_pseudo_examples",
+    "load_model",
     "naive_bayes_poisson_fit", "poisson_family", "predict", "render_sweep_svg",
     "run_alpha_sweep", "save_model", "thin_gamma", "thin_gaussian", "thin_poisson",
     "thin_wishart", "thinning_log_density", "wishart_family", "write_sweep_csv",

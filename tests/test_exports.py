@@ -54,7 +54,8 @@ def _unused_imports(source: str) -> list[str]:
 SOURCES = sorted(p for p in Path(levyaug.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 
-@pytest.mark.parametrize("path", SOURCES + [Path(__file__).with_name("oracles.py")],
+@pytest.mark.parametrize("path", SOURCES + [Path(__file__).with_name("oracles.py"),
+                                             Path(__file__).with_name("conftest.py")],
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     unused = _unused_imports(path.read_text(encoding="utf-8"))

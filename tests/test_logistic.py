@@ -23,14 +23,13 @@ from levyaug import (
     fit_logistic,
     fit_logistic_detailed,
     load_model,
-    logistic_loss,
-    loss_gradient,
     predict,
     save_model,
 )
 from levyaug import logistic
 from levyaug.families import gaussian_family
 from levyaug.logistic import (
+    _batch_loss_grad,
     center_columns,
     default_lambda_grid,
     grouped_fold_assignment,
@@ -60,41 +59,39 @@ def _random_problem(rng, n=40, p=3, k=3, density=1.0):
 # loss and gradient
 # ---------------------------------------------------------------------------
 
+# The fits' own objective, ``_batch_loss_grad``, on the one-row design
+# ``x[None]`` at lam = 0 is the log-loss of (x, y) and its gradient.
+
 def test_loss_at_zero_is_log_k():
+    x = np.array([[1.0, -2.0, 0.5, 3.0]])
     for k in (2, 3, 5):
-        beta = np.zeros((4, k))
-        assert logistic_loss(beta, np.array([1.0, -2.0, 0.5, 3.0]), 2) == pytest.approx(
-            math.log(k)
-        )
+        loss, _ = _batch_loss_grad(np.zeros((4, k)), x, np.array([2]), 0.0, x.T)
+        assert loss == pytest.approx(math.log(k))
 
 
 def test_labels_outside_one_to_k_are_shape_errors():
     beta = np.zeros((2, 3))
     x = np.array([1.0, -1.0])
-    for y in (0, 4):
-        for score in (logistic_loss, loss_gradient):
-            with pytest.raises(ShapeError):
-                score(beta, x, y)
     with pytest.raises(ShapeError):
         mean_log_loss(LogisticModel(beta=beta), [Example(x=x, y=4, t=1.0)])
 
 
 def test_loss_binary_examples():
     beta = np.array([[1.0, -1.0]])
-    assert logistic_loss(beta, np.array([0.0]), 1) == pytest.approx(math.log(2.0))
-    assert logistic_loss(beta, np.array([1.0]), 1) == pytest.approx(
-        math.log(1.0 + math.exp(-2.0))
-    )
+    loss = lambda x: _batch_loss_grad(beta, x, np.array([1]), 0.0, x.T)[0]
+    assert loss(np.array([[0.0]])) == pytest.approx(math.log(2.0))
+    assert loss(np.array([[1.0]])) == pytest.approx(math.log(1.0 + math.exp(-2.0)))
 
 
 def test_gradient_at_zero_and_zero_input(rng):
     x = rng.standard_normal(3)
     k, y = 4, 2
-    grad = loss_gradient(np.zeros((3, k)), x, y)
+    grad = lambda b, x: _batch_loss_grad(b, x[None], np.array([y]), 0.0, x[:, None])[1]
+    at_zero = grad(np.zeros((3, k)), x).reshape(3, k)
     for j in range(k):
         expect = (1.0 / k - (1.0 if j + 1 == y else 0.0)) * x
-        assert np.allclose(grad[:, j], expect)
-    assert np.allclose(loss_gradient(rng.standard_normal((3, k)), np.zeros(3), 1), 0.0)
+        assert np.allclose(at_zero[:, j], expect)
+    assert np.allclose(grad(rng.standard_normal((3, k)), np.zeros(3)), 0.0)
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -103,8 +100,9 @@ def test_gradient_matches_finite_differences(rng):
         beta = rng.standard_normal((p, k))
         x = rng.standard_normal(p)
         y = int(rng.integers(1, k + 1))
-        grad = loss_gradient(beta, x, y)
-        fd = finite_diff_gradient(lambda b: logistic_loss(b, x, y), beta)
+        loss = lambda b: _batch_loss_grad(b, x[None], np.array([y]), 0.0, x[:, None])
+        grad = loss(beta)[1].reshape(p, k)
+        fd = finite_diff_gradient(lambda b: loss(b)[0], beta)
         denom = max(1.0, np.abs(fd).max())
         assert np.abs(grad - fd).max() / denom < 1e-5
 
@@ -116,8 +114,9 @@ def test_loss_is_convex_midpoint(rng):
         b2 = rng.standard_normal((p, k))
         x = rng.standard_normal(p)
         y = int(rng.integers(1, k + 1))
-        mid = logistic_loss(0.5 * (b1 + b2), x, y)
-        assert mid <= 0.5 * (logistic_loss(b1, x, y) + logistic_loss(b2, x, y)) + 1e-9
+        loss = lambda b: _batch_loss_grad(b, x[None], np.array([y]), 0.0, x[:, None])[0]
+        mid = loss(0.5 * (b1 + b2))
+        assert mid <= 0.5 * (loss(b1) + loss(b2)) + 1e-9
 
 
 def test_gauge_invariance_of_loss_and_probs(rng):
@@ -126,9 +125,8 @@ def test_gauge_invariance_of_loss_and_probs(rng):
     shifted = beta + shift[:, None]
     x = rng.standard_normal(3)
     y = 3
-    assert logistic_loss(beta, x, y) == pytest.approx(
-        logistic_loss(shifted, x, y), abs=1e-10
-    )
+    loss = lambda b: _batch_loss_grad(b, x[None], np.array([y]), 0.0, x[:, None])[0]
+    assert loss(beta) == pytest.approx(loss(shifted), abs=1e-10)
     s1, s2 = x @ beta, x @ shifted
     p1 = np.exp(s1 - logsumexp(s1))
     p2 = np.exp(s2 - logsumexp(s2))
@@ -162,8 +160,9 @@ def test_logsumexp_matches_scipy_on_extreme_rows():
 def test_fit_separable_toy_beats_coin_flip():
     pseudo = _batch([[1.0, 0.2], [0.9, -0.1], [-1.1, 0.1], [-0.8, -0.2]], [1, 1, 2, 2])
     model, report = fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=1.0))
-    losses = [logistic_loss(model.beta, pe.x_tilde, pe.y) for pe in pseudo]
-    assert np.mean(losses) < math.log(2.0)
+    X = pseudo.x_tilde
+    mean_loss, _ = _batch_loss_grad(model.beta, X, pseudo.y, 0.0, X.T)
+    assert mean_loss < math.log(2.0)
     assert report.grad_max_norm <= 1e-7
     assert np.abs(model.beta.sum(axis=1)).max() < 1e-8
 
@@ -235,8 +234,8 @@ def test_batch_hessian_matches_finite_differences(rng):
         step = np.zeros(beta.size)
         step[i] = h
         step = step.reshape(beta.shape)
-        hi = logistic._batch_loss_grad(beta + step, X, Y, lam, X.T)[1]
-        lo = logistic._batch_loss_grad(beta - step, X, Y, lam, X.T)[1]
+        hi = _batch_loss_grad(beta + step, X, Y, lam, X.T)[1]
+        lo = _batch_loss_grad(beta - step, X, Y, lam, X.T)[1]
         columns.append((hi - lo).ravel() / (2 * h))
     assert np.allclose(hess, np.array(columns).T, atol=1e-6)
 
@@ -251,7 +250,7 @@ def test_binary_fit_meets_tol_on_the_multiclass_gradient(rng):
     X, Y = _two_class_problem(rng)
     lam, tol = 0.03, 1e-7
     model, report = fit_logistic_detailed(_batch(X, Y), TrainConfig(ridge_lambda=lam, tol=tol))
-    grad = logistic._batch_loss_grad(model.beta, X, Y, lam, X.T)[1]
+    grad = _batch_loss_grad(model.beta, X, Y, lam, X.T)[1]
     assert np.abs(grad).max() <= tol
     assert np.abs(grad).max() == pytest.approx(report.grad_max_norm, abs=1e-15)
 
@@ -261,7 +260,7 @@ def test_binary_fit_matches_a_k_column_solve(rng):
     lam, tol = 0.03, 1e-7
     beta = fit_logistic(_batch(X, Y), TrainConfig(ridge_lambda=lam, tol=tol)).beta
     full, _ = logistic._minimize(
-        lambda b: logistic._batch_loss_grad(b, X, Y, lam, X.T), np.zeros(8), tol, 500, "K=2"
+        lambda b: _batch_loss_grad(b, X, Y, lam, X.T), np.zeros(8), tol, 500, "K=2"
     )
     full = full.reshape(4, 2)
     assert np.abs(beta - full).max() <= 1e-6 * np.abs(full).max()
@@ -391,7 +390,7 @@ def test_unpenalized_fit_with_an_all_zero_column_meets_tol(rng):
     model, report = fit_logistic_detailed(_batch(X, Y), TrainConfig(ridge_lambda=0.0))
     assert report.chosen_lambda == 0.0 and report.grad_max_norm <= 1e-7
     assert np.all(model.beta[2] == 0.0)
-    grad = logistic._batch_loss_grad(model.beta, X, Y, 0.0, X.T)[1]
+    grad = _batch_loss_grad(model.beta, X, Y, 0.0, X.T)[1]
     assert np.abs(grad).max() <= 1e-7
 
     w, g = rng.standard_normal(4), rng.standard_normal(4)
@@ -438,8 +437,8 @@ def test_csr_loss_gradient_and_grid_equal_dense(rng):
     pairs = [
         (logistic._binary_loss_grad(w, S, sign, lam, S.T),
          logistic._binary_loss_grad(w, X, sign, lam, X.T)),
-        (logistic._batch_loss_grad(beta, S, Y3, lam, S.T),
-         logistic._batch_loss_grad(beta, X, Y3, lam, X.T)),
+        (_batch_loss_grad(beta, S, Y3, lam, S.T),
+         _batch_loss_grad(beta, X, Y3, lam, X.T)),
     ]
     for (value_s, grad_s), (value, grad) in pairs:
         assert value_s == pytest.approx(value, rel=1e-12)
@@ -463,8 +462,8 @@ def test_masked_objectives_equal_those_of_the_sliced_rows_bit_for_bit(rng):
     pairs = [
         (logistic._binary_loss_grad(w, S, sign, lam, S.T, rows),
          logistic._binary_loss_grad(w, sliced, sign, lam, sliced.T.tocsr())),
-        (logistic._batch_loss_grad(beta, S, Y3[rows], lam, S.T, rows),
-         logistic._batch_loss_grad(beta, sliced, Y3[rows], lam, sliced.T.tocsr())),
+        (_batch_loss_grad(beta, S, Y3[rows], lam, S.T, rows),
+         _batch_loss_grad(beta, sliced, Y3[rows], lam, sliced.T.tocsr())),
     ]
     for (value_m, grad_m), (value, grad) in pairs:
         assert value_m == value and np.array_equal(grad_m, grad)

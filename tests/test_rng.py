@@ -55,9 +55,10 @@ def test_spawn_words_seed_the_streams_an_int_tuple_seeds(seed, key):
 
 
 def _wishart(scale, dof, g, size=None):
-    """Wishart(scale, dof) draws through the Bartlett primitives thinning uses."""
-    d = scale.shape[0]
-    w = _wishart_from_bartlett(cholesky(scale), _bartlett(d, dof, g, 1 if size is None else size))
+    """Wishart(scale, dof) draws L W L', L = chol(scale), with W ~ Wishart(I, dof)
+    from the Bartlett primitives thinning uses."""
+    d, chol = scale.shape[0], cholesky(scale)
+    w = chol @ _wishart_from_bartlett(d, _bartlett(d, dof, g, 1 if size is None else size)) @ chol.T
     return w[0] if size is None else w
 
 

@@ -1,61 +1,58 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from levyaug import (
-    AlphaPathPoint,
     DegenerateDataError,
     Example,
     ExampleBatch,
     ParameterError,
     SupportError,
     RngState,
-    alpha_path_converges,
     fit_strong_thinning,
     gamma_family,
     gaussian_family,
-    limit_loss,
-    limit_loss_gradient,
-    logistic_loss,
     naive_bayes_poisson_fit,
     poisson_family,
     predict,
     wishart_family,
 )
-from levyaug.logistic import center_columns
+from levyaug.logistic import _batch_loss_grad, center_columns
+from levyaug.strong_thinning import _limit_objective
 
-from conftest import finite_diff_gradient
+from conftest import alpha_path_distances, example_sums, finite_diff_gradient
 
 
 # ---------------------------------------------------------------------------
 # limit loss values
 # ---------------------------------------------------------------------------
 
+# The limit fit's own objective, ``_limit_objective``, on one example's
+# class sums (``example_sums``) is that example's limit loss at centered
+# beta; centering its gradient gives the gradient of beta -> loss(center(beta)).
+
 def test_limit_loss_gaussian_zero_beta():
-    val = limit_loss(np.zeros((2, 3)), np.array([1.0, 2.0]), 2, gaussian_family(2), 1.5)
+    val, _ = _limit_objective(np.zeros((2, 3)), gaussian_family(2),
+                              example_sums([1.0, 2.0], 2, 3), 1.5)
     assert val == 0.0
 
 
 def test_limit_loss_gaussian_hand_computed():
     beta = np.array([[1.0, -1.0], [0.0, 0.0]])
-    val = limit_loss(beta, np.array([1.0, 0.0]), 1, gaussian_family(2), 2.0)
+    val, _ = _limit_objective(beta, gaussian_family(2), example_sums([1.0, 0.0], 1, 2), 2.0)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_limit_loss_poisson_is_per_word_loss(rng):
     d, k = 4, 3
     fam = poisson_family(d)
+    e = np.eye(d)
+    word_loss = lambda b, j, y: _batch_loss_grad(b, e[[j]], np.array([y]), 0.0, e[[j]].T)[0]
     for _ in range(10):
         beta = center_columns(rng.standard_normal((d, k)))
         x = rng.integers(0, 6, size=d)
         y = int(rng.integers(1, k + 1))
-        got = limit_loss(beta, x, y, fam, 7.0)
-        expect = sum(
-            x[j] * logistic_loss(beta, np.eye(d)[j], y) for j in range(d)
-        )
+        got, _ = _limit_objective(beta, fam, example_sums(x, y, k), 7.0)
+        expect = sum(x[j] * word_loss(beta, j, y) for j in range(d))
         assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
@@ -67,14 +64,16 @@ def test_limit_loss_gradient_matches_fd(rng):
         x = rng.standard_normal(d)
         y = int(rng.integers(1, k + 1))
         t = rng.uniform(0.5, 3.0)
-        grad = limit_loss_gradient(beta, x, y, gauss, t)
-        fd = finite_diff_gradient(lambda b: limit_loss(b, x, y, gauss, t), beta)
+        limit = lambda b: _limit_objective(center_columns(b), gauss, example_sums(x, y, k), t)
+        grad = center_columns(limit(beta)[1])
+        fd = finite_diff_gradient(lambda b: limit(b)[0], beta)
         assert np.abs(grad - fd).max() / max(1.0, np.abs(fd).max()) < 1e-5
 
         xc = rng.integers(0, 5, size=d)
         pois = poisson_family(d)
-        grad = limit_loss_gradient(beta, xc, y, pois, t)
-        fd = finite_diff_gradient(lambda b: limit_loss(b, xc, y, pois, t), beta)
+        limit = lambda b: _limit_objective(center_columns(b), pois, example_sums(xc, y, k), t)
+        grad = center_columns(limit(beta)[1])
+        fd = finite_diff_gradient(lambda b: limit(b)[0], beta)
         assert np.abs(grad - fd).max() / max(1.0, np.abs(fd).max()) < 1e-5
 
 
@@ -86,25 +85,9 @@ def test_limit_loss_convex_midpoint(rng):
         b2 = rng.standard_normal((d, k))
         x = rng.integers(0, 5, size=d)
         y = int(rng.integers(1, k + 1))
-        args = (x, y, fam, 2.0)
-        mid = limit_loss(0.5 * (b1 + b2), *args)
-        assert mid <= 0.5 * (limit_loss(b1, *args) + limit_loss(b2, *args)) + 1e-9
-
-
-def test_limit_loss_checks_the_example_against_the_family():
-    beta = np.zeros((2, 2))
-    for fn in (limit_loss, limit_loss_gradient):
-        with pytest.raises(SupportError):
-            fn(beta, np.array([-1.0, 2.5]), 1, poisson_family(2), 1.0)
-
-
-def test_limit_loss_rejects_underived_families():
-    beta = np.zeros((2, 2))
-    for fn in (limit_loss, limit_loss_gradient):
-        with pytest.raises(ParameterError):
-            fn(beta, np.array([1.0, 2.0]), 1, gamma_family(2), 1.0)
-        with pytest.raises(ParameterError):
-            fn(beta, 3.0 * np.eye(2), 1, wishart_family(2), 3.0)
+        loss = lambda b: _limit_objective(center_columns(b), fam, example_sums(x, y, k), 2.0)[0]
+        mid = loss(0.5 * (b1 + b2))
+        assert mid <= 0.5 * (loss(b1) + loss(b2)) + 1e-9
 
 
 def test_gaussian_aggregated_display_gradients_agree(rng):
@@ -122,7 +105,8 @@ def test_gaussian_aggregated_display_gradients_agree(rng):
     def grad_a(beta):
         total = np.zeros((d, k))
         for ex in examples:
-            total += limit_loss_gradient(beta, ex.x, ex.y, fam, ex.t)
+            sums = example_sums(ex.x, ex.y, k)
+            total += center_columns(_limit_objective(center_columns(beta), fam, sums, ex.t)[1])
         return total
 
     n_per = len(examples) // k
@@ -189,8 +173,10 @@ def test_fit_strong_thinning_poisson_matches_generic_minimizer(rng):
         value = 0.5 * lam * (beta**2).sum()
         grad = lam * beta
         for ex in examples:
-            value += limit_loss(beta, ex.x, ex.y, fam, ex.t)
-            grad += limit_loss_gradient(beta, ex.x, ex.y, fam, ex.t)
+            sums = example_sums(ex.x, ex.y, k)
+            one, raw = _limit_objective(center_columns(beta), fam, sums, ex.t)
+            value += one
+            grad += center_columns(raw)
         return value, (grad[:, :-1] - grad[:, -1:]).ravel()
 
     res = minimize(objective, np.zeros(d * (k - 1)), jac=True, method="L-BFGS-B",
@@ -241,6 +227,10 @@ def test_fit_strong_thinning_rejects_underived_families(rng):
                 Example(x=np.array([2.0]), y=2, t=1.0)]
     with pytest.raises(ParameterError):
         fit_strong_thinning(examples, gamma_family(1))
+    scatter = [Example(x=3.0 * np.eye(2), y=1, t=3.0),
+               Example(x=2.0 * np.eye(2), y=2, t=3.0)]
+    with pytest.raises(ParameterError):
+        fit_strong_thinning(scatter, wishart_family(2))
 
 
 def test_fit_strong_thinning_missing_class():
@@ -263,48 +253,21 @@ def test_fit_strong_thinning_checks_the_examples_against_the_family():
 # alpha path
 # ---------------------------------------------------------------------------
 
-def test_alpha_path_single_alpha_single_row(rng):
-    fam = gaussian_family(2)
-    examples = _gaussian_examples(rng, n=40, d=2, k=2, t=1.0)
-    rows = alpha_path_converges(
-        examples, fam, alphas=[0.5], n_pseudo=20, ridge_lambda=1e-6, seed=RngState(5)
-    )
-    assert len(rows) == 1
-    assert isinstance(rows[0], AlphaPathPoint)
-    assert rows[0].alpha == 0.5
-    assert rows[0].direction_distance >= 0.0
-
-
 def test_alpha_path_stable_under_doubling_b(rng):
     fam = gaussian_family(2)
     examples = _gaussian_examples(rng, n=40, d=2, k=2, t=1.0)
     base = [
-        alpha_path_converges(
-            examples, fam, [0.3], n_pseudo=100, ridge_lambda=1e-8, seed=RngState(s)
-        )[0].direction_distance
+        alpha_path_distances(examples, fam, [0.3], 100, 1e-8, RngState(s))[0]
         for s in range(5)
     ]
     doubled = [
-        alpha_path_converges(
-            examples, fam, [0.3], n_pseudo=200, ridge_lambda=1e-8, seed=RngState(s)
-        )[0].direction_distance
+        alpha_path_distances(examples, fam, [0.3], 200, 1e-8, RngState(s))[0]
         for s in (5, 6)
     ]
     # doubling B only shrinks the Monte Carlo part of d(alpha): the means
     # must agree within the single-draw scatter
     spread = 2.0 * np.std(base, ddof=1)
     assert abs(np.mean(doubled) - np.mean(base)) <= spread + 0.01
-
-
-def test_alpha_path_script_runs():
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_alpha_path.py")
-    out = subprocess.run(
-        [sys.executable, script, "--n", "20", "--alphas", "0.5,0.25", "-B", "20"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    rows = out.stdout.splitlines()[1:]
-    assert [float(row.split()[0]) for row in rows] == [0.5, 0.25]
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +281,14 @@ def test_naive_bayes_rate_mle():
     ]
     nb = naive_bayes_poisson_fit(examples)
     assert nb.rates[0, 0] == pytest.approx(3.0)
+
+
+def test_naive_bayes_checks_the_counts():
+    # a negative or fractional count has no Poisson rate: it used to give a
+    # rate of -1 and a NaN score
+    for x in ([[-1.0, 2.5], [0.0, 3.0]], [[1.5, 2.0], [0.0, 3.0]]):
+        with pytest.raises(SupportError):
+            naive_bayes_poisson_fit(ExampleBatch(x=x, y=[1, 2], t=1.0))
 
 
 def test_naive_bayes_smoothing_floor():
