@@ -18,31 +18,37 @@ thinning metadata:
 Floats are written with repr so rewriting a file is byte-stable.  Errors
 name the offending 1-based data row.
 
-A read holds one float64 table while it parses: a counting pass sizes it
-and a second pass fills it one line at a time (a pipe, which cannot be
-read twice, is first read into memory).  Every array a read returns is a
-copy, so the table is freed on return, and Poisson counts are checked and
-compacted straight from the table's feature block, with no float copy of
-it.  On a 3,200 x 500 Poisson pseudo file (6.4 MB) the read peaks at
-14.7 MB under tracemalloc: the 12.9 MB table, the 1.6 MB of ``uint8``
-counts and one block of the integer check.  The writers format 65,536
+A read fills the arrays it returns a block of rows at a time.  A counting
+pass sizes them, and a second pass parses up to 8,192 values (``_BLOCK``)
+into one reusable float64 buffer, checks that block and writes it into its
+rows of the returned arrays (a pipe, which cannot be read twice, has its
+bytes read into memory first).  Wishart rows are unpacked in place, and
+Poisson counts are stored in their compact type, widened when a later
+block holds a larger count.  On a 3,200 x 500 Poisson pseudo file
+(6.4 MB) the read peaks at 1.9 MB under tracemalloc: the 1.7 MB of
+returned arrays (1.6 MB of ``uint8`` counts), the 64 KB buffer, one block
+of the integer check and one line of text.  The writers format 8,192
 feature values at a time.
 """
 
 from __future__ import annotations
 
 import io
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
 from .errors import DataFormatError, LevyAugError, ParameterError
 from .families import (
+    _BLOCK,
     ExampleBatch,
     Examples,
     FamilyKind,
     LevyFamily,
     PseudoBatch,
     _check_rows,
+    _column_dtype,
     as_example_batch,
     check_example,
     gaussian_family,
@@ -77,11 +83,16 @@ def unpack_symmetric(values: np.ndarray, d: int) -> np.ndarray:
         raise DataFormatError(
             f"expected {d * (d + 1) // 2} packed entries for d={d}, got shape {values.shape}"
         )
-    m = np.zeros(values.shape[:-1] + (d, d))
-    rows, cols = np.triu_indices(d)
-    m[..., rows, cols] = values
-    m[..., cols, rows] = values
-    return m
+    return _unpack_into(values, np.empty(values.shape[:-1] + (d, d)))
+
+
+def _unpack_into(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into ``out``, a stack of d x d matrices, the symmetric matrices
+    whose packed upper triangles are ``values``; every entry is written."""
+    rows, cols = np.triu_indices(out.shape[-1])
+    out[..., rows, cols] = values
+    out[..., cols, rows] = values
+    return out
 
 
 def _feature_width(family: LevyFamily) -> int:
@@ -95,15 +106,12 @@ def _feature_names(family: LevyFamily) -> list[str]:
     return [f"{prefix}_{j + 1}" for j in range(_feature_width(family))]
 
 
-_WRITE_VALUES = 1 << 16  # feature values formatted at a time
-
-
 def _write_rows(out, family: LevyFamily, columns, x) -> None:
     """Write one line per example: its entries of ``columns``, then its
     stored feature block.  Rows are formatted a block at a time, since each
     value is a Python float and then text until its block is written.
     Every value is written with repr (an int's repr is its digits)."""
-    step = max(1, _WRITE_VALUES // _feature_width(family))
+    step = max(1, _BLOCK // _feature_width(family))
     for start in range(0, len(x), step):
         block = slice(start, start + step)
         values = x[block]
@@ -135,16 +143,78 @@ def _parse_magic(line: str, magic: str) -> LevyFamily:
     return LevyFamily(kind, d)
 
 
-def _read_table(path, magic: str, columns: list[str]) -> tuple[LevyFamily, np.ndarray]:
-    """The family and the numeric data rows of a ``magic`` file whose rows
-    hold ``columns`` and then the feature block; format errors name the
-    1-based data row.  Blank lines are skipped.  A counting pass sizes the
-    float64 table, and a second pass fills it row by row: numpy parses each
-    string as float() does, and only one line and one row's values are
-    alive besides the table."""
+def _feature_array(family: LevyFamily, rows: int) -> np.ndarray:
+    """Uninitialized features for ``rows`` examples, in the type a read
+    returns them: float64, except Poisson counts, which start in the
+    narrowest count type and are widened by a block that needs more."""
+    if family.kind is FamilyKind.WISHART:
+        return np.empty((rows, family.d, family.d))
+    return np.empty((rows, family.d), np.uint8 if family.kind is FamilyKind.POISSON else float)
+
+
+def _features(family: LevyFamily, block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The feature rows of a block's stored columns, written into ``out``
+    (their rows of the returned features): Wishart rows unpacked, other
+    vectors copied.  Poisson counts come back as the parsed block itself,
+    which the support check compacts (:func:`~levyaug.families._check_rows`)."""
+    if family.kind is FamilyKind.POISSON:
+        return block
+    if family.kind is FamilyKind.WISHART:
+        return _unpack_into(block, out)
+    out[...] = block
+    return out
+
+
+def _integers(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(values) & (values == np.floor(values))):
+        raise DataFormatError(f"{what} must be integers")
+    return values
+
+
+def _checked_batch(build, block: np.ndarray, x: np.ndarray, first: int):
+    """``build(block, x)``, the checked batch of the parsed rows ``block``
+    whose features go into ``x``; if its checks fail, the error of the first
+    row that fails on its own, prefixed with its 1-based row number in the
+    file (``first`` rows precede the block)."""
+    try:
+        return build(block, x)
+    except LevyAugError:
+        for row in range(len(block)):
+            try:
+                build(block[row : row + 1], x[row : row + 1])
+            except LevyAugError as exc:
+                raise type(exc)(f"row {first + row + 1}: {exc}") from None
+        raise
+
+
+def _store(columns: dict, checked, first: int) -> None:
+    """Copy a checked block's columns into rows ``first:`` of ``columns``,
+    the read's preallocated arrays.  Features written in place stay, and
+    Poisson counts wider than the earlier blocks' widen their array."""
+    for name, dest in columns.items():
+        value = getattr(checked, name)
+        if np.may_share_memory(value, dest):
+            continue
+        dtype = np.promote_types(dest.dtype, value.dtype)
+        if dtype != dest.dtype:
+            dest = columns[name] = dest.astype(dtype)
+        dest[first : first + len(value)] = value
+
+
+def _read_batch(path, magic: str, columns: list[str], build, batch_type, override=None):
+    """The family and the checked ``batch_type`` of a ``magic`` file whose
+    rows hold ``columns`` and then the feature block.  Blank lines are
+    skipped.  A counting pass sizes the returned arrays, and a second pass
+    parses the rows a block at a time into one float64 buffer of at most
+    _BLOCK values (numpy parses each string as float() does).  Each block is
+    checked by ``build(family, block, x)`` and stored in its rows of the
+    returned arrays.  ``override(family)``, if given, runs once every row
+    has parsed.  Errors keep the order of a whole-file check: a malformed
+    row anywhere, then the override's, then the first row that fails its
+    checks; each names the 1-based data row."""
     with open(path, "r", encoding="utf-8") as handle:
-        if not handle.seekable():  # a pipe is read once, so its text is kept
-            handle = io.StringIO(handle.read())
+        if not handle.seekable():  # a pipe is read once, so its bytes are kept
+            handle = io.TextIOWrapper(io.BytesIO(handle.buffer.read()), encoding="utf-8")
         rows = sum(1 for line in handle if line.strip()) - 2
         handle.seek(0)
         lines = (line.rstrip("\n") for line in handle if line.strip())
@@ -155,51 +225,40 @@ def _read_table(path, magic: str, columns: list[str]) -> tuple[LevyFamily, np.nd
         header = columns + _feature_names(family)
         if next(lines, "").split(",") != header:
             raise DataFormatError(f"expected header row {','.join(header)!r}")
-        table = np.empty((rows, len(header)))
-        row = 0
+        x_name, *names = (f.name for f in fields(batch_type))
+        out = {x_name: _feature_array(family, rows)}
+        out.update((name, np.empty(rows, _column_dtype(name))) for name in names)
+        step = max(1, _BLOCK // len(header))
+        # Column-major, so that a full block's feature columns are one
+        # contiguous array and its checks need no buffered copy of them.
+        block = np.empty((len(header), min(step, rows))).T
+        build, error, row = partial(build, family), None, 0
         for row, line in enumerate(lines, start=1):
+            if row > rows:
+                break
             parts = line.split(",")
             if len(parts) != len(header):
                 raise DataFormatError(f"expected {len(header)} columns, got {len(parts)}", row=row)
             try:
-                table[row - 1] = parts
+                block[(row - 1) % step] = parts
             except ValueError:
                 raise DataFormatError("non-numeric value", row=row) from None
-            except IndexError:
-                break
+            if error is None and (row % step == 0 or row == rows):
+                start = (row - 1) // step * step
+                x = out[x_name][start:row]
+                try:
+                    checked = _checked_batch(build, block[: row - start], x, start)
+                except LevyAugError as exc:
+                    error = exc  # raised once every row has parsed
+                else:
+                    _store(out, checked, start)
     if row != rows:
         raise DataFormatError("the file changed while it was read")
-    return family, table
-
-
-def _features(family: LevyFamily, block: np.ndarray) -> np.ndarray:
-    """Feature arrays from a table's stored columns, none of them a view
-    of the table: Wishart rows are unpacked, other vectors copied, except
-    Poisson counts, which the support check compacts straight from the
-    block (:func:`~levyaug.families._check_rows`)."""
-    if family.kind is FamilyKind.WISHART:
-        return unpack_symmetric(block, family.d)
-    return block if family.kind is FamilyKind.POISSON else block.copy()
-
-
-def _integers(values: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(values) & (values == np.floor(values))):
-        raise DataFormatError(f"{what} must be integers")
-    return values
-
-
-def _checked_batch(build, table: np.ndarray):
-    """``build(table)``; if its checks fail, the error of the first row
-    that fails on its own, prefixed with the 1-based row number."""
-    try:
-        return build(table)
-    except LevyAugError:
-        for row in range(len(table)):
-            try:
-                build(table[row : row + 1])
-            except LevyAugError as exc:
-                raise type(exc)(f"row {row + 1}: {exc}") from None
-        raise
+    if override is not None:
+        family = override(family)
+    if error is not None:
+        raise error
+    return family, batch_type(**out)
 
 
 def write_dataset(path, family: LevyFamily, examples: Examples) -> None:
@@ -210,9 +269,9 @@ def write_dataset(path, family: LevyFamily, examples: Examples) -> None:
         _write_rows(out, family, (batch.y, batch.t), batch.x)
 
 
-def _example_batch(family: LevyFamily, table: np.ndarray) -> ExampleBatch:
-    y = _integers(table[:, 0], "class labels")
-    batch = ExampleBatch(x=_features(family, table[:, 2:]), y=y, t=table[:, 1].copy())
+def _example_batch(family: LevyFamily, block: np.ndarray, x: np.ndarray) -> ExampleBatch:
+    y = _integers(block[:, 0], "class labels")
+    batch = ExampleBatch(x=_features(family, block[:, 2:], x), y=y, t=block[:, 1])
     return ExampleBatch(x=check_example(family, batch), y=batch.y, t=batch.t)
 
 
@@ -226,12 +285,15 @@ def read_dataset(path, sigma=None) -> tuple[LevyFamily, ExampleBatch]:
     features come back as :func:`~levyaug.families.check_example` returns
     them (Poisson counts in the smallest integer type that holds them).
     """
-    family, table = _read_table(path, _DATASET_MAGIC, ["y", "t"])
-    if sigma is not None:
+
+    def with_sigma(family: LevyFamily) -> LevyFamily:
+        if sigma is None:
+            return family
         if family.kind is not FamilyKind.GAUSSIAN:
             raise ParameterError("a covariance override only applies to Gaussian data")
-        family = gaussian_family(family.d, sigma)
-    return family, _checked_batch(lambda rows: _example_batch(family, rows), table)
+        return gaussian_family(family.d, sigma)
+
+    return _read_batch(path, _DATASET_MAGIC, ["y", "t"], _example_batch, ExampleBatch, with_sigma)
 
 
 def write_pseudo_dataset(path, family: LevyFamily, pseudo: PseudoBatch) -> None:
@@ -242,12 +304,10 @@ def write_pseudo_dataset(path, family: LevyFamily, pseudo: PseudoBatch) -> None:
         _write_rows(out, family, columns, pseudo.x_tilde)
 
 
-def _pseudo_batch(family: LevyFamily, table: np.ndarray) -> PseudoBatch:
-    origin_id, y = _integers(table[:, [0, 2]], "origin_id and y").T
-    x = _check_rows(family, _features(family, table[:, 4:]))
-    return PseudoBatch(
-        x_tilde=x, y=y, origin_id=origin_id, alpha=table[:, 1].copy(), t_tilde=table[:, 3].copy()
-    )
+def _pseudo_batch(family: LevyFamily, block: np.ndarray, x: np.ndarray) -> PseudoBatch:
+    origin_id, y = _integers(block[:, [0, 2]], "origin_id and y").T
+    x = _check_rows(family, _features(family, block[:, 4:], x))
+    return PseudoBatch(x_tilde=x, y=y, origin_id=origin_id, alpha=block[:, 1], t_tilde=block[:, 3])
 
 
 def read_pseudo_dataset(path) -> tuple[LevyFamily, PseudoBatch]:
@@ -256,8 +316,8 @@ def read_pseudo_dataset(path) -> tuple[LevyFamily, PseudoBatch]:
     back in the smallest integer type that holds them, see
     :func:`~levyaug.families.check_example`); errors name the offending
     row."""
-    family, table = _read_table(path, _PSEUDO_MAGIC, ["origin_id", "alpha", "y", "t_tilde"])
-    return family, _checked_batch(lambda rows: _pseudo_batch(family, rows), table)
+    columns = ["origin_id", "alpha", "y", "t_tilde"]
+    return _read_batch(path, _PSEUDO_MAGIC, columns, _pseudo_batch, PseudoBatch)
 
 
 def read_matrix(path) -> np.ndarray:

@@ -173,6 +173,12 @@ def check_alpha(alpha) -> None:
         raise ParameterError(f"alpha must lie in (0, 1], got {a[bad].flat[0]}")
 
 
+def _column_dtype(name: str) -> type:
+    """The type of a batch's per-row column ``name``: int64 for labels
+    and origin ids, float64 for the rest."""
+    return np.int64 if name in ("y", "origin_id") else np.float64
+
+
 class _Batch:
     """Rows stored as read-only columns: the first field holds the features,
     of shape (rows, *feature shape), every other field one entry per row
@@ -188,7 +194,7 @@ class _Batch:
             raise ShapeError(f"{first} must be (rows, *features), got shape {x.shape}")
         object.__setattr__(self, first, x)
         for name in rest:
-            dtype = np.int64 if name in ("y", "origin_id") else float
+            dtype = _column_dtype(name)
             try:  # broadcast_to returns a read-only view
                 col = np.broadcast_to(np.asarray(getattr(self, name), dtype), x.shape[:1])
             except ValueError:
@@ -267,6 +273,11 @@ def _check_pd(m: np.ndarray, what: str) -> None:
         raise SupportError(f"{what} must be positive-definite") from None
 
 
+# Values per block wherever a loop over blocks of rows or columns keeps a
+# temporary from being the size of the whole array: the integer check of
+# float counts here, the text reader and writers, and the logistic fits.
+_BLOCK = 8192
+
 _COUNT_DTYPES = (np.uint8, np.uint16, np.uint32, np.int64)
 
 
@@ -306,13 +317,10 @@ def _check_rows(family: LevyFamily, rows) -> np.ndarray:
     return arr
 
 
-_FLOOR_BLOCK = 1 << 15  # values per block of the float integer check
-
-
 def _check_counts(arr: np.ndarray) -> np.ndarray:
     """Poisson rows of shape (rows, d) as compact counts.  Integer rows are
     checked as they are: exact, with no float copy.  Float rows, such as a
-    parsed file's strided feature block, are checked by reductions and by
+    block of a parsed file's features, are checked by reductions and by
     blocks of rows, so that no temporary is the size of the stack and the
     only copy made is the compact one."""
     integers = arr.dtype.kind in "iu"
@@ -321,7 +329,7 @@ def _check_counts(arr: np.ndarray) -> np.ndarray:
     lo, hi = arr.min(initial=0), arr.max(initial=0)  # a nan carries through both
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise SupportError("features must be finite")
-    step = max(1, _FLOOR_BLOCK // arr.shape[1])
+    step = max(1, _BLOCK // arr.shape[1])
     blocks = (arr[i : i + step] for i in range(0, len(arr), step))
     if lo < 0 or not (integers or all(np.array_equal(b, np.floor(b)) for b in blocks)):
         raise SupportError("Poisson features must be nonnegative integers")

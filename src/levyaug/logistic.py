@@ -93,7 +93,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .families import Examples, FamilyKind, LevyFamily, PseudoBatch, as_example_batch
+from .families import _BLOCK, Examples, FamilyKind, LevyFamily, PseudoBatch, as_example_batch
 
 __all__ = [
     "FeatureMap",
@@ -113,7 +113,6 @@ __all__ = [
 _SCALE_CAP = 1e3
 _LAMBDA_GRID_SIZE, _LAMBDA_GRID_SPAN = 50, 1e-4
 _CALIB_TOL, _CALIB_MAX_ITER = 1e-9, 500
-_BLOCK = 8192  # entries per block of rows or columns where a loop avoids a copy of X
 _CSR_MAX_DENSITY = 0.35  # a design with fewer nonzeros than this fraction is CSC
 _CV_PATIENCE = 3  # lambdas without a new best mean held-out loss before CV stops
 
@@ -162,6 +161,8 @@ class LogisticModel:
         beta = np.array(self.beta, dtype=float)
         if beta.ndim != 2 or beta.shape[1] < 2:
             raise ShapeError("beta must be a p x K matrix with K >= 2")
+        if not np.all(np.isfinite(beta)):
+            raise ParameterError("beta must be finite")
         gauge = np.abs(beta.sum(axis=1)).max()
         if gauge > 1e-8:
             raise ParameterError(
@@ -187,6 +188,15 @@ class LogisticModel:
     @property
     def n_classes(self) -> int:
         return self.beta.shape[1]
+
+
+def _check_ridge(lam) -> None:
+    """Ridge penalties (one value or a grid of them) must be finite and
+    nonnegative."""
+    a = np.asarray(lam, dtype=float)
+    bad = ~(np.isfinite(a) & (a >= 0.0))
+    if np.any(bad):
+        raise ParameterError(f"ridge_lambda must be finite and nonnegative, got {a[bad].flat[0]}")
 
 
 @dataclass(frozen=True)
@@ -219,13 +229,12 @@ class TrainConfig:
         lam = self.ridge_lambda
         if lam is None:
             return
+        _check_ridge(lam)
         if np.isscalar(lam):
-            if lam < 0.0:
-                raise ParameterError("ridge_lambda must be nonnegative")
             return
         grid = tuple(sorted((float(v) for v in lam), reverse=True))
-        if len(grid) == 0 or grid[-1] < 0.0:
-            raise ParameterError("lambda grid must be nonempty and nonnegative")
+        if len(grid) == 0:
+            raise ParameterError("lambda grid must be nonempty")
         object.__setattr__(self, "ridge_lambda", grid)
 
 

@@ -88,9 +88,13 @@ def _bartlett(d: int, dof: float, rng: np.random.Generator, n: int) -> np.ndarra
     """The variates of ``n`` Bartlett factors of d x d Wishart draws with a
     real ``dof >= d`` that the caller has checked, as an (n, d (d + 1) / 2)
     stack: chi-square(dof - i) for diagonal entry i, then standard normals
-    for the strict lower triangle in row-major order."""
-    chi2 = rng.chisquare(dof - np.arange(d), size=(n, d))
-    return np.concatenate([chi2, rng.standard_normal((n, d * (d - 1) // 2))], axis=1)
+    for the strict lower triangle in row-major order.  The chi-squares are
+    drawn first, one scalar call each in row-major order (an array of
+    degrees of freedom costs a validation per call), then the normals."""
+    variates = np.empty((n, d * (d + 1) // 2))
+    variates[:, :d].flat = [rng.chisquare(dof - i) for _ in range(n) for i in range(d)]
+    variates[:, d:] = rng.standard_normal((n, d * (d - 1) // 2))
+    return variates
 
 
 def _wishart_from_bartlett(d: int, variates: np.ndarray) -> np.ndarray:

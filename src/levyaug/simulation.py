@@ -27,7 +27,6 @@ process pool without changing the output.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -341,6 +340,9 @@ def run_alpha_sweep(
     jobs = min(jobs, len(cells))
     load_scipy()
     if jobs > 1:
+        # Imported here, so that only a pooled sweep loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_cell, cells, chunksize=1))
     else:

@@ -58,6 +58,7 @@ from .logistic import (
     FeatureMap,
     LogisticModel,
     _check_classes,
+    _check_ridge,
     _minimize,
     _softmax,
     center_columns,
@@ -133,8 +134,7 @@ def fit_strong_thinning(
     divided by the total count, so the argmin is unchanged and ``tol``
     applies at unit scale instead of count scale.
     """
-    if ridge_lambda < 0.0:
-        raise ParameterError("ridge_lambda must be nonnegative")
+    _check_ridge(ridge_lambda)
     batch = as_example_batch(examples)
     k = _check_classes(batch.y)
     p = family.d

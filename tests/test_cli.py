@@ -461,6 +461,21 @@ def test_train_malformed_ridge_lambda_is_a_usage_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1,nan"])
+def test_a_non_finite_ridge_lambda_is_a_parameter_error(poisson_file, tmp_path, capsys, value):
+    # exit 3, before anything is fitted or written
+    model, pseudo = tmp_path / "m.txt", tmp_path / "pseudo.csv"
+    assert main(["thin", "--input", str(poisson_file), "--output", str(pseudo),
+                 "--alpha", "0.5", "-B", "2", "--seed", "1"]) == 0
+    commands = [["train", "--pseudo", str(pseudo), "--originals", str(poisson_file)]]
+    if "," not in value:
+        commands.append(["limit", "--originals", str(poisson_file), "--no-calibrate"])
+    for command in commands:
+        assert main(command + ["--out", str(model), "--ridge-lambda", value]) == 3
+        assert "finite and nonnegative" in capsys.readouterr().err
+        assert not model.exists()
+
+
 def test_comma_list_options_parse_to_values():
     parse = build_parser().parse_args
     sim = parse(["simulate", "--spec", "gauss", "--out", "s.csv"])

@@ -289,25 +289,31 @@ def _poisson_pseudo_file(path, n, d):
     return x
 
 
-def test_reader_holds_one_row_of_parsed_values_at_a_time(tmp_path):
-    # The float64 table, one line and one row's strings: neither the file's
-    # lines nor a list of parsed Python floats (32 bytes per value).
+def _columns(batch):
+    return [getattr(batch, name) for name in batch.__dataclass_fields__]
+
+
+def test_reader_holds_one_block_of_parsed_values_at_a_time(tmp_path):
+    # Besides the returned arrays: the float64 buffer of one block, the
+    # integer check's floor of one block, and one line and one row's
+    # strings; neither a table of the whole file, nor its lines, nor a
+    # list of parsed Python floats (32 bytes per value).
     path = tmp_path / "pseudo.csv"
     x = _poisson_pseudo_file(path, 400, 100)
-    columns = ["origin_id", "alpha", "y", "t_tilde"]
     tracemalloc.start()
     try:
-        _, table = dataio._read_table(path, "levyaug-pseudo", columns)
+        _, batch = read_pseudo_dataset(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(table[:, 4:], x) and table.shape == (400, 104)
-    assert peak < table.nbytes + 64 * 1024
+    assert np.array_equal(batch.x_tilde, x)
+    block = dataio._BLOCK * 8
+    assert peak < sum(col.nbytes for col in _columns(batch)) + 2 * block + 64 * 1024
 
 
-def test_poisson_read_holds_one_table_and_returns_none_of_it(tmp_path, monkeypatch):
-    # The counts are compacted straight from the table's strided block, and
-    # every returned column is a copy, so the table is freed on return.
+def test_poisson_read_holds_no_whole_file_table(tmp_path):
+    # The counts are stored compact, block by block, and nothing else the
+    # size of the file is alive at any time.
     n, d = 800, 500
     path = tmp_path / "pseudo.csv"
     x = _poisson_pseudo_file(path, n, d)
@@ -317,21 +323,110 @@ def test_poisson_read_holds_one_table_and_returns_none_of_it(tmp_path, monkeypat
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    columns = (batch.x_tilde, batch.y, batch.origin_id, batch.alpha, batch.t_tilde)
     assert batch.x_tilde.dtype == np.uint8 and np.array_equal(batch.x_tilde, x)
-    assert peak < n * (d + 4) * 8 + batch.x_tilde.nbytes + 2**20
-    assert held < sum(col.nbytes for col in columns) + 2**19
-    tables = []
+    assert peak < batch.x_tilde.nbytes + 2**20
+    assert held < sum(col.nbytes for col in _columns(batch)) + 2**19
 
-    def read_table(*args, read=dataio._read_table):
-        tables.append(read(*args))
-        return tables[-1]
 
-    monkeypatch.setattr(dataio, "_read_table", read_table)
-    _, again = read_pseudo_dataset(path)
-    table = tables[0][1]
-    for col in (again.x_tilde, again.y, again.origin_id, again.alpha, again.t_tilde):
-        assert not np.shares_memory(col, table)
+@pytest.mark.parametrize("name", ["poisson", "gaussian", "gamma", "wishart"])
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_reads_in_blocks_equal_reads_in_one_block(tmp_path, monkeypatch, rng, name, source):
+    family, x, _ = _family_features(name, rng, 10)
+    y, t = np.arange(10) % 3 + 1, np.arange(10.0) + 4.0
+    pseudo = PseudoBatch(x_tilde=x, y=y, origin_id=np.arange(10) // 2, alpha=0.5, t_tilde=t / 2)
+    texts = {}
+    for kind, write, batch in (
+        ("data", write_dataset, ExampleBatch(x=x, y=y, t=t)),
+        ("pseudo", write_pseudo_dataset, pseudo),
+    ):
+        write(tmp_path / kind, family, batch)
+        lines = (tmp_path / kind).read_text().splitlines(keepends=True)
+        head, rows = lines[:2], lines[2:]
+        texts[kind] = "".join(head + [r + ("\n" if i % 2 else "") for i, r in enumerate(rows)])
+    whole = {kind: _read_text(tmp_path, kind, text, "file") for kind, text in texts.items()}
+    width = len(texts["pseudo"].splitlines()[1].split(","))
+    monkeypatch.setattr(dataio, "_BLOCK", 3 * width)  # three rows of pseudo-examples
+    for kind, text in texts.items():
+        family_read, batch = _read_text(tmp_path, kind, text, source)
+        assert family_read == family == whole[kind][0]
+        for got, want in zip(_columns(batch), _columns(whole[kind][1])):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _read_text(tmp_path, kind, text, source):
+    """Read ``text`` as a dataset or a pseudo-example file, from a file or
+    through a named pipe."""
+    read = read_dataset if kind == "data" else read_pseudo_dataset
+    path = tmp_path / f"{kind}-{source}.csv"
+    if source == "file":
+        path.write_text(text)
+        return read(path)
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("needs named pipes")
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        return read(path)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("layout", ["plain", "no final newline", "blank lines", "crlf"])
+def test_a_pipe_reads_each_layout_as_a_file_does(tmp_path, layout):
+    text = _layouts("levyaug-dataset", "y,t,x_1,x_2", ["1,1.0,2,0", "2,3.5,0,7"])[layout]
+    _, batch = _read_text(tmp_path, "data", text, "pipe")
+    _, want = _read_text(tmp_path, "data", text, "file")
+    for got, expected in zip(_columns(batch), _columns(want)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_a_later_block_widens_the_counts(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    x = np.ones((9, 2), dtype=int)
+    x[7, 1] = 300
+    write_dataset(path, poisson_family(2), ExampleBatch(x=x, y=1, t=1.0))
+    monkeypatch.setattr(dataio, "_BLOCK", 3 * 4)  # three rows a block
+    _, batch = read_dataset(path)
+    assert batch.x.dtype == np.uint16 and np.array_equal(batch.x, x)
+
+
+def test_errors_in_a_later_block_name_their_row(tmp_path, monkeypatch):
+    path = tmp_path / "late.csv"
+    data = "# levyaug-dataset v1 family=poisson d=2\ny,t,x_1,x_2\n"
+    wishart = "# levyaug-dataset v1 family=wishart d=2\ny,t,m_1,m_2,m_3\n"
+    pseudo = "# levyaug-pseudo v1 family=poisson d=2\norigin_id,alpha,y,t_tilde,x_1,x_2\n"
+    for head, good, bad, error, message in (
+        (data, "1,1.0,2,0", "1,1.0,x,0", DataFormatError, "non-numeric value"),
+        (data, "1,1.0,2,0", "1,1.0,2", DataFormatError, "expected 4 columns, got 3"),
+        (data, "1,1.0,2,0", "1,1.0,-2,0", SupportError, "Poisson features must be nonnegative"),
+        (data, "1,1.0,2,0", "0,1.0,2,0", ParameterError, "class labels are 1-based"),
+        (wishart, "1,3.0,1,0,1", "1,3.0,1,2,1", SupportError, "Wishart feature matrix must be"),
+        (pseudo, "0,0.5,1,1.0,2,0", "-1,0.5,1,1.0,2,0", ParameterError, "origin ids must be"),
+    ):
+        monkeypatch.setattr(dataio, "_BLOCK", 3 * len(good.split(",")))  # three rows a block
+        rows = [good] * 7 + [bad] + [good] * 4  # row 8: the second row of the third block
+        path.write_text(head + "\n".join(rows) + "\n")
+        read = read_pseudo_dataset if head is pseudo else read_dataset
+        with pytest.raises(error, match=f"^row 8: {message}"):
+            read(path)
+
+
+def test_errors_keep_the_order_of_a_whole_file_check(tmp_path, monkeypatch):
+    # A malformed row in a later block is reported before an earlier row's
+    # failed check, and so is a covariance override for a non-Gaussian file.
+    monkeypatch.setattr(dataio, "_BLOCK", 3 * 4)  # three rows a block
+    path = tmp_path / "data.csv"
+    rows = ["1,1.0,-2,0"] + ["1,1.0,2,0"] * 6 + ["1,1.0,x,0"]
+    path.write_text("# levyaug-dataset v1 family=poisson d=2\ny,t,x_1,x_2\n" + "\n".join(rows))
+    with pytest.raises(DataFormatError, match="^row 8: non-numeric value"):
+        read_dataset(path)
+    path.write_text("# levyaug-dataset v1 family=poisson d=2\ny,t,x_1,x_2\n" + "\n".join(rows[:7]))
+    with pytest.raises(SupportError, match="^row 1: "):
+        read_dataset(path)
+    with pytest.raises(ParameterError, match="only applies to Gaussian data"):
+        read_dataset(path, sigma=np.eye(2))
 
 
 def test_writers_format_rows_a_block_at_a_time(tmp_path, monkeypatch, rng):
@@ -341,7 +436,7 @@ def test_writers_format_rows_a_block_at_a_time(tmp_path, monkeypatch, rng):
     whole = tmp_path / "whole.csv", tmp_path / "whole-pseudo.csv"
     write_dataset(whole[0], family, examples)
     write_pseudo_dataset(whole[1], family, pseudo)
-    monkeypatch.setattr(dataio, "_WRITE_VALUES", 6)  # two rows of d=2 matrices
+    monkeypatch.setattr(dataio, "_BLOCK", 6)  # two rows of d=2 matrices
     blocks = tmp_path / "blocks.csv", tmp_path / "blocks-pseudo.csv"
     write_dataset(blocks[0], family, examples)
     write_pseudo_dataset(blocks[1], family, pseudo)

@@ -1,7 +1,8 @@
 """Every name a module exports in ``__all__`` exists, so ``import *`` works,
 no module imports a name it never uses (no linter ships with the repo), the
-package imports nothing from the tests, whose oracles stay outside it, and
-scipy is loaded only by the commands that solve."""
+package imports nothing from the tests, whose oracles stay outside it,
+scipy is loaded only by the commands that solve, and the process pool's
+modules only by a sweep that runs cells in a pool."""
 
 import ast
 import importlib.util
@@ -86,12 +87,17 @@ def test_the_oracles_are_not_part_of_the_package():
     assert importlib.util.find_spec("levyaug.oracles") is None
 
 
-# scipy costs about half a second to import, and only the solvers use it:
-# every module imports it inside the functions that call it.
+# scipy costs about half a second to import, and only the solvers use it;
+# the process pool's modules only a sweep with more than one job uses.
+# Every module imports them inside the functions that call them.
+_SCIPY = ("scipy",)
+_POOL = ("concurrent", "multiprocessing")
 
-def _import_time_scipy_imports(source: str) -> list[int]:
-    """Lines that import scipy when the module itself is imported: every
-    scipy import outside a function body."""
+
+def _import_time_imports(source: str, roots) -> list[int]:
+    """Lines that import a package named in ``roots`` (or one of its
+    modules) when the module itself is imported: every such import outside
+    a function body."""
     found = []
 
     def visit(node):
@@ -103,7 +109,7 @@ def _import_time_scipy_imports(source: str) -> list[int]:
                 names = [alias.name for alias in child.names]
             elif isinstance(child, ast.ImportFrom) and child.level == 0:
                 names = [child.module]
-            if any(name.split(".")[0] == "scipy" for name in names):
+            if any(name.split(".")[0] in roots for name in names):
                 found.append(child.lineno)
             visit(child)
 
@@ -113,8 +119,14 @@ def _import_time_scipy_imports(source: str) -> list[int]:
 
 @pytest.mark.parametrize("path", SOURCES + [Path(levyaug.__file__)], ids=lambda p: p.name)
 def test_no_module_imports_scipy_at_import_time(path):
-    lines = _import_time_scipy_imports(path.read_text(encoding="utf-8"))
+    lines = _import_time_imports(path.read_text(encoding="utf-8"), _SCIPY)
     assert not lines, f"{path.name} imports scipy at module level, line(s) {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES + [Path(levyaug.__file__)], ids=lambda p: p.name)
+def test_no_module_imports_the_process_pool_at_import_time(path):
+    lines = _import_time_imports(path.read_text(encoding="utf-8"), _POOL)
+    assert not lines, f"{path.name} imports the process pool at module level, line(s) {lines}"
 
 
 def test_import_time_scipy_guard_flags_module_level_imports_only():
@@ -122,8 +134,11 @@ def test_import_time_scipy_guard_flags_module_level_imports_only():
         "import numpy\nimport scipy.sparse\n"
         "if True:\n    from scipy.optimize import minimize\n"
         "def f():\n    from scipy.special import gammaln\n    return gammaln\n"
+        "from concurrent.futures import ProcessPoolExecutor\nimport multiprocessing as mp\n"
+        "def g():\n    import multiprocessing\n    from concurrent import futures\n"
     )
-    assert _import_time_scipy_imports(source) == [2, 4]
+    assert _import_time_imports(source, _SCIPY) == [2, 4]
+    assert _import_time_imports(source, _POOL) == [8, 9]
 
 
 _SCIPY_LOADS = """
@@ -153,5 +168,36 @@ def test_scipy_is_loaded_by_the_commands_that_solve_only(tmp_path):
     args = [str(data), str(tmp_path / "pseudo.csv"), str(tmp_path / "model.txt")]
     env = dict(os.environ, PYTHONPATH=str(Path(levyaug.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", _SCIPY_LOADS, *args], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+_POOL_LOADS = """
+import sys
+from levyaug.cli import main
+
+def pooled():
+    return "multiprocessing" in sys.modules
+
+assert not pooled(), "import levyaug.cli"
+data, pseudo, model, sweep = sys.argv[1:]
+assert main(["thin", "--input", data, "--output", pseudo, "--alpha", "0.5", "-B", "2"]) == 0
+assert main(["train", "--pseudo", pseudo, "--originals", data, "--out", model,
+             "--ridge-lambda", "0.1"]) == 0
+assert not pooled(), "levyaug thin and train"
+assert main(["simulate", "--spec", "gauss", "--out", sweep, "--alphas", "1", "--n-grid", "20",
+             "--replicates", "2", "-B", "2", "--lambdas", "1.0,0.1", "--jobs", "2"]) == 0
+assert pooled(), "levyaug simulate --jobs 2 ran no pool"
+"""
+
+
+def test_the_process_pool_is_loaded_by_pooled_sweeps_only(tmp_path):
+    g = np.random.default_rng(5)
+    examples = [Example(x=g.poisson(3.0, size=3), y=1 + i % 2, t=9.0) for i in range(12)]
+    data = tmp_path / "data.csv"
+    write_dataset(data, poisson_family(3), examples)
+    args = [str(data)] + [str(tmp_path / name) for name in ("pseudo.csv", "model.txt", "s.csv")]
+    env = dict(os.environ, PYTHONPATH=str(Path(levyaug.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", _POOL_LOADS, *args], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr

@@ -914,10 +914,18 @@ def test_model_gauge_enforced():
         LogisticModel(beta=np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_model_rejects_non_finite_coefficients(value):
+    with pytest.raises(ParameterError, match="beta must be finite"):
+        LogisticModel(beta=np.array([[value, -value], [0.5, -0.5]]))
+
+
 @pytest.mark.parametrize(
     "setting",
     [dict(tol=0.0), dict(tol=-1e-7), dict(max_iter=0), dict(n_folds=1),
-     dict(ridge_lambda=-0.1), dict(ridge_lambda=(1.0, -0.1)), dict(ridge_lambda=())],
+     dict(ridge_lambda=-0.1), dict(ridge_lambda=(1.0, -0.1)), dict(ridge_lambda=()),
+     dict(ridge_lambda=float("nan")), dict(ridge_lambda=float("inf")),
+     dict(ridge_lambda=(1.0, float("nan")))],
 )
 def test_train_config_rejects_a_bad_setting(setting):
     with pytest.raises(ParameterError):

@@ -62,6 +62,17 @@ def _wishart(scale, dof, g, size=None):
     return w[0] if size is None else w
 
 
+@pytest.mark.parametrize("d, n", [(1, 3), (2, 0), (5, 1), (5, 4)])
+def test_bartlett_variates_are_the_draws_of_one_array_call(d, n):
+    # The chi-squares of every copy, drawn as one call with an array of
+    # degrees of freedom, then the normals: the same stream, value by value.
+    dof = 7.5
+    g = RngState(8).spawn()
+    chi2 = g.chisquare(dof - np.arange(d), size=(n, d))
+    want = np.concatenate([chi2, g.standard_normal((n, d * (d - 1) // 2))], axis=1)
+    assert np.array_equal(_bartlett(d, dof, RngState(8).spawn(), n), want)
+
+
 def test_wishart_mean_and_fractional_dof(rng):
     scale = random_pd_matrix(2, rng)
     g = RngState(6).spawn()

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -177,13 +179,13 @@ def test_sweep_reproducible_and_schedule_independent():
 
 def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
     started = []
-    real_pool = simulation.ProcessPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
     def recording_pool(max_workers):
         started.append(max_workers)
         return real_pool(max_workers=max_workers)
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     spec = GaussianSimSpec(d=12, n_signal=4)
     res = run_alpha_sweep(
         spec, alphas=(0.0, 1.0), n_grid=(24,), replicates=1, seed=5,

@@ -249,6 +249,14 @@ def test_fit_strong_thinning_checks_the_examples_against_the_family():
             fit_strong_thinning(examples, poisson_family(2), ridge_lambda=1e-3)
 
 
+@pytest.mark.parametrize("lam", [-1e-3, float("nan"), float("inf")])
+def test_fit_strong_thinning_rejects_a_bad_ridge(lam):
+    examples = [Example(x=np.array([1, 2]), y=1, t=1.0), Example(x=np.array([0, 3]), y=2, t=1.0)]
+    for family in (poisson_family(2), gaussian_family(2)):
+        with pytest.raises(ParameterError, match="finite and nonnegative"):
+            fit_strong_thinning(examples, family, ridge_lambda=lam)
+
+
 # ---------------------------------------------------------------------------
 # alpha path
 # ---------------------------------------------------------------------------
