@@ -43,8 +43,8 @@ from .dataio import (
     read_pseudo_dataset,
     write_pseudo_dataset,
 )
-from .errors import DataFormatError, LevyAugError, OptimizationError
-from .families import FamilyKind
+from .errors import DataFormatError, LevyAugError, OptimizationError, ParameterError
+from .families import FamilyKind, gaussian_family
 from .logistic import TrainConfig, calibrate, fit_logistic_detailed, save_model
 from .rng import RngState
 from .simulation import (
@@ -118,12 +118,20 @@ def _check_output_dirs(*paths) -> None:
             raise FileNotFoundError(errno.ENOENT, "no such directory for the output", path)
 
 
-def _check_family(declared, asserted) -> None:
-    """``--family``, when given, must name the family the file declares."""
-    if asserted is not None and _FAMILY_ALIASES[asserted] is not declared.kind:
+def _read_with_flags(path, args):
+    """The dataset ``path``, then ``--sigma`` (read before the file; only a
+    Gaussian file takes a covariance), then the ``--family`` check."""
+    sigma = read_matrix(args.sigma) if args.sigma else None
+    family, examples = read_dataset(path)
+    if sigma is not None:
+        if family.kind is not FamilyKind.GAUSSIAN:
+            raise ParameterError("a covariance override only applies to Gaussian data")
+        family = gaussian_family(family.d, sigma)
+    if args.family is not None and _FAMILY_ALIASES[args.family] is not family.kind:
         raise DataFormatError(
-            f"input file declares family {declared.kind.value!r}, not {asserted!r}"
+            f"input file declares family {family.kind.value!r}, not {args.family!r}"
         )
+    return family, examples
 
 
 def _comma_list(convert, what: str):
@@ -157,9 +165,7 @@ def _parse_lambda(text: str):
 # --------------------------------------------------------------------------
 
 def _cmd_thin(args) -> int:
-    sigma = read_matrix(args.sigma) if args.sigma else None
-    family, examples = read_dataset(args.input, sigma=sigma)
-    _check_family(family, args.family)
+    family, examples = _read_with_flags(args.input, args)
     if args.t_const is not None:
         examples = replace(examples, t=args.t_const)
     cfg = ThinningConfig(
@@ -221,7 +227,7 @@ def _cmd_train(args) -> int:
 def _cmd_simulate(args) -> int:
     load_scipy()
     _check_output_dirs(args.out, args.plot)
-    spec = (GaussianSimSpec if args.spec == "gauss" else PoissonSimSpec)(seed=args.seed)
+    spec = (GaussianSimSpec if args.spec == "gauss" else PoissonSimSpec)()
     train_cfg = TrainConfig(ridge_lambda=args.lambdas, n_folds=args.folds)
     result = run_alpha_sweep(
         spec,
@@ -262,9 +268,7 @@ def _print_sweep_summary(result) -> None:
 
 def _cmd_limit(args) -> int:
     load_scipy()
-    sigma = read_matrix(args.sigma) if args.sigma else None
-    family, originals = read_dataset(args.originals, sigma=sigma)
-    _check_family(family, args.family)
+    family, originals = _read_with_flags(args.originals, args)
     model = fit_strong_thinning(originals, family, ridge_lambda=args.ridge_lambda)
     if not args.no_calibrate:
         model = calibrate(model, originals)

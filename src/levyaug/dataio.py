@@ -39,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DataFormatError, LevyAugError, ParameterError
+from .errors import DataFormatError, LevyAugError
 from .families import (
     _BLOCK,
     ExampleBatch,
@@ -137,8 +137,7 @@ def _parse_magic(line: str, magic: str) -> LevyFamily:
     except (KeyError, ValueError) as exc:
         raise DataFormatError(f"malformed header metadata: {exc}") from None
     if kind is FamilyKind.GAUSSIAN:
-        # Dataset files do not carry the covariance; identity is assumed
-        # unless the caller supplies one (e.g. the CLI's --sigma).
+        # Dataset files do not carry the covariance; identity is assumed.
         return gaussian_family(d)
     return LevyFamily(kind, d)
 
@@ -201,21 +200,23 @@ def _store(columns: dict, checked, first: int) -> None:
         dest[first : first + len(value)] = value
 
 
-def _read_batch(path, magic: str, columns: list[str], build, batch_type, override=None):
+def _read_batch(path, magic: str, columns: list[str], build, batch_type):
     """The family and the checked ``batch_type`` of a ``magic`` file whose
     rows hold ``columns`` and then the feature block.  Blank lines are
     skipped.  A counting pass sizes the returned arrays, and a second pass
     parses the rows a block at a time into one float64 buffer of at most
     _BLOCK values (numpy parses each string as float() does).  Each block is
     checked by ``build(family, block, x)`` and stored in its rows of the
-    returned arrays.  ``override(family)``, if given, runs once every row
-    has parsed.  Errors keep the order of a whole-file check: a malformed
-    row anywhere, then the override's, then the first row that fails its
-    checks; each names the 1-based data row."""
+    returned arrays.  Errors keep the order of a whole-file check: text
+    that is not UTF-8, then a malformed row anywhere, then the first row
+    that fails its checks; each row error names the 1-based data row."""
     with open(path, "r", encoding="utf-8") as handle:
         if not handle.seekable():  # a pipe is read once, so its bytes are kept
             handle = io.TextIOWrapper(io.BytesIO(handle.buffer.read()), encoding="utf-8")
-        rows = sum(1 for line in handle if line.strip()) - 2
+        try:  # the counting pass decodes every line before any is parsed
+            rows = sum(1 for line in handle if line.strip()) - 2
+        except UnicodeDecodeError:
+            raise DataFormatError("file is not UTF-8 text") from None
         handle.seek(0)
         lines = (line.rstrip("\n") for line in handle if line.strip())
         first = next(lines, None)
@@ -254,8 +255,6 @@ def _read_batch(path, magic: str, columns: list[str], build, batch_type, overrid
                     _store(out, checked, start)
     if row != rows:
         raise DataFormatError("the file changed while it was read")
-    if override is not None:
-        family = override(family)
     if error is not None:
         raise error
     return family, batch_type(**out)
@@ -275,25 +274,17 @@ def _example_batch(family: LevyFamily, block: np.ndarray, x: np.ndarray) -> Exam
     return ExampleBatch(x=check_example(family, batch), y=batch.y, t=batch.t)
 
 
-def read_dataset(path, sigma=None) -> tuple[LevyFamily, ExampleBatch]:
+def read_dataset(path) -> tuple[LevyFamily, ExampleBatch]:
     """Parse and validate a dataset file.
 
     Structural problems raise :class:`DataFormatError`; value-domain
     problems (family support, nonpositive t, bad labels) raise the
-    corresponding domain error.  Both name the offending row.  ``sigma``
-    overrides the identity covariance assumed for Gaussian files.  The
-    features come back as :func:`~levyaug.families.check_example` returns
-    them (Poisson counts in the smallest integer type that holds them).
+    corresponding domain error.  Both name the offending row.  A Gaussian
+    file's family has the identity covariance.  The features come back as
+    :func:`~levyaug.families.check_example` returns them (Poisson counts in
+    the smallest integer type that holds them).
     """
-
-    def with_sigma(family: LevyFamily) -> LevyFamily:
-        if sigma is None:
-            return family
-        if family.kind is not FamilyKind.GAUSSIAN:
-            raise ParameterError("a covariance override only applies to Gaussian data")
-        return gaussian_family(family.d, sigma)
-
-    return _read_batch(path, _DATASET_MAGIC, ["y", "t"], _example_batch, ExampleBatch, with_sigma)
+    return _read_batch(path, _DATASET_MAGIC, ["y", "t"], _example_batch, ExampleBatch)
 
 
 def write_pseudo_dataset(path, family: LevyFamily, pseudo: PseudoBatch) -> None:

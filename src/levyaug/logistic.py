@@ -25,12 +25,13 @@ Every fit must bring the gradient max-norm to ``tol`` or raise
 :class:`OptimizationError`.  A two-class fit on a design whose smaller side,
 min(n, p), is at most 256 is one ``scipy.optimize.minimize`` call of damped
 Newton (``_newton``).  When n < p each step is an n x n solve through the
-Woodbury identity, with X X' formed once per lambda path; otherwise it is a
-Cholesky solve of the p x p Hessian.  More classes and larger designs run
-L-BFGS-B.  When it stops short of ``tol`` for any reason but its iteration
-or evaluation limit, a second ``minimize`` call finishes with up to three
-iterations of ``_newton``.  The threshold is where Newton stops being the
-cheaper path.
+Woodbury identity, with X X' formed once per ``_fit_path`` call: for each
+(lambda, fold) of cross-validation and once for the refit path; otherwise
+it is a Cholesky solve of the p x p Hessian.  More classes and larger
+designs run L-BFGS-B.  When it stops short of ``tol`` for any reason but
+its iteration or evaluation limit, a second ``minimize`` call finishes
+with up to three iterations of ``_newton``.  The threshold is where Newton
+stops being the cheaper path.
 On one BLAS thread, a warm-started 12-lambda path at p = 500 took:
 
     n = 100: Newton  7 ms, L-BFGS-B 22 ms (Poisson counts), 16 ms (Gaussian)
@@ -617,7 +618,8 @@ def _fit_path(X, Y, lambdas, tol, max_iter, coef=None, rows=None):
     Two classes are fit in ``w = beta_2 - beta_1``, more classes in
     ``beta`` itself.  A two-class design with min(n, p) <= _NEWTON_MAX_DIM
     is solved by damped Newton at every lambda > 0 (through the Woodbury
-    identity when n < p); the rest by L-BFGS-B with the Newton finish.
+    identity when n < p, on a Gram matrix formed once per call); the rest
+    by L-BFGS-B with the Newton finish.
     ``X`` may be dense, CSC or CSR.
 
     The fit covers the ``rows`` of ``X`` and ``Y`` (a boolean mask; None for

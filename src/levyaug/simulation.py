@@ -1,6 +1,8 @@
 """Synthetic benchmark designs and the (n, alpha) sweep runner.
 
-Two hierarchical designs are built in:
+Two hierarchical designs are built in, each a spec whose fields are the
+parameters of its data (its name and default figure, ``n_grid`` and
+``replicates``, are class constants):
 
 * ``GaussianSimSpec`` - labels are fair coin flips; each class owns 10
   random atoms whose first 20 of 100 coordinates are 1.1 times Student-t
@@ -14,20 +16,22 @@ Two hierarchical designs are built in:
   (1000) equals the expected total count and every topic carries equal
   information.
 
-``run_alpha_sweep`` walks the (n, alpha, replicate) grid: generate data,
-thin, fit with grouped cross-validation, recalibrate on the originals and
-score on a fresh test set.  alpha = 0 dispatches to the analytic
-strong-thinning fit and alpha = 1 trains on the originals themselves.
-Every cell draws from substreams keyed by (n, replicate[, alpha]), so the
-same (spec, seed) always reproduces the same rows, data is shared across
-alphas within a replicate (paired comparisons), and cells can run in a
-process pool without changing the output.
+``run_alpha_sweep`` owns the run (sizes, replicates, seed) and walks the
+(n, alpha, replicate) grid: generate data, thin, fit with grouped
+cross-validation, recalibrate on the originals and score on a fresh test
+set.  alpha = 0 dispatches to the analytic strong-thinning fit and
+alpha = 1 trains on the originals themselves.  Every cell draws from
+substreams keyed by (n, replicate[, alpha]), so the same (spec, seed)
+always reproduces the same rows, data is shared across alphas within a
+replicate (paired comparisons), and cells can run in a process pool
+without changing the output.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -73,15 +77,14 @@ _STRONG_RIDGE = 1e-6
 
 @dataclass(frozen=True)
 class GaussianSimSpec:
-    spec_id: str = "gauss"
+    spec_id: ClassVar[str] = "gauss"
+    n_grid: ClassVar[tuple[int, ...]] = (30, 50, 75, 100, 150, 200, 400, 600)
+    replicates: ClassVar[int] = 20
     d: int = 100
     n_signal: int = 20
     atoms_per_class: int = 10
     atom_scale: float = 1.1
     t_dof: float = 4.0
-    n_grid: tuple[int, ...] = (30, 50, 75, 100, 150, 200, 400, 600)
-    replicates: int = 20
-    seed: int = 0
 
     def family(self) -> LevyFamily:
         return gaussian_family(self.d)
@@ -89,15 +92,14 @@ class GaussianSimSpec:
 
 @dataclass(frozen=True)
 class PoissonSimSpec:
-    spec_id: str = "poisson"
+    spec_id: ClassVar[str] = "poisson"
+    n_grid: ClassVar[tuple[int, ...]] = (30, 50, 100, 150, 200, 400, 800, 1600)
+    replicates: ClassVar[int] = 20
     d: int = 500
     total_rate: float = 1000.0
     n_signal: int = 7
     signal_level: float = 1.0
     tau_rate: float = 3.0
-    n_grid: tuple[int, ...] = (30, 50, 100, 150, 200, 400, 800, 1600)
-    replicates: int = 20
-    seed: int = 0
 
     def family(self) -> LevyFamily:
         return poisson_family(self.d)
@@ -289,14 +291,15 @@ def run_alpha_sweep(
     n_grid=None,
     n_pseudo: int = 32,
     replicates: int | None = None,
-    seed: int | None = None,
+    seed: int = 0,
     train_cfg: TrainConfig | None = None,
     standardize: bool = False,
     jobs: int = 1,
 ) -> SweepResult:
     """Run the full (n, alpha, replicate) grid and collect error rows.
 
-    alphas may include the endpoints: 0 uses the analytic strong-thinning
+    ``n_grid`` and ``replicates`` default to ``spec``'s figure.  alphas
+    may include the endpoints: 0 uses the analytic strong-thinning
     fit (ridge 1e-6), 1 trains on the originals; both still go through
     calibration.
     ``standardize=True`` scales the pseudo-feature columns to unit
@@ -315,7 +318,6 @@ def run_alpha_sweep(
     """
     n_grid = tuple(spec.n_grid if n_grid is None else n_grid)
     replicates = spec.replicates if replicates is None else replicates
-    seed = spec.seed if seed is None else seed
     train_cfg = TrainConfig() if train_cfg is None else train_cfg
     alphas = tuple(float(a) for a in alphas)
     for a in alphas:

@@ -10,6 +10,9 @@ import pytest
 import levyaug
 from levyaug import (
     Example,
+    GaussianSimSpec,
+    OptimizationError,
+    PoissonSimSpec,
     RngState,
     ThinningConfig,
     TrainConfig,
@@ -391,6 +394,118 @@ def test_limit_family_mismatch_exits_2(tmp_path):
     ]) == 2  # family mismatch against the file header
 
 
+def _gauss_file(tmp_path, rows=8):
+    path = tmp_path / "gauss.csv"
+    g = RngState(74).spawn()
+    write_dataset(path, gaussian_family(2), [
+        Example(x=g.standard_normal(2), y=1 + i % 2, t=1.0) for i in range(rows)
+    ])
+    return path
+
+
+def _read_command(command, data, out):
+    """A ``thin`` or ``limit`` command line reading the dataset ``data``."""
+    if command == "thin":
+        return ["thin", "--input", str(data), "--output", str(out), "--alpha", "0.5"]
+    return ["limit", "--originals", str(data), "--out", str(out)]
+
+
+def test_limit_sigma_sets_the_model_covariance(tmp_path):
+    data, model, sigma = _gauss_file(tmp_path), tmp_path / "m.txt", tmp_path / "sigma.csv"
+    sigma.write_text("2.0,0.5\n0.5,1.0\n")
+    for extra, want in (([], np.eye(2)), (["--sigma", str(sigma)], [[2.0, 0.5], [0.5, 1.0]])):
+        assert main(_read_command("limit", data, model) + extra) == 0
+        _, family = load_model(model)
+        assert np.array_equal(family.sigma, want)
+
+
+@pytest.mark.parametrize("command", ["thin", "limit"])
+def test_sigma_on_a_non_gaussian_file_exits_3(poisson_file, tmp_path, capsys, command):
+    sigma, out = tmp_path / "sigma.csv", tmp_path / "out.txt"
+    sigma.write_text("1.0,0.0,0.0\n0.0,1.0,0.0\n0.0,0.0,1.0\n")
+    argv = _read_command(command, poisson_file, out) + ["--sigma", str(sigma)]
+    message = "levyaug: domain error: a covariance override only applies to Gaussian data\n"
+    for family in ([], ["--family", "gaussian"]):  # --sigma is checked before --family
+        capsys.readouterr()
+        assert main(argv + family) == 3
+        assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["thin", "limit"])
+def test_a_row_error_comes_before_the_sigma_check(tmp_path, capsys, command):
+    data, sigma, out = tmp_path / "counts.csv", tmp_path / "sigma.csv", tmp_path / "out.txt"
+    data.write_text("# levyaug-dataset v1 family=poisson d=2\ny,t,x_1,x_2\n"
+                    "1,1.0,2,0\n1.5,1.0,2,0\n")
+    sigma.write_text("1.0,0.0\n0.0,1.0\n")
+    assert main(_read_command(command, data, out) + ["--sigma", str(sigma)]) == 2
+    assert capsys.readouterr().err == (
+        "levyaug: input format error: row 2: class labels must be integers\n"
+    )
+
+
+def test_thin_with_a_covariance_that_is_not_symmetric_exits_3(tmp_path, capsys):
+    data, sigma, out = _gauss_file(tmp_path), tmp_path / "sigma.csv", tmp_path / "p.csv"
+    sigma.write_text("2.0,0.5\n0.4,1.0\n")
+    assert main(_read_command("thin", data, out) + ["--sigma", str(sigma)]) == 3
+    assert capsys.readouterr().err == "levyaug: domain error: covariance must be symmetric\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["thin", "limit"])
+def test_a_file_that_is_not_utf8_exits_2(poisson_file, tmp_path, capsys, command):
+    data, out = tmp_path / "bad.csv", tmp_path / "out.txt"
+    data.write_bytes(poisson_file.read_bytes()[:-1] + b"\xff\n")
+    assert main(_read_command(command, data, out)) == 2
+    assert capsys.readouterr().err == "levyaug: input format error: file is not UTF-8 text\n"
+    assert not out.exists()
+
+
+def _thin_and_train_argv(tmp_path, data, *train_args):
+    pseudo = tmp_path / "pseudo.csv"
+    assert main(["thin", "--input", str(data), "--output", str(pseudo), "--alpha", "0.5",
+                 "-B", "2", "--seed", "1"]) == 0
+    return ["train", "--pseudo", str(pseudo), "--originals", str(data),
+            "--out", str(tmp_path / "m.txt"), *train_args]
+
+
+def test_train_with_more_folds_than_origins_exits_3(tmp_path, capsys):
+    data = _gauss_file(tmp_path, rows=4)
+    argv = _thin_and_train_argv(tmp_path, data, "--folds", "5", "--ridge-lambda", "1,0.1")
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "levyaug: domain error: 5-fold CV needs at least 5 distinct origins, got 4\n"
+    )
+
+
+def test_a_failed_fit_exits_4(poisson_file, tmp_path, capsys, monkeypatch):
+    argv = _thin_and_train_argv(tmp_path, poisson_file)
+
+    def failing_fit(pseudo, cfg):
+        raise OptimizationError("gradient max-norm 0.5 > tol")
+
+    monkeypatch.setattr(cli, "fit_logistic_detailed", failing_fit)
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "levyaug: optimization failed: gradient max-norm 0.5 > tol\n"
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_simulate_reports_a_failed_cell_and_exits_0(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["simulate", "--spec", "gauss", "--out", str(out), "--n-grid", "4",
+                 "--alphas", "0.5", "--replicates", "1", "--jobs", "1", "--seed", "3"]) == 0
+    failure = "gauss n=4 alpha=0.5 rep=0: 5-fold CV needs at least 5 distinct origins, got 4"
+    captured = capsys.readouterr()
+    assert captured.err == f"levyaug: cell failed: {failure}\n"
+    assert captured.out == "1 failed cells (see the manifest)\n"
+    assert out.read_text().splitlines()[1] == "gauss,4,0.5,0,nan,nan,0"
+    sweep = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["config"]["sweep"]
+    assert sweep["failures"] == [failure]
+    assert (sweep["seed"], sweep["n_grid"], sweep["replicates"]) == (3, [4], 1)
+    assert sweep["spec"] == {"type": "GaussianSimSpec", "d": 100, "n_signal": 20,
+                             "atoms_per_class": 10, "atom_scale": 1.1, "t_dof": 4.0}
+
+
 def test_simulate_reproduces_csv_byte_identical(tmp_path):
     args = [
         "simulate", "--spec", "gauss", "--out", None, "--alphas", "0,1",
@@ -586,6 +701,9 @@ SETTABLE_SURFACE = {
               "--sigma"],
     "TrainConfig": ["max_iter", "n_folds", "ridge_lambda", "tol"],
     "ThinningConfig": ["alpha", "n_pseudo", "seed"],
+    # in declaration order: a spec holds only what shapes its design's data
+    "GaussianSimSpec": ["d", "n_signal", "atoms_per_class", "atom_scale", "t_dof"],
+    "PoissonSimSpec": ["d", "total_rate", "n_signal", "signal_level", "tau_rate"],
 }
 
 
@@ -600,6 +718,8 @@ def test_settable_surface_is_pinned():
     }
     for config in (TrainConfig, ThinningConfig):
         surface[config.__name__] = sorted(f.name for f in fields(config))
+    for spec in (GaussianSimSpec, PoissonSimSpec):
+        surface[spec.__name__] = [f.name for f in fields(spec)]
     assert surface == SETTABLE_SURFACE
 
 

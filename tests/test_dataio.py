@@ -68,18 +68,6 @@ def test_wishart_dataset_round_trip(tmp_path, rng):
         assert np.allclose(a.x, b.x, atol=1e-15)
 
 
-def test_gaussian_dataset_sigma_override(tmp_path):
-    fam = gaussian_family(2, np.array([[2.0, 0.5], [0.5, 1.0]]))
-    examples = [Example(x=np.array([0.5, -1.0]), y=1, t=1.0),
-                Example(x=np.array([1.5, 2.0]), y=2, t=1.0)]
-    path = tmp_path / "gauss.csv"
-    write_dataset(path, fam, examples)
-    default_fam, _ = read_dataset(path)
-    assert np.array_equal(default_fam.sigma, np.eye(2))
-    fam2, _ = read_dataset(path, sigma=np.array([[2.0, 0.5], [0.5, 1.0]]))
-    assert np.array_equal(fam2.sigma, fam.sigma)
-
-
 def test_pseudo_round_trip(tmp_path):
     fam = gamma_family(2)
     pseudo = PseudoBatch(
@@ -354,17 +342,18 @@ def test_reads_in_blocks_equal_reads_in_one_block(tmp_path, monkeypatch, rng, na
 
 
 def _read_text(tmp_path, kind, text, source):
-    """Read ``text`` as a dataset or a pseudo-example file, from a file or
-    through a named pipe."""
+    """Read ``text`` (str, or bytes written as they are) as a dataset or a
+    pseudo-example file, from a file or through a named pipe."""
     read = read_dataset if kind == "data" else read_pseudo_dataset
     path = tmp_path / f"{kind}-{source}.csv"
+    payload = text.encode() if isinstance(text, str) else text
     if source == "file":
-        path.write_text(text)
+        path.write_bytes(payload)
         return read(path)
     if not hasattr(os, "mkfifo"):
         pytest.skip("needs named pipes")
     os.mkfifo(path)
-    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer = threading.Thread(target=path.write_bytes, args=(payload,), daemon=True)
     writer.start()
     try:
         return read(path)
@@ -380,6 +369,28 @@ def test_a_pipe_reads_each_layout_as_a_file_does(tmp_path, layout):
     _, want = _read_text(tmp_path, "data", text, "file")
     for got, expected in zip(_columns(batch), _columns(want)):
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize("kind", ["data", "pseudo"])
+def test_text_that_is_not_utf8_is_a_format_error(tmp_path, kind, source):
+    magic, header = {
+        "data": ("levyaug-dataset", "y,t,x_1,x_2"),
+        "pseudo": ("levyaug-pseudo", "origin_id,alpha,y,t_tilde,x_1,x_2"),
+    }[kind]
+    row = "1,1.0,2,0" if kind == "data" else "0,0.5,1,1.0,2,0"
+    text = _layouts(magic, header, [row, row])["plain"].encode()
+    bad = text.replace(b"2,0\n", b"2,\xff0\n", 1)  # one byte that is not UTF-8
+    with pytest.raises(DataFormatError, match="^file is not UTF-8 text$"):
+        _read_text(tmp_path, kind, bad, source)
+
+
+def test_a_nan_count_is_a_support_error(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("# levyaug-dataset v1 family=poisson d=2\ny,t,x_1,x_2\n"
+                    "1,1.0,2,0\n1,1.0,nan,0\n")
+    with pytest.raises(SupportError, match="^row 2: features must be finite"):
+        read_dataset(path)
 
 
 def test_a_later_block_widens_the_counts(tmp_path, monkeypatch):
@@ -415,7 +426,7 @@ def test_errors_in_a_later_block_name_their_row(tmp_path, monkeypatch):
 
 def test_errors_keep_the_order_of_a_whole_file_check(tmp_path, monkeypatch):
     # A malformed row in a later block is reported before an earlier row's
-    # failed check, and so is a covariance override for a non-Gaussian file.
+    # failed check.
     monkeypatch.setattr(dataio, "_BLOCK", 3 * 4)  # three rows a block
     path = tmp_path / "data.csv"
     rows = ["1,1.0,-2,0"] + ["1,1.0,2,0"] * 6 + ["1,1.0,x,0"]
@@ -425,8 +436,6 @@ def test_errors_keep_the_order_of_a_whole_file_check(tmp_path, monkeypatch):
     path.write_text("# levyaug-dataset v1 family=poisson d=2\ny,t,x_1,x_2\n" + "\n".join(rows[:7]))
     with pytest.raises(SupportError, match="^row 1: "):
         read_dataset(path)
-    with pytest.raises(ParameterError, match="only applies to Gaussian data"):
-        read_dataset(path, sigma=np.eye(2))
 
 
 def test_writers_format_rows_a_block_at_a_time(tmp_path, monkeypatch, rng):

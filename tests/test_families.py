@@ -63,6 +63,8 @@ def test_feature_support_checks():
     with pytest.raises(SupportError):
         _check_one(wishart_family(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
     _check_one(wishart_family(2), np.eye(2))
+    with pytest.raises(SupportError, match="Wishart feature matrix must be a symmetric matrix"):
+        _check_one(wishart_family(2), np.array([[2.0, 0.5], [0.4, 1.0]]))  # PD, not symmetric
 
 
 def test_poisson_counts_take_the_smallest_integer_type_that_holds_them():

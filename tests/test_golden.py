@@ -1,11 +1,19 @@
 """Golden outputs: the SHA-256 of ``levyaug thin`` files on tiny datasets,
-and of direct ``thin_*`` draws.
+of direct ``thin_*`` draws, and of the fit commands' outputs.
 
 Each file digest pins the draw order (one substream per origin and copy),
 the samplers' arithmetic and the float formatting of the pseudo-example
 writer; each draw digest pins a sampler's generator calls and arithmetic,
-for one draw and for a ``size`` batch.  A change that moves any of them
-must say so and update the digest on purpose.
+for one draw and for a ``size`` batch.  The fit digests pin ``train``'s
+model file and ``.cv.csv`` on each solver path (Newton through the
+Woodbury identity, Newton with a Cholesky solve, L-BFGS-B on a CSC design,
+a three-class fit), ``limit``'s model file with and without a covariance,
+and ``simulate``'s CSV and stdout for a tiny run of each design.  A change
+that moves any of them must say so and update the digest on purpose.
+
+Like the Gaussian and Wishart ``thin`` digests, the fit digests pin the
+arithmetic of the BLAS and numpy build they were computed with: the same
+code on another build may sum in another order and move the last bits.
 """
 
 import hashlib
@@ -13,8 +21,19 @@ import hashlib
 import numpy as np
 import pytest
 
-from levyaug import RngState, thin_gamma, thin_gaussian, thin_poisson, thin_wishart
+from levyaug import (
+    ExampleBatch,
+    FamilyKind,
+    RngState,
+    gaussian_family,
+    poisson_family,
+    thin_gamma,
+    thin_gaussian,
+    thin_poisson,
+    thin_wishart,
+)
 from levyaug.cli import main
+from levyaug.dataio import write_dataset
 
 # family -> (d, dataset rows "y,t,features", extra thin arguments, digest)
 GOLDEN = {
@@ -99,3 +118,113 @@ def test_thin_draws_are_pinned(family):
         out = draw(RngState(41).spawn(), size)
         header = f"{out.dtype}{out.shape}".encode()
         assert hashlib.sha256(header + np.ascontiguousarray(out).tobytes()).hexdigest() == digest
+
+
+def _write_originals(path, family, n, k, seed):
+    """``n`` originals of ``family``, labels cycling through 1..k, drawn
+    from numpy seed ``seed``: Poisson counts mostly zero (rate 0.15, class 1
+    raised on the first 10 coordinates), Gaussian unit noise with class y
+    shifted by 0.6 (y - 1) on the first 3 coordinates."""
+    g = np.random.default_rng(seed)
+    y = 1 + np.arange(n) % k
+    coords = np.arange(family.d)
+    if family.kind is FamilyKind.POISSON:
+        x = g.poisson(0.15 + 0.3 * (coords < 10) * (y == 1)[:, None])
+    else:
+        x = g.standard_normal((n, family.d)) + 0.6 * (coords < 3) * (y - 1)[:, None]
+    write_dataset(path, family, ExampleBatch(x=x, y=y, t=1.0))
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# solver path -> (family, originals n, classes, -B, model digest, .cv.csv digest).
+# Each is thinned at alpha 0.5 with seed 7 and trained on the grid 0.3,0.1,0.03.
+GOLDEN_TRAIN = {
+    # 30 pseudo rows < p = 40: damped Newton through the Woodbury identity
+    "newton-woodbury": (
+        gaussian_family(40), 15, 2, 2,
+        "615286d575d94d268d9a3440297a8b0089024d27a76215b30e766b4ab7d1062e",
+        "6b0bdd1280171585fd9ad9c53d09bc0f5e1c222ab48203ec6bd042f733c4c983",
+    ),
+    # 60 pseudo rows >= p = 5: damped Newton with a Cholesky solve
+    "newton-cholesky": (
+        gaussian_family(5), 20, 2, 3,
+        "7413bce4a7235b0cb7b4f11f1402319720efa262653c24b1db89eba99d318b3d",
+        "c118996128104712d9d50862c32711903f96fc4004997f648835c699a9405f74",
+    ),
+    # 400 x 300 counts, about 7% nonzero, folds of 320 rows: L-BFGS-B on CSC
+    "lbfgs-csc": (
+        poisson_family(300), 100, 2, 4,
+        "da1852da06ee9431d7a1c7ae6519bc2b9520384fbc9a89b172188a3bf0ac950f",
+        "d55a23b6c1d4e21758170ce4efd7e5e9b285ee0f9a321f6e7a96a8f1151c2e49",
+    ),
+    # three classes: L-BFGS-B on a dense design
+    "three-class": (
+        gaussian_family(4), 30, 3, 2,
+        "67898ed8844ca7d2024e60463991c5a23ebb524b396a3a699792b61cb978b9ac",
+        "30e66bdfb7e28414995f27547f3b1fc0cf541267db49ecf6dbaa6d8e0f292585",
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_TRAIN))
+def test_train_output_is_pinned(tmp_path, path):
+    family, n, k, copies, model_digest, cv_digest = GOLDEN_TRAIN[path]
+    data, pseudo, model = tmp_path / "data.csv", tmp_path / "pseudo.csv", tmp_path / "m.txt"
+    _write_originals(data, family, n, k, seed=3)
+    assert main(["thin", "--input", str(data), "--output", str(pseudo), "--alpha", "0.5",
+                 "-B", str(copies), "--seed", "7"]) == 0
+    assert main(["train", "--pseudo", str(pseudo), "--originals", str(data), "--out",
+                 str(model), "--ridge-lambda", "0.3,0.1,0.03"]) == 0
+    assert (_digest(model), _digest(tmp_path / "m.txt.cv.csv")) == (model_digest, cv_digest)
+
+
+# family -> (dataset family, extra limit arguments, model digest)
+GOLDEN_LIMIT = {
+    "gaussian": (
+        gaussian_family(3), ["--sigma", "SIGMA"],
+        "a040c2ce299855b40ae739327cdf4172b217fbdfd45b2a9bc5b8acc58b22da4b",
+    ),
+    "poisson": (
+        poisson_family(12), [],
+        "2507e0bf3c1eb0b288db2636e4a2cb7e477b304b9683dd830d38b05f2c6db512",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_LIMIT))
+def test_limit_output_is_pinned(tmp_path, family):
+    fam, extra, digest = GOLDEN_LIMIT[family]
+    data, model, sigma = tmp_path / "data.csv", tmp_path / "m.txt", tmp_path / "sigma.csv"
+    _write_originals(data, fam, 40, 2, seed=5)
+    sigma.write_text("2.0,0.3,0.0\n0.3,1.0,-0.2\n0.0,-0.2,1.5\n")
+    args = [str(sigma) if a == "SIGMA" else a for a in extra]
+    assert main(["limit", "--originals", str(data), "--out", str(model), *args]) == 0
+    assert _digest(model) == digest
+
+
+# spec -> (extra simulate arguments, CSV digest, stdout digest), at --jobs 1
+GOLDEN_SIMULATE = {
+    "gauss": (["--n-grid", "12", "--alphas", "0,0.5,1", "--replicates", "2", "-B", "2",
+               "--lambdas", "1,0.1", "--standardize", "--seed", "17"],
+              "99b730b442a20be80e1c09fa1352ee4b94fbeb4804f7588c609eefec2874952c",
+              "95c96d955133368fc6a9da97119671562a9561dd89353cb971f24481f7c32f48"),
+    "poisson": (["--n-grid", "10", "--alphas", "0,0.5,1", "--replicates", "1", "-B", "2",
+                 "--lambdas", "1,0.1,0.01", "--seed", "19"],
+                "be4be0d3ffe2c25e54920ca889115921dd808bf77c02ae15575d281a20bc07cc",
+                "75df436fbd74f14cc6b4b0cd27841808fdca243799788fd3c574a90e01d0c449"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_SIMULATE))
+def test_simulate_output_is_pinned(tmp_path, capsys, spec):
+    extra, csv_digest, stdout_digest = GOLDEN_SIMULATE[spec]
+    out = tmp_path / "sweep.csv"
+    capsys.readouterr()
+    assert main(["simulate", "--spec", spec, "--out", str(out), "--jobs", "1", *extra]) == 0
+    stdout = capsys.readouterr().out
+    assert (_digest(out), hashlib.sha256(stdout.encode()).hexdigest()) == (
+        csv_digest, stdout_digest
+    )

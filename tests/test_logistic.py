@@ -756,6 +756,21 @@ def test_cv_on_a_sparse_design_copies_no_fold():
     assert peak < 1.5 * design
 
 
+def test_cv_without_a_grid_runs_the_default_grid_of_the_design(rng):
+    pseudo = _random_problem(rng, n=30, p=3, k=2)
+    _, report = fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=None, n_folds=3))
+    design, labels, _, _ = logistic._design(pseudo)
+    assert tuple(lam for lam, _, _ in report.cv_table) == default_lambda_grid(design, labels)
+
+
+def test_cv_fold_that_loses_a_class_is_degenerate():
+    # origin i is in fold i % 2, and fold 0 holds every class-1 origin, so
+    # fold 0's training rows are all class 2
+    pseudo = _batch(np.arange(12.0).reshape(6, 2), [1, 2, 1, 2, 1, 2])
+    with pytest.raises(DegenerateDataError, match="^fold 0 lost a class; use fewer folds$"):
+        fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=(1.0, 0.1), n_folds=2))
+
+
 def test_default_lambda_grid_shape(rng):
     X = rng.standard_normal((50, 3))
     Y = rng.integers(1, 3, size=50)

@@ -272,6 +272,24 @@ def test_bad_sweep_setting_is_a_parameter_error_before_any_cell_runs(monkeypatch
     assert ran == []
 
 
+def test_standardized_fit_scales_columns_and_folds_the_scale_back(rng):
+    from levyaug import PseudoBatch, fit_logistic_detailed
+
+    x = rng.standard_normal((40, 3)) * np.array([0.5, 3.0, 1.0])
+    x[:, 2] = 2.0  # a zero-variance column is left unscaled (sd 1)
+    y = 1 + (x[:, 0] + 0.5 * rng.standard_normal(40) > 0)
+    pseudo = PseudoBatch(x_tilde=x, y=y, origin_id=np.arange(40), alpha=1.0, t_tilde=1.0)
+    model, report = simulation._standardized_fit(pseudo, FAST_CFG)
+    sd = np.array([x[:, 0].std(ddof=1), x[:, 1].std(ddof=1), 1.0])
+    scaled, scaled_report = fit_logistic_detailed(
+        PseudoBatch(x_tilde=x / sd, y=y, origin_id=np.arange(40), alpha=1.0, t_tilde=1.0),
+        FAST_CFG,
+    )
+    assert report.chosen_lambda == scaled_report.chosen_lambda
+    assert np.allclose(x @ model.beta, (x / sd) @ scaled.beta, rtol=1e-12, atol=1e-12)
+    assert np.allclose(model.beta[2], scaled.beta[2], rtol=1e-12, atol=0.0)
+
+
 def test_monotone_data_benefit_at_alpha_one():
     spec = GaussianSimSpec(d=12, n_signal=4)
     res = run_alpha_sweep(
@@ -318,8 +336,9 @@ def test_csv_header_and_timing_modes(tmp_path):
 def test_manifest_contents():
     res = _tiny_gauss_sweep()
     m = res.manifest()
-    assert m["seed"] == 41
-    assert m["spec"]["d"] == 12
+    assert (m["seed"], m["n_grid"], m["replicates"]) == (41, [24], 3)
+    assert m["spec"] == {"type": "GaussianSimSpec", "d": 12, "n_signal": 4,
+                         "atoms_per_class": 10, "atom_scale": 1.1, "t_dof": 4.0}
     assert m["alphas"] == [0.0, 0.5, 1.0]
     assert m["failures"] == []
 
