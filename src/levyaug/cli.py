@@ -9,9 +9,14 @@ Four subcommands bind the library into reproducible batch runs:
 * ``limit``     - originals -> strong-thinning (alpha -> 0) model
 
 Every command writes a ``<output>.manifest.json`` next to its artifact
-recording the command line, seed, config hash and library version; apart
-from the manifest timestamp, rerunning a command with the same inputs and
-seed reproduces its outputs byte for byte.  Only ``thin`` and ``simulate``
+recording the command line, seed, config, config hash and library version.
+The config is every flag of the command as parsed (paths as given), plus
+what the run derived: the file's ``family`` (``thin``, ``limit``), the
+``chosen_lambda`` (``train``), ``calibrated`` (``limit``) and the ``sweep``
+record (``simulate``).  The hash covers the whole config, so it also covers
+``--jobs``, whose default is the number of usable cores.  Apart from the
+manifest timestamp, rerunning a command with the same inputs and seed
+reproduces its outputs byte for byte.  Only ``thin`` and ``simulate``
 draw random numbers, so only they take ``--seed`` (default
 ``LEVYAUG_SEED``, else 0) and read that variable, where a value that is not
 an integer is a usage error (exit 2); ``train`` and ``limit`` ignore it and
@@ -88,12 +93,17 @@ def _seed(text: str) -> int:
         ) from None
 
 
-def _write_manifest(out_path: str, seed, config: dict) -> None:
+def _write_manifest(args, out_path: str, **derived) -> None:
+    """Write ``<out_path>.manifest.json``.  Its ``config`` is every flag of
+    the command as parsed, then the values the run ``derived`` (one wins
+    over a flag of the same name), and ``config_hash`` covers all of it."""
+    config = {key: value for key, value in vars(args).items() if key != "func"}
+    config.update(derived)
     payload = json.dumps(config, sort_keys=True, default=str).encode()
     manifest = {
         "format": "levyaug-run-manifest v1",
         "command": " ".join(sys.argv),
-        "seed": seed,
+        "seed": config.get("seed"),
         "config_hash": hashlib.sha256(payload).hexdigest(),
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -173,18 +183,7 @@ def _cmd_thin(args) -> int:
     )
     pseudo = generate_pseudo_examples(examples, cfg, family)
     write_pseudo_dataset(args.output, family, pseudo)
-    _write_manifest(
-        args.output,
-        args.seed,
-        {
-            "command": "thin",
-            "input": args.input,
-            "alpha": args.alpha,
-            "n_pseudo": args.n_pseudo,
-            "t_const": args.t_const,
-            "family": family.kind.value,
-        },
-    )
+    _write_manifest(args, args.output, family=family.kind.value)
     return EXIT_OK
 
 
@@ -209,18 +208,7 @@ def _cmd_train(args) -> int:
             out.write(f"{lam!r},{loss!r},{err!r}\n")
         if not report.cv_table:
             out.write(f"{report.chosen_lambda!r},nan,nan\n")
-    _write_manifest(
-        args.out,
-        None,
-        {
-            "command": "train",
-            "pseudo": args.pseudo,
-            "originals": args.originals,
-            "ridge_lambda": args.ridge_lambda,
-            "folds": args.folds,
-            "chosen_lambda": report.chosen_lambda,
-        },
-    )
+    _write_manifest(args, args.out, chosen_lambda=report.chosen_lambda)
     return EXIT_OK
 
 
@@ -243,16 +231,7 @@ def _cmd_simulate(args) -> int:
     write_sweep_csv(result, args.out, timing="measured" if args.timing else "zero")
     if args.plot:
         render_sweep_svg(result, args.plot)
-    _write_manifest(
-        args.out,
-        args.seed,
-        {
-            "command": "simulate",
-            "sweep": result.manifest(),
-            "timing": args.timing,
-            "standardize": args.standardize,
-        },
-    )
+    _write_manifest(args, args.out, sweep=result.manifest())
     for msg in result.failures:
         print(f"levyaug: cell failed: {msg}", file=sys.stderr)
     _print_sweep_summary(result)
@@ -274,15 +253,7 @@ def _cmd_limit(args) -> int:
         model = calibrate(model, originals)
     save_model(model, args.out, family)
     _write_manifest(
-        args.out,
-        None,
-        {
-            "command": "limit",
-            "originals": args.originals,
-            "family": family.kind.value,
-            "ridge_lambda": args.ridge_lambda,
-            "calibrated": not args.no_calibrate,
-        },
+        args, args.out, family=family.kind.value, calibrated=not args.no_calibrate
     )
     return EXIT_OK
 

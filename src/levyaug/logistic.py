@@ -882,7 +882,10 @@ def load_model(path) -> tuple[LogisticModel, LevyFamily | None]:
     not parse, down to one bad token or a line after ``calib_scale``,
     raises :class:`DataFormatError`."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [ln.rstrip("\n") for ln in handle]
+        try:
+            lines = [ln.rstrip("\n") for ln in handle]
+        except UnicodeDecodeError:
+            raise DataFormatError("file is not UTF-8 text") from None
     it = iter(lines)
 
     def next_line():

@@ -76,41 +76,16 @@ class ThinningConfig:
 # Every entry point checks its originals once, as an ExampleBatch with
 # check_example (the family's support, t positive and finite, and the
 # Wishart density condition t >= d), and alpha with check_alpha.  Then
-# alpha = 1 copies the features, and alpha < 1 draws through _sampler.
-# _sampler does the per-call work (the Gaussian Cholesky factor).  Its
-# for_origin(x, t) does the per-origin work (mean and scale, Beta shapes,
-# degrees of freedom) and returns draw(rng, n), which makes the generator
-# calls for n copies of that origin and returns their raw draws as an
-# (n, *raw_shape) stack.  Its finish(raw, xs) takes the raw draws of
-# every copy, stacked origin by origin with the same number of copies
-# each, and returns the thinned copies.  For Wishart the raw draws are the
-# Bartlett variates of W1 and W2, and finish does all of the matrix-beta
-# linear algebra (the Wishart products, the eigendecomposition, the inverse
-# root, the products with each origin's square root) as one stacked
-# computation, however many origins and copies there are.  finish also
+# alpha = 1 copies the features, and alpha < 1 draws through _sampler,
+# which factors the Gaussian covariance once per call.  Its draw(x, t, rng,
+# n) makes the generator calls for n copies of the origin x and returns
+# their raw draws as an (n, *raw_shape) stack.  Its finish(raw, xs) takes
+# the raw draws of every copy, stacked origin by origin with the same
+# number of copies each, and returns the thinned copies: for Wishart, the
+# raw draws are the Bartlett variates of W1 and W2, and finish does all of
+# the matrix-beta linear algebra as one stacked computation.  finish also
 # holds the one domination check of each family with a bound (all but
 # Gaussian): a copy that leaves its bracket raises DecompositionError.
-
-def _binomial(x, alpha, rng, n):
-    return rng.binomial(x, alpha, size=(n,) + x.shape)
-
-
-def _gaussian(mean, scale, chol, rng, n):
-    z = rng.standard_normal((n,) + mean.shape)
-    return mean + scale * (z @ chol.T)
-
-
-def _beta_scaled(x, a, b, rng, n):
-    m = rng.beta(a, b, size=(n,) + x.shape)
-    return np.clip(m, _OPEN_LO, _OPEN_HI) * x
-
-
-def _bartlett_pair(d, dofs, rng, n):
-    """The Bartlett variates of W1 ~ Wishart(I, dofs[0]) for n copies, then
-    those of W2 ~ Wishart(I, dofs[1]), side by side in an (n, d (d + 1))
-    stack."""
-    return np.concatenate([_bartlett(d, dof, rng, n) for dof in dofs], axis=1)
-
 
 def _check_dominated(inside: np.ndarray, n_origins: int) -> None:
     """``inside`` holds, copy by copy (origin by origin, and feature by
@@ -171,33 +146,36 @@ def _wishart_dofs(alpha: float, t: float, d: int) -> tuple[float, float]:
 
 
 def _sampler(family: LevyFamily, alpha: float):
-    """``(for_origin, finish, raw_shape)`` for the kernel of ``family`` at a
+    """``(draw, finish, raw_shape)`` for the kernel of ``family`` at a
     checked ``alpha < 1``, given checked origins (see the comment above)."""
     kind, d = family.kind, family.d
     if kind is FamilyKind.POISSON:
-        return (
-            lambda x, t: partial(_binomial, x, alpha),
-            partial(_bracketed, np.greater_equal, np.less_equal),
-            (d,),
-        )
+        def draw(x, t, rng, n):
+            return rng.binomial(x, alpha, size=(n,) + x.shape)
+
+        return draw, partial(_bracketed, np.greater_equal, np.less_equal), (d,)
     if kind is FamilyKind.GAUSSIAN:
         chol = cholesky(family.sigma)
-        return (
-            lambda x, t: partial(_gaussian, alpha * x, np.sqrt(alpha * (1.0 - alpha) * t), chol),
-            lambda raw, xs: raw,
-            (d,),
-        )
+
+        def draw(x, t, rng, n):
+            z = rng.standard_normal((n,) + x.shape)
+            return alpha * x + np.sqrt(alpha * (1.0 - alpha) * t) * (z @ chol.T)
+
+        return draw, lambda raw, xs: raw, (d,)
     if kind is FamilyKind.GAMMA:
-        return (
-            lambda x, t: partial(_beta_scaled, x, 0.5 * alpha * t, 0.5 * (1.0 - alpha) * t),
-            partial(_bracketed, np.greater, np.less),
-            (d,),
-        )
-    return (
-        lambda x, t: partial(_bartlett_pair, d, _wishart_dofs(alpha, t, d)),
-        _matrix_beta,
-        (d * (d + 1),),
-    )
+        def draw(x, t, rng, n):
+            m = rng.beta(0.5 * alpha * t, 0.5 * (1.0 - alpha) * t, size=(n,) + x.shape)
+            return np.clip(m, _OPEN_LO, _OPEN_HI) * x
+
+        return draw, partial(_bracketed, np.greater, np.less), (d,)
+
+    def draw(x, t, rng, n):
+        """The Bartlett variates of W1 ~ Wishart(I, alpha t) for n copies,
+        then those of W2 ~ Wishart(I, (1 - alpha) t), side by side."""
+        dofs = _wishart_dofs(alpha, t, d)
+        return np.concatenate([_bartlett(d, dof, rng, n) for dof in dofs], axis=1)
+
+    return draw, _matrix_beta, (d * (d + 1),)
 
 
 def _thin_one(family_of_d, x, alpha, t, rng, size):
@@ -212,8 +190,8 @@ def _thin_one(family_of_d, x, alpha, t, rng, size):
     check_alpha(alpha)
     if alpha == 1.0:
         return xs[0].copy() if size is None else np.repeat(xs, size, axis=0)
-    for_origin, finish, _ = _sampler(family, alpha)
-    out = finish(for_origin(xs[0], t)(rng, 1 if size is None else size), xs)
+    draw, finish, _ = _sampler(family, alpha)
+    out = finish(draw(xs[0], t, rng, 1 if size is None else size), xs)
     out = out.astype(xs.dtype, copy=False)  # Poisson draws come as int64
     return out[0] if size is None else out
 
@@ -266,12 +244,11 @@ def generate_pseudo_examples(
     if alpha == 1.0 or len(xs) == 0:
         x_tilde = np.repeat(xs, copies, axis=0)
     else:
-        for_origin, finish, raw_shape = _sampler(family, alpha)
+        draw, finish, raw_shape = _sampler(family, alpha)
         raw = np.empty((len(xs) * copies,) + raw_shape, dtype=xs.dtype)
         for i, (x, t) in enumerate(zip(xs, batch.t.tolist())):
-            draw = for_origin(x, t)
             for b in range(copies):
-                raw[i * copies + b] = draw(cfg.seed.spawn(i, b), 1)[0]
+                raw[i * copies + b] = draw(x, t, cfg.seed.spawn(i, b), 1)[0]
         x_tilde = finish(raw, xs)
     return PseudoBatch(
         x_tilde=x_tilde,

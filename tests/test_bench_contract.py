@@ -5,6 +5,7 @@ The tracer wraps levyaug functions by module and attribute name; a rename
 under src/ would otherwise only show up as failed benchmark operations.
 """
 
+import ast
 import importlib
 import os
 import sys
@@ -14,15 +15,27 @@ import numpy as np
 from levyaug import Example, RngState, cli, poisson_family
 from levyaug.dataio import write_dataset
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+sys.path.insert(0, PERFBENCH)
 
 import traced  # noqa: E402
 import tracer  # noqa: E402
 
 
+def _traced_names() -> list[tuple[str, str, str]]:
+    """``_TRACED`` as written in tracer.py, read from its source, so that the
+    check does not rest on importing the tracer."""
+    source = open(os.path.join(PERFBENCH, "tracer.py"), encoding="utf-8").read()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_TRACED":
+            return ast.literal_eval(node.value)
+    raise AssertionError("tracer.py defines no _TRACED")
+
+
 def test_every_traced_name_resolves():
-    for module_name, attr, _ in tracer._TRACED:
+    for module_name, attr, _ in _traced_names():
         assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"
+    assert callable(getattr(RngState, "spawn", None)), "RngState.spawn"  # patched by install()
 
 
 def test_tracer_counts_thin_and_train(tmp_path):

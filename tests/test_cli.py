@@ -688,6 +688,85 @@ def test_malformed_env_seed_is_a_usage_error_of_the_seeded_commands_only(
     assert main(["limit", "--originals", str(poisson_file), "--out", str(tmp_path / "l.txt")]) == 0
 
 
+def _manifest(out) -> dict:
+    return json.loads((out.parent / (out.name + ".manifest.json")).read_text())
+
+
+# a small sweep: one alpha = 1 cell, no thinning
+_SIMULATE_ARGV = ["simulate", "--spec", "gauss", "--alphas", "1", "--n-grid", "20",
+                  "--replicates", "1", "-B", "2", "--lambdas", "1.0,0.1", "--seed", "13",
+                  "--jobs", "1"]
+
+
+def _manifests_of_each_command(tmp_path, data) -> dict:
+    """command -> the manifest of a small run of it on the dataset ``data``."""
+    pseudo, model, sweep, limit = (tmp_path / n for n in ("p.csv", "m.txt", "s.csv", "l.txt"))
+    runs = {
+        "thin": (["thin", "--input", str(data), "--output", str(pseudo), "--alpha", "0.5",
+                  "-B", "2", "--seed", "4"], pseudo),
+        "train": (["train", "--pseudo", str(pseudo), "--originals", str(data), "--out",
+                   str(model), "--ridge-lambda", "1,0.1", "--folds", "3"], model),
+        "simulate": ([*_SIMULATE_ARGV, "--out", str(sweep)], sweep),
+        "limit": (["limit", "--originals", str(data), "--out", str(limit), "--no-calibrate"],
+                  limit),
+    }
+    manifests = {}
+    for command, (argv, out) in runs.items():
+        assert main(argv) == 0
+        manifests[command] = _manifest(out)
+    return manifests
+
+
+def test_the_manifest_records_every_flag_of_its_command(poisson_file, tmp_path):
+    manifests = _manifests_of_each_command(tmp_path, poisson_file)
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    for name, sub in commands.choices.items():
+        config = manifests[name]["config"]
+        flags = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+        assert flags - set(config) == set(), name
+        assert config["command"] == name and "func" not in config
+
+
+def test_the_manifest_keeps_what_each_run_derived(poisson_file, tmp_path):
+    manifests = _manifests_of_each_command(tmp_path, poisson_file)
+    assert {c: m["seed"] for c, m in manifests.items()} == {
+        "thin": 4, "train": None, "simulate": 13, "limit": None  # train and limit draw nothing
+    }
+    thin, train, sim, limit = (manifests[c]["config"] for c in ("thin", "train", "simulate", "limit"))
+    data = str(poisson_file)
+    assert (thin["input"], thin["alpha"], thin["n_pseudo"], thin["t_const"], thin["family"]) == (
+        data, 0.5, 2, None, "poisson"
+    )
+    assert (train["pseudo"], train["originals"], train["ridge_lambda"], train["folds"]) == (
+        str(tmp_path / "p.csv"), data, [1.0, 0.1], 3
+    )
+    assert train["chosen_lambda"] in (1.0, 0.1)
+    assert (sim["timing"], sim["standardize"]) == (False, False)
+    assert (sim["sweep"]["seed"], sim["sweep"]["n_grid"], sim["sweep"]["failures"]) == (13, [20], [])
+    assert (limit["originals"], limit["family"], limit["ridge_lambda"], limit["calibrated"]) == (
+        data, "poisson", 1e-6, False
+    )
+
+
+def test_the_config_hash_covers_every_flag(tmp_path):
+    def config_hash(argv, out):
+        assert main(argv) == 0
+        return _manifest(out)["config_hash"]
+
+    sweep = tmp_path / "s.csv"
+    runs = ([], ["--lambdas", "1.0,0.2"], ["--folds", "4"])
+    hashes = {config_hash([*_SIMULATE_ARGV, "--out", str(sweep), *extra], sweep) for extra in runs}
+    assert len(hashes) == len(runs)
+    data, sigma, pseudo = _gauss_file(tmp_path), tmp_path / "sigma.csv", tmp_path / "p.csv"
+    sigma.write_text("2.0,0.5\n0.5,1.0\n")
+    thin = _read_command("thin", data, pseudo) + ["--family", "gauss"]
+    assert config_hash(thin, pseudo) != config_hash(thin + ["--sigma", str(sigma)], pseudo)
+    # a derived value wins over its flag: the file's family, not the alias --family asserts
+    assert _manifest(pseudo)["config"]["family"] == "gaussian"
+
+
 # Every option and config field has a caller.  A new one must be added here
 # too, so it shows in review.
 SETTABLE_SURFACE = {

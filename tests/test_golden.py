@@ -11,16 +11,25 @@ a three-class fit), ``limit``'s model file with and without a covariance,
 and ``simulate``'s CSV and stdout for a tiny run of each design.  A change
 that moves any of them must say so and update the digest on purpose.
 
-Like the Gaussian and Wishart ``thin`` digests, the fit digests pin the
-arithmetic of the BLAS and numpy build they were computed with: the same
-code on another build may sum in another order and move the last bits.
+Like the Gaussian and Wishart ``thin`` digests, the ``train`` and
+``limit`` digests pin the arithmetic of the BLAS and numpy build they were
+computed with: the same code on another build may sum in another order and
+move the last bits.  The ``simulate`` digests and the Poisson and Gamma
+``thin`` digests are portable, and the last test re-runs them in child
+processes under forced OpenBLAS and numpy CPU kernels.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import levyaug
+from kernel_child import openblas_cores
 from levyaug import (
     ExampleBatch,
     FamilyKind,
@@ -32,6 +41,7 @@ from levyaug import (
     thin_poisson,
     thin_wishart,
 )
+from levyaug._blas import load_scipy
 from levyaug.cli import main
 from levyaug.dataio import write_dataset
 
@@ -64,13 +74,14 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(GOLDEN))
-def test_thin_output_is_pinned(tmp_path, family):
-    d, rows, extra, digest = GOLDEN[family]
+def _thin_case(tmp_path, family):
+    """The ``thin`` command line of the golden case ``family``, after
+    writing its dataset and covariance under ``tmp_path``, and its output."""
+    d, rows, extra, _ = GOLDEN[family]
     names = [f"m_{j + 1}" for j in range(d * (d + 1) // 2)] if family == "wishart" else [
         f"x_{j + 1}" for j in range(d)
     ]
-    data = tmp_path / "data.csv"
+    data = tmp_path / f"{family}.csv"
     data.write_text(
         f"# levyaug-dataset v1 family={family} d={d}\n"
         + "y,t," + ",".join(names) + "\n"
@@ -78,10 +89,16 @@ def test_thin_output_is_pinned(tmp_path, family):
     )
     sigma = tmp_path / "sigma.csv"
     sigma.write_text("2.0,0.3\n0.3,1.0\n")
-    out = tmp_path / "pseudo.csv"
+    out = tmp_path / f"{family}.pseudo.csv"
     args = [str(sigma) if a == "SIGMA" else a for a in extra]
-    assert main(["thin", "--input", str(data), "--output", str(out), *args]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    return ["thin", "--input", str(data), "--output", str(out), *args], out
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN))
+def test_thin_output_is_pinned(tmp_path, family):
+    argv, out = _thin_case(tmp_path, family)
+    assert main(argv) == 0
+    assert _digest(out) == GOLDEN[family][3]
 
 
 _SIGMA = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -218,13 +235,78 @@ GOLDEN_SIMULATE = {
 }
 
 
+def _simulate_case(tmp_path, spec):
+    """The ``simulate`` command line of the golden case ``spec``, and its CSV."""
+    out = tmp_path / f"{spec}.sweep.csv"
+    return ["simulate", "--spec", spec, "--out", str(out), "--jobs", "1",
+            *GOLDEN_SIMULATE[spec][0]], out
+
+
 @pytest.mark.parametrize("spec", sorted(GOLDEN_SIMULATE))
 def test_simulate_output_is_pinned(tmp_path, capsys, spec):
-    extra, csv_digest, stdout_digest = GOLDEN_SIMULATE[spec]
-    out = tmp_path / "sweep.csv"
+    argv, out = _simulate_case(tmp_path, spec)
     capsys.readouterr()
-    assert main(["simulate", "--spec", spec, "--out", str(out), "--jobs", "1", *extra]) == 0
+    assert main(argv) == 0
     stdout = capsys.readouterr().out
-    assert (_digest(out), hashlib.sha256(stdout.encode()).hexdigest()) == (
-        csv_digest, stdout_digest
+    assert (_digest(out), hashlib.sha256(stdout.encode()).hexdigest()) == GOLDEN_SIMULATE[spec][1:]
+
+
+# The outputs called portable: their bytes must not depend on which CPU
+# kernels OpenBLAS and numpy pick.  Each forced setting is (variable, value,
+# the CPU features its code path needs); it applies to a child process only.
+_PORTABLE_THIN = ("gamma", "poisson")
+_FORCED = [
+    ("OPENBLAS_CORETYPE", "Haswell", ("AVX2", "FMA3")),
+    ("OPENBLAS_CORETYPE", "Sandybridge", ("AVX",)),
+    ("OPENBLAS_CORETYPE", "Prescott", ("SSE3",)),
+    ("NPY_DISABLE_CPU_FEATURES", "X86_V4,AVX512_ICL,AVX512_SPR", ()),
+]
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+@pytest.mark.parametrize("variable, value, needs", _FORCED, ids=[f"{v}={x}" for v, x, _ in _FORCED])
+def test_portable_outputs_hold_under_forced_cpu_kernels(tmp_path, variable, value, needs):
+    cpu = _cpu_features()
+    missing = [f for f in needs if not cpu.get(f)]
+    if missing:
+        pytest.skip(f"this CPU cannot run the {value} kernels: no {', '.join(missing)}")
+    if variable == "NPY_DISABLE_CPU_FEATURES":
+        unknown = [f for f in value.split(",") if f not in cpu]
+        if unknown:
+            pytest.skip(f"this numpy dispatches no {', '.join(unknown)}")
+        if not any(cpu[f] for f in value.split(",")):
+            pytest.skip(f"this CPU has none of {value}, so disabling them changes nothing")
+    else:
+        load_scipy()
+        native = openblas_cores()
+        if not native:
+            pytest.skip("no OpenBLAS is loaded, so OPENBLAS_CORETYPE does nothing")
+    cases = [_thin_case(tmp_path, f) for f in _PORTABLE_THIN]
+    cases += [_simulate_case(tmp_path, s) for s in sorted(GOLDEN_SIMULATE)]
+    src = os.path.dirname(os.path.dirname(levyaug.__file__))
+    env = dict(os.environ, **{variable: value})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, os.path.join(os.path.dirname(__file__), "kernel_child.py"),
+         json.dumps([argv for argv, _ in cases])],
+        env=env, capture_output=True, text=True, timeout=120,
     )
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    if variable == "OPENBLAS_CORETYPE" and report["cores"] == native:
+        pytest.skip(f"{variable}={value} left OpenBLAS on {native}: not a DYNAMIC_ARCH build, "
+                    "or already its kernel")
+    digests = [_digest(out) for _, out in cases]
+    expected = [GOLDEN[f][3] for f in _PORTABLE_THIN]
+    expected += [GOLDEN_SIMULATE[s][1] for s in sorted(GOLDEN_SIMULATE)]
+    assert digests == expected
+    assert report["stdout"][len(_PORTABLE_THIN):] == [
+        GOLDEN_SIMULATE[s][2] for s in sorted(GOLDEN_SIMULATE)
+    ]

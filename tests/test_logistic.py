@@ -1004,6 +1004,13 @@ def test_load_model_rejects_a_malformed_document(tmp_path):
             load_model(bad)
 
 
+def test_load_model_of_text_that_is_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_bytes(b"levyaug-model v1\n\xff\n")
+    with pytest.raises(DataFormatError, match="file is not UTF-8 text"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("header, offset, line", [
     ("family", 0, "family bogus 3"),
     ("family", 0, "family"),
