@@ -67,8 +67,5 @@ from .strong_thinning import (
 from .thinning import (
     ThinningConfig,
     generate_pseudo_examples,
-    thin_gamma,
-    thin_gaussian,
-    thin_poisson,
-    thin_wishart,
+    thin,
 )

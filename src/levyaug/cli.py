@@ -94,15 +94,16 @@ def _seed(text: str) -> int:
 
 
 def _write_manifest(args, out_path: str, **derived) -> None:
-    """Write ``<out_path>.manifest.json``.  Its ``config`` is every flag of
-    the command as parsed, then the values the run ``derived`` (one wins
-    over a flag of the same name), and ``config_hash`` covers all of it."""
-    config = {key: value for key, value in vars(args).items() if key != "func"}
+    """Write ``<out_path>.manifest.json``.  Its ``command`` is the argv
+    :func:`main` parsed, its ``config`` every flag of the command as parsed,
+    then the values the run ``derived`` (one wins over a flag of the same
+    name), and ``config_hash`` covers all of the config."""
+    config = {key: value for key, value in vars(args).items() if key not in ("func", "argv")}
     config.update(derived)
     payload = json.dumps(config, sort_keys=True, default=str).encode()
     manifest = {
         "format": "levyaug-run-manifest v1",
-        "command": " ".join(sys.argv),
+        "command": " ".join(["levyaug", *args.argv]),
         "seed": config.get("seed"),
         "config_hash": hashlib.sha256(payload).hexdigest(),
         "version": __version__,
@@ -354,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv  # the manifest's command line, not a flag
     try:
         return args.func(args)
     except DataFormatError as exc:

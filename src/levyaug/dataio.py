@@ -239,11 +239,12 @@ def _read_batch(path, magic: str, columns: list[str], build, batch_type):
                 break
             parts = line.split(",")
             if len(parts) != len(header):
-                raise DataFormatError(f"expected {len(header)} columns, got {len(parts)}", row=row)
+                message = f"expected {len(header)} columns, got {len(parts)}"
+                raise DataFormatError(f"row {row}: {message}")
             try:
                 block[(row - 1) % step] = parts
             except ValueError:
-                raise DataFormatError("non-numeric value", row=row) from None
+                raise DataFormatError(f"row {row}: non-numeric value") from None
             if error is None and (row % step == 0 or row == rows):
                 start = (row - 1) // step * step
                 x = out[x_name][start:row]

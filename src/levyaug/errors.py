@@ -44,13 +44,4 @@ class OptimizationError(LevyAugError, RuntimeError):
 
 
 class DataFormatError(LevyAugError, ValueError):
-    """An input file does not conform to the documented dataset format.
-
-    ``row`` is the 1-based data-row index when the problem is row-local.
-    """
-
-    def __init__(self, message: str, row: int | None = None):
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
-        self.row = row
+    """An input file does not conform to the documented dataset format."""

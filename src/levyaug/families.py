@@ -18,9 +18,9 @@ batches with their support invariants, and the carrier-ratio density
 ``thinning_log_density``.  The invariants are checked here and only here:
 a batch checks its labels and times when it is built, ``check_example``
 checks its features against a family, and ``check_alpha`` checks thinning
-fractions.  Every sampler in :mod:`levyaug.thinning` and
-``thinning_log_density`` check their inputs through these, as a batch,
-before computing anything.
+fractions.  The samplers of :mod:`levyaug.thinning` (``thin`` and
+``generate_pseudo_examples``) and ``thinning_log_density`` check their
+inputs through these, as a batch, before computing anything.
 
 Concrete carriers (up to additive constants dropped only for Wishart):
 
@@ -105,6 +105,8 @@ class LevyFamily:
                 raise ParameterError(
                     f"covariance must be {self.d}x{self.d}, got {sigma.shape}"
                 )
+            if not np.isfinite(sigma).all():
+                raise ParameterError("covariance must be finite")
             if not _is_symmetric(sigma):
                 raise ParameterError("covariance must be symmetric")
             if np.linalg.eigvalsh(sigma).min() <= 0.0:

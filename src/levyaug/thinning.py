@@ -1,7 +1,8 @@
 """Exact samplers for the thinning kernel of each family.
 
-Given an observed slice ``x`` at time ``t`` and a fraction ``alpha``, each
-sampler draws ``x_tilde`` from the conditional law of the earlier slice
+Given an observed slice ``x`` at time ``t`` and a fraction ``alpha``,
+:func:`thin` (one origin) and :func:`generate_pseudo_examples` (a batch)
+draw ``x_tilde`` from the conditional law of the earlier slice
 ``A_{alpha t}`` given ``A_t = x``:
 
 * Poisson:  componentwise Binomial(x_j, alpha); needs neither theta nor t.
@@ -9,7 +10,9 @@ sampler draws ``x_tilde`` from the conditional law of the earlier slice
 * Gamma:    x_tilde_j = m_j x_j with m_j ~ Beta(alpha t / 2, (1-alpha) t / 2).
 * Wishart:  x^{1/2} M x^{1/2} with matrix-beta noise M built from two
   independent identity-scale Wisharts with alpha t and (1 - alpha) t
-  degrees of freedom.  Both degrees of freedom must be >= d.
+  degrees of freedom.  Both degrees of freedom must be >= d.  The law of
+  the earlier slice given the sum does not depend on the scale matrix, so
+  this is exact for every underlying covariance.
 
 ``alpha = 1`` always short-circuits to identity thinning.  Every draw is
 checked against the domination invariants (thinned features stay inside
@@ -25,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DecompositionError, ParameterError, ShapeError
+from .errors import DecompositionError, ParameterError
 from .families import (
     ExampleBatch,
     Examples,
@@ -35,19 +38,12 @@ from .families import (
     as_example_batch,
     check_alpha,
     check_example,
-    gamma_family,
-    gaussian_family,
-    poisson_family,
-    wishart_family,
 )
 from .rng import RngState, _bartlett, _wishart_from_bartlett, cholesky, matrix_sqrt_sym_pd
 
 __all__ = [
     "ThinningConfig",
-    "thin_poisson",
-    "thin_gaussian",
-    "thin_gamma",
-    "thin_wishart",
+    "thin",
     "generate_pseudo_examples",
 ]
 
@@ -73,7 +69,7 @@ class ThinningConfig:
             raise ParameterError(f"n_pseudo must be >= 1, got {self.n_pseudo}")
 
 
-# Every entry point checks its originals once, as an ExampleBatch with
+# Both entry points check their originals once, as an ExampleBatch with
 # check_example (the family's support, t positive and finite, and the
 # Wishart density condition t >= d), and alpha with check_alpha.  Then
 # alpha = 1 copies the features, and alpha < 1 draws through _sampler,
@@ -178,14 +174,19 @@ def _sampler(family: LevyFamily, alpha: float):
     return draw, _matrix_beta, (d * (d + 1),)
 
 
-def _thin_one(family_of_d, x, alpha, t, rng, size):
-    """Check one origin as a one-row batch of the family ``family_of_d(d)``,
-    then draw ``size`` thinned copies of it (one when ``size`` is None)."""
-    if np.ndim(x) == 0:
-        shape = "(d, d)" if family_of_d is wishart_family else "(d,)"
-        raise ShapeError(f"x must be one example's features, of shape {shape}, not a scalar")
+def thin(family: LevyFamily, x, *, alpha: float, t: float, rng: np.random.Generator,
+         size=None):
+    """Draw ``size`` thinned copies of the origin ``x`` at time ``t`` from
+    the kernel of ``family`` (one copy, of ``x``'s shape, when ``size`` is
+    None): the sampler whose density is :func:`thinning_log_density`.
+
+    ``x`` is checked as a one-row batch by :func:`check_example`, its width
+    against ``family.d`` included.  ``t`` is checked for every family,
+    though Poisson draws do not use it.  Copies come back in the type
+    ``check_example`` picks for ``x``, as at ``alpha = 1``: a Poisson copy
+    never exceeds its origin, so that type holds it.
+    """
     batch = ExampleBatch(x=np.asarray(x)[None], y=1, t=t)
-    family = family_of_d(batch.x.shape[1])
     xs, t = check_example(family, batch), batch.t.item()
     check_alpha(alpha)
     if alpha == 1.0:
@@ -194,38 +195,6 @@ def _thin_one(family_of_d, x, alpha, t, rng, size):
     out = finish(draw(xs[0], t, rng, 1 if size is None else size), xs)
     out = out.astype(xs.dtype, copy=False)  # Poisson draws come as int64
     return out[0] if size is None else out
-
-
-def thin_poisson(x, alpha: float, rng: np.random.Generator, size=None):
-    """Binomially downsample a count vector; keeps each unit with prob alpha.
-
-    The draws, like the checked counts ``alpha = 1`` returns, come back in
-    the type :func:`check_example` picks for ``x``: a copy never exceeds its
-    origin, so that type holds it."""
-    return _thin_one(poisson_family, x, alpha, 1.0, rng, size)
-
-
-def thin_gaussian(x, alpha: float, t: float, sigma, rng: np.random.Generator, size=None):
-    """Rewind a Gaussian slice: alpha x plus N(0, alpha (1-alpha) t Sigma) noise."""
-    return _thin_one(lambda d: gaussian_family(d, sigma), x, alpha, t, rng, size)
-
-
-def thin_gamma(x, alpha: float, t: float, rng: np.random.Generator, size=None):
-    """Multiplicative beta noise: x_tilde_j = m_j x_j, m_j ~ Beta(at/2, (1-a)t/2)."""
-    return _thin_one(gamma_family, x, alpha, t, rng, size)
-
-
-def thin_wishart(x, alpha: float, t: float, rng: np.random.Generator, size=None):
-    """Matrix-beta thinning of a scatter matrix.
-
-    Draws W1 ~ Wishart(I, alpha t) and W2 ~ Wishart(I, (1-alpha) t)
-    independently, forms M = (W1+W2)^{-1/2} W1 (W1+W2)^{-1/2} and returns
-    x^{1/2} M x^{1/2}.  Because the conditional law of the earlier slice
-    given the sum does not depend on the scale matrix, the identity-scale
-    construction is exact for every underlying covariance.  Both alpha t
-    and (1 - alpha) t must be >= d unless alpha = 1.
-    """
-    return _thin_one(wishart_family, x, alpha, t, rng, size)
 
 
 def generate_pseudo_examples(

@@ -209,8 +209,8 @@ def wishart_split_oracle(
     Draws ``t`` i.i.d. N(0, sigma) vectors and returns the scatter of all
     of them together with the scatter of the first ``alpha * t``; the pair
     is exactly distributed as (slice at t, slice at alpha t) whenever both
-    times are integers.  Used as the distributional reference for
-    ``thin_wishart``.
+    times are integers.  Used as the distributional reference for ``thin``
+    with the Wishart family.
     """
     sigma = np.asarray(sigma, dtype=float)
     d = sigma.shape[0]

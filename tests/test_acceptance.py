@@ -22,14 +22,14 @@ from levyaug import (
     TrainConfig,
     fit_logistic,
     fit_strong_thinning,
+    gamma_family,
     gaussian_family,
     naive_bayes_poisson_fit,
     poisson_family,
     predict,
-    thin_gamma,
-    thin_poisson,
-    thin_wishart,
+    thin,
     thinning_log_density,
+    wishart_family,
 )
 from levyaug.logistic import _batch_loss_grad, center_columns, predict_labels
 from levyaug.simulation import GaussianSimSpec, PoissonSimSpec, run_alpha_sweep
@@ -124,7 +124,7 @@ def test_criterion_2_marginal_correctness():
     g = RngState(2003).spawn()
     t, alpha, scale = 5.0, 0.5, 1.3
     full = g.gamma(t / 2.0, 2.0 * scale, size=(n, 1))
-    thinned = thin_gamma(np.ones(1), alpha, t, g, size=n) * full
+    thinned = thin(gamma_family(1), np.ones(1), alpha=alpha, t=t, rng=g, size=n) * full
     direct = g.gamma(alpha * t / 2.0, 2.0 * scale, size=(n, 1))
     oks.append(("gamma", moments_match_3sigma(thinned, direct)))
 
@@ -135,7 +135,7 @@ def test_criterion_2_marginal_correctness():
     n_w = 10_000
     z = g.standard_normal((n_w, 10, 2)) @ chol.T
     full = np.einsum("ntj,ntk->njk", z, z)
-    thinned = np.stack([thin_wishart(x, alpha, t, g) for x in full])
+    thinned = np.stack([thin(wishart_family(2), x, alpha=alpha, t=t, rng=g) for x in full])
     target = alpha * t * sigma
     rel = np.linalg.norm(thinned.mean(axis=0) - target) / np.linalg.norm(target)
     oks.append(("wishart", rel < 0.05))
@@ -165,7 +165,7 @@ def test_criterion_3_wishart_vs_split_oracle():
         _, ld_x = np.linalg.slogdet(x)
         tr_oracle[i] = np.trace(x_thin @ x_inv)
         ld_oracle[i] = np.linalg.slogdet(x_thin)[1] - ld_x
-        own = thin_wishart(x, alpha, float(t), g)
+        own = thin(wishart_family(2), x, alpha=alpha, t=float(t), rng=g)
         tr_sampler[i] = np.trace(own @ x_inv)
         ld_sampler[i] = np.linalg.slogdet(own)[1] - ld_x
     p_tr = stats.ks_2samp(tr_oracle, tr_sampler).pvalue
@@ -306,7 +306,7 @@ def test_criterion_6a_monte_carlo_limit_gradient():
 
     for _ in range(10):
         beta = center_columns(0.5 * rng.standard_normal((d, k)))
-        draws = thin_poisson(x, alpha, g, size=n).astype(float)
+        draws = thin(poisson_family(d), x, alpha=alpha, t=1.0, rng=g, size=n).astype(float)
         scores = draws @ beta
         probs = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
         probs[:, y - 1] -= 1.0

@@ -453,6 +453,15 @@ def test_thin_with_a_covariance_that_is_not_symmetric_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["thin", "limit"])
+def test_a_covariance_that_is_not_finite_exits_3(tmp_path, capsys, command):
+    data, sigma, out = _gauss_file(tmp_path), tmp_path / "sigma.csv", tmp_path / "out.txt"
+    sigma.write_text("inf,0\n0,1\n")
+    assert main(_read_command(command, data, out) + ["--sigma", str(sigma)]) == 3
+    assert capsys.readouterr().err == "levyaug: domain error: covariance must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["thin", "limit"])
 def test_a_file_that_is_not_utf8_exits_2(poisson_file, tmp_path, capsys, command):
     data, out = tmp_path / "bad.csv", tmp_path / "out.txt"
     data.write_bytes(poisson_file.read_bytes()[:-1] + b"\xff\n")
@@ -750,6 +759,20 @@ def test_the_manifest_keeps_what_each_run_derived(poisson_file, tmp_path):
     )
 
 
+def test_the_manifest_command_is_the_argv_main_parsed(poisson_file, tmp_path, monkeypatch):
+    out = tmp_path / "p.csv"
+    argv = ["thin", "--input", str(poisson_file), "--output", str(out), "--alpha", "0.5"]
+    assert main(argv) == 0
+    manifest = _manifest(out)
+    assert manifest["command"] == "levyaug " + " ".join(argv)
+    assert set(manifest["config"]) == {"command", "input", "output", "alpha", "n_pseudo",
+                                       "t_const", "family", "seed", "sigma"}
+    # without an argv, main parses and records the process's own arguments
+    monkeypatch.setattr("sys.argv", ["/any/path/levyaug", *argv, "--seed", "5"])
+    assert main() == 0
+    assert _manifest(out)["command"] == "levyaug " + " ".join([*argv, "--seed", "5"])
+
+
 def test_the_config_hash_covers_every_flag(tmp_path):
     def config_hash(argv, out):
         assert main(argv) == 0
@@ -815,8 +838,8 @@ PUBLIC_API = [
     "gen_gaussian_sim", "gen_poisson_sim", "generate_pseudo_examples",
     "load_model",
     "naive_bayes_poisson_fit", "poisson_family", "predict", "render_sweep_svg",
-    "run_alpha_sweep", "save_model", "thin_gamma", "thin_gaussian", "thin_poisson",
-    "thin_wishart", "thinning_log_density", "wishart_family", "write_sweep_csv",
+    "run_alpha_sweep", "save_model", "thin", "thinning_log_density", "wishart_family",
+    "write_sweep_csv",
 ]
 
 

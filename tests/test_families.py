@@ -42,6 +42,13 @@ def test_gaussian_family_requires_sigma():
         gaussian_family(2, np.array([[1.0, 2.0], [2.0, 1.0]]))  # not PD
 
 
+def test_gaussian_family_rejects_a_nonfinite_covariance():
+    # an infinite variance passes the symmetry and eigenvalue checks
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ParameterError, match="covariance must be finite"):
+            gaussian_family(2, np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 def test_dimension_must_be_positive():
     with pytest.raises(ParameterError):
         poisson_family(0)

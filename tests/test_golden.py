@@ -34,12 +34,11 @@ from levyaug import (
     ExampleBatch,
     FamilyKind,
     RngState,
+    gamma_family,
     gaussian_family,
     poisson_family,
-    thin_gamma,
-    thin_gaussian,
-    thin_poisson,
-    thin_wishart,
+    thin,
+    wishart_family,
 )
 from levyaug._blas import load_scipy
 from levyaug.cli import main
@@ -106,22 +105,26 @@ _SIGMA = np.array([[2.0, 0.3], [0.3, 1.0]])
 # family -> (draw(rng, size), digest of the single draw, digest at size=4)
 GOLDEN_DRAWS = {
     "poisson": (
-        lambda g, size: thin_poisson(np.array([2, 0, 5, 7]), 0.4, g, size=size),
+        lambda g, size: thin(poisson_family(4), np.array([2, 0, 5, 7]), alpha=0.4, t=1.0, rng=g,
+                             size=size),
         "9b1670a687077e666a364aef43ac7dc047ecbc4d1100f19291be3b8352d7785b",
         "9f9fe45f6786571ebe53d9ed595b215c53e1b124ec4b27775b32621fd618c540",
     ),
     "gaussian": (
-        lambda g, size: thin_gaussian(np.array([0.5, -1.25]), 0.3, 2.0, _SIGMA, g, size=size),
+        lambda g, size: thin(gaussian_family(2, _SIGMA), np.array([0.5, -1.25]), alpha=0.3, t=2.0,
+                             rng=g, size=size),
         "e6b0c7757a4bf9f45ad1258a355cd6bfca01736bc94b4ab2d9e7eb507daa4ab0",
         "5a6055265897cb990242d7c4d2ae98e6466ff4532197eabfbcc034c255fa8398",
     ),
     "gamma": (
-        lambda g, size: thin_gamma(np.array([0.5, 1.25, 3.0]), 0.5, 3.0, g, size=size),
+        lambda g, size: thin(gamma_family(3), np.array([0.5, 1.25, 3.0]), alpha=0.5, t=3.0, rng=g,
+                             size=size),
         "77dc16cf9398065b84e65f8c19f76b7fded23bd29a9a61726edd69a6a5a7bb46",
         "4eb438a688583ab9f883ef678731d2085f0333a9a86d1f761734d9c97c3a0d38",
     ),
     "wishart": (
-        lambda g, size: thin_wishart(np.array([[2.0, 0.5], [0.5, 1.0]]), 0.5, 6.0, g, size=size),
+        lambda g, size: thin(wishart_family(2), np.array([[2.0, 0.5], [0.5, 1.0]]), alpha=0.5,
+                             t=6.0, rng=g, size=size),
         "6ffc77a2d55825f2a991262ca201069a5111285c89218d8db561c9ab9407e96d",
         "58b32dd0c0c0d9ec7d56e58bc9b3b1216db128dfe5c56bf654b47e0dba0e4c56",
     ),

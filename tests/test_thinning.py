@@ -13,12 +13,11 @@ from levyaug import (
     ShapeError,
     SupportError,
     ThinningConfig,
+    gamma_family,
+    gaussian_family,
     generate_pseudo_examples,
     poisson_family,
-    thin_gamma,
-    thin_gaussian,
-    thin_poisson,
-    thin_wishart,
+    thin,
     wishart_family,
 )
 
@@ -32,18 +31,19 @@ N_DRAWS = 100_000
 # ---------------------------------------------------------------------------
 
 def test_thin_poisson_zero_vector():
-    out = thin_poisson(np.zeros(3, dtype=int), 0.7, RngState(0).spawn())
+    g = RngState(0).spawn()
+    out = thin(poisson_family(3), np.zeros(3, dtype=int), alpha=0.7, t=1.0, rng=g)
     assert np.array_equal(out, np.zeros(3, dtype=int))
 
 
 def test_thin_poisson_alpha_one_identity():
     x = np.array([8, 7, 16])
-    assert np.array_equal(thin_poisson(x, 1.0, RngState(0).spawn()), x)
+    assert np.array_equal(thin(poisson_family(3), x, alpha=1.0, t=1.0, rng=RngState(0).spawn()), x)
 
 
 def test_thin_poisson_mean():
     x = np.array([8, 7, 16])
-    draws = thin_poisson(x, 0.5, RngState(1).spawn(), size=N_DRAWS)
+    draws = thin(poisson_family(3), x, alpha=0.5, t=1.0, rng=RngState(1).spawn(), size=N_DRAWS)
     assert np.all(draws >= 0) and np.all(draws <= x)
     assert mean_close_3sigma(draws, 0.5 * x)
 
@@ -56,20 +56,21 @@ def test_thin_poisson_mean():
 )
 def test_thin_poisson_domination_property(counts, alpha, seed):
     x = np.array(counts)
-    out = thin_poisson(x, alpha, RngState(seed).spawn())
+    out = thin(poisson_family(len(x)), x, alpha=alpha, t=1.0, rng=RngState(seed).spawn())
     assert np.all(out >= 0) and np.all(out <= x)
 
 
 def test_thin_gaussian_alpha_one_exact():
     x = np.array([1.0, -2.0])
-    out = thin_gaussian(x, 1.0, 3.0, np.eye(2), RngState(0).spawn())
+    out = thin(gaussian_family(2), x, alpha=1.0, t=3.0, rng=RngState(0).spawn())
     assert np.array_equal(out, x)
 
 
 def test_thin_gaussian_covariance():
     for sigma in (np.eye(2), np.array([[2.0, 0.6], [0.6, 1.0]])):
-        draws = thin_gaussian(
-            np.zeros(2), 0.5, 1.0, sigma, RngState(2).spawn(), size=N_DRAWS
+        draws = thin(
+            gaussian_family(2, sigma), np.zeros(2), alpha=0.5, t=1.0, rng=RngState(2).spawn(),
+            size=N_DRAWS,
         )
         emp = np.cov(draws.T)
         target = 0.25 * sigma
@@ -77,52 +78,46 @@ def test_thin_gaussian_covariance():
 
 
 def test_thin_gaussian_rejects_nonfinite_features_and_times():
-    g = RngState(0).spawn()
+    g, family = RngState(0).spawn(), gaussian_family(2)
     for x in ([np.nan, 0.0], [np.inf, 0.0]):
         with pytest.raises(SupportError):
-            thin_gaussian(np.array(x), 0.5, 1.0, np.eye(2), g)
+            thin(family, np.array(x), alpha=0.5, t=1.0, rng=g)
     for t in (np.inf, np.nan, 0.0):
         with pytest.raises(ParameterError):
-            thin_gaussian(np.zeros(2), 0.5, t, np.eye(2), g)
+            thin(family, np.zeros(2), alpha=0.5, t=t, rng=g)
 
 
 def test_thin_gaussian_rejects_a_matrix_origin():
     g = RngState(0).spawn()
     with pytest.raises(SupportError):
-        thin_gaussian(np.eye(2), 0.5, 1.0, np.eye(2), g)
-    # a scalar origin, for every sampler, names the feature shape it expects
-    scalar_calls = {
-        r"\(d,\)": [
-            lambda: thin_poisson(5, 0.5, g),
-            lambda: thin_gaussian(5.0, 0.5, 1.0, np.eye(1), g),
-            lambda: thin_gamma(5.0, 0.5, 2.0, g),
-        ],
-        r"\(d, d\)": [lambda: thin_wishart(5.0, 0.5, 4.0, g)],
-    }
-    for shape, calls in scalar_calls.items():
-        for call in calls:
-            with pytest.raises(ShapeError, match=shape):
-                call()
+        thin(gaussian_family(2), np.eye(2), alpha=0.5, t=1.0, rng=g)
+    # an origin whose width is not the family's d
+    with pytest.raises(SupportError):
+        thin(gaussian_family(3), np.zeros(2), alpha=0.5, t=1.0, rng=g)
+    # a scalar origin has no feature axis, for every family
+    for family in (poisson_family(1), gaussian_family(1), gamma_family(1), wishart_family(1)):
+        with pytest.raises(ShapeError):
+            thin(family, 5.0, alpha=0.5, t=4.0, rng=g)
 
 
 def test_thin_gaussian_rejects_a_covariance_of_the_wrong_size():
     with pytest.raises(ParameterError):
-        thin_gaussian(np.zeros(2), 0.5, 1.0, np.eye(3), RngState(0).spawn())
+        thin(gaussian_family(2, np.eye(3)), np.zeros(2), alpha=0.5, t=1.0, rng=RngState(0).spawn())
 
 
 def test_thin_gaussian_mean():
     x = np.array([2.0, 0.0])
-    draws = thin_gaussian(x, 0.5, 4.0, np.eye(2), RngState(3).spawn(), size=N_DRAWS)
+    draws = thin(gaussian_family(2), x, alpha=0.5, t=4.0, rng=RngState(3).spawn(), size=N_DRAWS)
     assert mean_close_3sigma(draws, 0.5 * x)
 
 
 def test_thin_gamma_ratio_moments():
     x = np.array([1.0, 1.0])
-    draws = thin_gamma(x, 0.5, 2.0, RngState(4).spawn(), size=N_DRAWS)
+    draws = thin(gamma_family(2), x, alpha=0.5, t=2.0, rng=RngState(4).spawn(), size=N_DRAWS)
     assert mean_close_3sigma(draws, np.array([0.5, 0.5]))
 
     x = np.array([3.0])
-    draws = thin_gamma(x, 0.25, 4.0, RngState(5).spawn(), size=N_DRAWS)
+    draws = thin(gamma_family(1), x, alpha=0.25, t=4.0, rng=RngState(5).spawn(), size=N_DRAWS)
     m = draws[:, 0] / 3.0
     # Beta(aT/2, (1-a)T/2) variance with T=4, a=1/4: (0.5*1.5)/(4*3)
     assert m.var() == pytest.approx(0.0625, rel=0.05)
@@ -130,14 +125,14 @@ def test_thin_gamma_ratio_moments():
 
 
 def test_thin_gamma_alpha_one_identity_and_support():
-    x = np.array([2.0, 0.5])
-    assert np.array_equal(thin_gamma(x, 1.0, 2.0, RngState(0).spawn()), x)
+    x, family = np.array([2.0, 0.5]), gamma_family(2)
+    assert np.array_equal(thin(family, x, alpha=1.0, t=2.0, rng=RngState(0).spawn()), x)
     for bad in ([1.0, 0.0], [1.0, np.inf], [np.nan, 1.0]):
         with pytest.raises(SupportError):
-            thin_gamma(np.array(bad), 0.5, 2.0, RngState(0).spawn())
+            thin(family, np.array(bad), alpha=0.5, t=2.0, rng=RngState(0).spawn())
     for t in (np.inf, np.nan):
         with pytest.raises(ParameterError):
-            thin_gamma(x, 0.5, t, RngState(0).spawn())
+            thin(family, x, alpha=0.5, t=t, rng=RngState(0).spawn())
 
 
 def test_thin_wishart_reduces_to_gamma_in_1d():
@@ -146,35 +141,36 @@ def test_thin_wishart_reduces_to_gamma_in_1d():
     g2 = RngState(7).spawn()
     n = 4000
     x = np.array([[2.0]])
-    ratios_w = thin_wishart(x, alpha, t, g1, size=n)[:, 0, 0] / 2.0
+    ratios_w = thin(wishart_family(1), x, alpha=alpha, t=t, rng=g1, size=n)[:, 0, 0] / 2.0
     ratios_g = (
-        thin_gamma(np.array([2.0]), alpha, t, g2, size=n)[:, 0] / 2.0
+        thin(gamma_family(1), np.array([2.0]), alpha=alpha, t=t, rng=g2, size=n)[:, 0] / 2.0
     )
     assert stats.ks_2samp(ratios_w, ratios_g).pvalue > 0.01
 
 
 def test_thin_wishart_dof_boundary():
+    family = wishart_family(2)
     # alpha t = t - d: the remaining increment sits exactly at dof = d
-    out = thin_wishart(np.eye(2), 0.8, 10.0, RngState(8).spawn())
+    out = thin(family, np.eye(2), alpha=0.8, t=10.0, rng=RngState(8).spawn())
     assert out.shape == (2, 2)
     with pytest.raises(ParameterError):
-        thin_wishart(np.eye(2), 0.9, 10.0, RngState(8).spawn())
+        thin(family, np.eye(2), alpha=0.9, t=10.0, rng=RngState(8).spawn())
     with pytest.raises(ParameterError):
-        thin_wishart(np.eye(2), 0.5, 3.0, RngState(8).spawn())
+        thin(family, np.eye(2), alpha=0.5, t=3.0, rng=RngState(8).spawn())
     for bad in ([[1.0, 2.0], [2.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]):
         with pytest.raises(SupportError):
-            thin_wishart(np.array(bad), 0.5, 10.0, RngState(8).spawn())
+            thin(family, np.array(bad), alpha=0.5, t=10.0, rng=RngState(8).spawn())
     for t in (np.inf, np.nan):
         with pytest.raises(ParameterError):
-            thin_wishart(np.eye(2), 0.5, t, RngState(8).spawn())
+            thin(family, np.eye(2), alpha=0.5, t=t, rng=RngState(8).spawn())
     # the Wishart density condition t >= d, even where alpha = 1 draws nothing
     with pytest.raises(SupportError):
-        thin_wishart(np.eye(3), 1.0, 2.0, RngState(8).spawn())
+        thin(wishart_family(3), np.eye(3), alpha=1.0, t=2.0, rng=RngState(8).spawn())
 
 
 def test_thin_wishart_mean():
     x = np.eye(2)
-    draws = thin_wishart(x, 0.5, 10.0, RngState(9).spawn(), size=10_000)
+    draws = thin(wishart_family(2), x, alpha=0.5, t=10.0, rng=RngState(9).spawn(), size=10_000)
     mean = draws.mean(axis=0)
     assert np.linalg.norm(mean - 0.5 * x) / np.linalg.norm(0.5 * x) < 0.05
     # domination holds for every draw
@@ -200,9 +196,8 @@ def test_marginal_consistency_gaussian():
     t, alpha = 3.0, 0.6
     mu = np.array([1.0, -0.5])
     x_full = t * mu + np.sqrt(t) * g.standard_normal((N_DRAWS, 2))
-    thinned = np.stack(
-        [thin_gaussian(x, alpha, t, np.eye(2), g) for x in x_full[:20_000]]
-    )
+    family = gaussian_family(2)
+    thinned = np.stack([thin(family, x, alpha=alpha, t=t, rng=g) for x in x_full[:20_000]])
     direct = alpha * t * mu + np.sqrt(alpha * t) * g.standard_normal((20_000, 2))
     assert moments_match_3sigma(thinned, direct)
 
@@ -211,7 +206,7 @@ def test_marginal_consistency_gamma():
     g = RngState(12).spawn()
     t, alpha, scale = 5.0, 0.5, 1.3
     x_full = g.gamma(t / 2.0, 2.0 * scale, size=(N_DRAWS, 1))
-    thinned = thin_gamma(np.ones(1), alpha, t, g, size=N_DRAWS) * x_full
+    thinned = thin(gamma_family(1), np.ones(1), alpha=alpha, t=t, rng=g, size=N_DRAWS) * x_full
     direct = g.gamma(alpha * t / 2.0, 2.0 * scale, size=(N_DRAWS, 1))
     assert moments_match_3sigma(thinned, direct)
 
@@ -224,9 +219,9 @@ def test_two_stage_poisson():
     g = RngState(13).spawn()
     x = np.array([14, 9, 3])
     a, b = 0.6, 0.5
-    stage1 = thin_poisson(x, a, g, size=N_DRAWS)
+    stage1 = thin(poisson_family(3), x, alpha=a, t=1.0, rng=g, size=N_DRAWS)
     stage2 = g.binomial(stage1, b)
-    direct = thin_poisson(x, a * b, g, size=N_DRAWS)
+    direct = thin(poisson_family(3), x, alpha=a * b, t=1.0, rng=g, size=N_DRAWS)
     assert moments_match_3sigma(stage2, direct)
 
 
@@ -234,10 +229,10 @@ def test_two_stage_gaussian():
     g = RngState(14).spawn()
     x = np.array([2.0, -1.0])
     t, a, b = 4.0, 0.5, 0.6
-    stage1 = thin_gaussian(x, a, t, np.eye(2), g, size=N_DRAWS)
+    stage1 = thin(gaussian_family(2), x, alpha=a, t=t, rng=g, size=N_DRAWS)
     noise = np.sqrt(b * (1 - b) * a * t) * g.standard_normal((N_DRAWS, 2))
     stage2 = b * stage1 + noise
-    direct = thin_gaussian(x, a * b, t, np.eye(2), g, size=N_DRAWS)
+    direct = thin(gaussian_family(2), x, alpha=a * b, t=t, rng=g, size=N_DRAWS)
     assert moments_match_3sigma(stage2, direct)
 
 
@@ -245,10 +240,10 @@ def test_two_stage_gamma():
     g = RngState(15).spawn()
     x = np.array([2.5])
     t, a, b = 6.0, 0.5, 0.5
-    stage1 = thin_gamma(x, a, t, g, size=N_DRAWS)
+    stage1 = thin(gamma_family(1), x, alpha=a, t=t, rng=g, size=N_DRAWS)
     m2 = g.beta(b * a * t / 2.0, (1 - b) * a * t / 2.0, size=(N_DRAWS, 1))
     stage2 = m2 * stage1
-    direct = thin_gamma(x, a * b, t, g, size=N_DRAWS)
+    direct = thin(gamma_family(1), x, alpha=a * b, t=t, rng=g, size=N_DRAWS)
     assert moments_match_3sigma(stage2, direct)
 
 
@@ -257,9 +252,10 @@ def test_two_stage_wishart():
     x = 2.0 * np.eye(2)
     t, a, b = 24.0, 0.75, 2.0 / 3.0
     n = 30_000
-    stage1 = thin_wishart(x, a, t, g, size=n)
-    stage2 = np.stack([thin_wishart(s, b, a * t, g) for s in stage1[:8000]])
-    direct = thin_wishart(x, a * b, t, g, size=8000)
+    family = wishart_family(2)
+    stage1 = thin(family, x, alpha=a, t=t, rng=g, size=n)
+    stage2 = np.stack([thin(family, s, alpha=b, t=a * t, rng=g) for s in stage1[:8000]])
+    direct = thin(family, x, alpha=a * b, t=t, rng=g, size=8000)
     flat2 = stage2.reshape(len(stage2), -1)
     flatd = direct.reshape(len(direct), -1)
     assert moments_match_3sigma(flat2, flatd)
@@ -325,7 +321,7 @@ def test_pseudo_wishart_dof_precondition():
 
 def test_pseudo_wishart_rows_equal_single_draws_from_their_substreams():
     # The copies are finished as one stacked computation; each row must
-    # still be the draw thin_wishart makes from that copy's substream alone.
+    # still be the draw thin makes from that copy's substream alone.
     g = np.random.default_rng(26)
     d, copies, alpha = 5, 4, 0.5
     t = np.array([12.0, 17.5, 30.0])
@@ -335,7 +331,7 @@ def test_pseudo_wishart_rows_equal_single_draws_from_their_substreams():
     pseudo = generate_pseudo_examples(ExampleBatch(x=xs, y=[1, 2, 1], t=t), cfg, wishart_family(d))
     for i in range(len(t)):
         for b in range(copies):
-            single = thin_wishart(xs[i], alpha, t[i], cfg.seed.spawn(i, b))
+            single = thin(wishart_family(d), xs[i], alpha=alpha, t=t[i], rng=cfg.seed.spawn(i, b))
             assert np.array_equal(pseudo.x_tilde[i * copies + b], single)
 
 
@@ -346,7 +342,8 @@ def test_compact_origins_draw_what_int64_origins_draw():
     for top in (7, 300, 70_000, 2**32):
         x = np.array([top, 0, 5, top // 2], dtype=np.int64)
         for size, shape in ((None, (1, 4)), (4, (4, 4))):
-            got = thin_poisson(x, alpha, RngState(31).spawn(), size=size)
+            g = RngState(31).spawn()
+            got = thin(poisson_family(4), x, alpha=alpha, t=1.0, rng=g, size=size)
             want = RngState(31).spawn().binomial(x, alpha, size=shape)
             assert np.array_equal(got, want[0] if size is None else want)
     xs = np.random.default_rng(32).poisson(3.0, size=(5, 6))
@@ -389,7 +386,7 @@ def test_a_copy_outside_its_bracket_raises_naming_the_origin():
         generate_pseudo_examples(examples, cfg, wishart_family(2))
     # A subnormal Gamma feature: every beta multiple rounds to 0 or to x.
     with pytest.raises(DecompositionError, match="origin 0 "):
-        thin_gamma(np.array([5e-324]), 0.5, 3.0, RngState(5).spawn())
+        thin(gamma_family(1), np.array([5e-324]), alpha=0.5, t=3.0, rng=RngState(5).spawn())
 
 
 def test_config_validation():
