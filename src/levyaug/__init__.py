@@ -42,7 +42,6 @@ from .logistic import (
     LogisticModel,
     TrainConfig,
     calibrate,
-    fit_logistic,
     fit_logistic_detailed,
     load_model,
     predict,

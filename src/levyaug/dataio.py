@@ -60,7 +60,6 @@ __all__ = [
     "read_pseudo_dataset",
     "write_pseudo_dataset",
     "pack_symmetric",
-    "unpack_symmetric",
     "read_matrix",
 ]
 
@@ -76,19 +75,10 @@ def pack_symmetric(m: np.ndarray) -> np.ndarray:
     return m[..., rows, cols]
 
 
-def unpack_symmetric(values: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`pack_symmetric` (one packed row, or a stack)."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 0 or values.shape[-1] != d * (d + 1) // 2:
-        raise DataFormatError(
-            f"expected {d * (d + 1) // 2} packed entries for d={d}, got shape {values.shape}"
-        )
-    return _unpack_into(values, np.empty(values.shape[:-1] + (d, d)))
-
-
 def _unpack_into(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write into ``out``, a stack of d x d matrices, the symmetric matrices
-    whose packed upper triangles are ``values``; every entry is written."""
+    whose packed upper triangles are ``values``: the inverse of
+    :func:`pack_symmetric`.  Every entry is written."""
     rows, cols = np.triu_indices(out.shape[-1])
     out[..., rows, cols] = values
     out[..., cols, rows] = values

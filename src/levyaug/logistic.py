@@ -21,15 +21,17 @@ Its gradient in ``w`` is the ``beta_2`` column of the gradient in ``beta``
 (the ``beta_1`` column is its negative), so the gradient max-norm, and
 with it the tolerance, is the same quantity in either parametrization.
 
-Every fit must bring the gradient max-norm to ``tol`` or raise
+The stopping rule is the solver's, not the caller's: every fit must bring
+the gradient max-norm to at most ``_FIT_TOL`` = 1e-7, in at most
+``_FIT_MAX_ITER`` = 500 iterations per lambda, or raise
 :class:`OptimizationError`.  A two-class fit on a design whose smaller side,
 min(n, p), is at most 256 is one ``scipy.optimize.minimize`` call of damped
 Newton (``_newton``).  When n < p each step is an n x n solve through the
 Woodbury identity, with X X' formed once per ``_fit_path`` call: for each
 (lambda, fold) of cross-validation and once for the refit path; otherwise
 it is a Cholesky solve of the p x p Hessian.  More classes and larger
-designs run L-BFGS-B.  When it stops short of ``tol`` for any reason but
-its iteration or evaluation limit, a second ``minimize`` call finishes
+designs run L-BFGS-B.  When it stops short of the tolerance for any reason
+but its iteration or evaluation limit, a second ``minimize`` call finishes
 with up to three iterations of ``_newton``.  The threshold is where Newton
 stops being the cheaper path.
 On one BLAS thread, a warm-started 12-lambda path at p = 500 took:
@@ -101,7 +103,6 @@ __all__ = [
     "LogisticModel",
     "TrainConfig",
     "FitReport",
-    "fit_logistic",
     "fit_logistic_detailed",
     "calibrate",
     "predict",
@@ -202,7 +203,9 @@ def _check_ridge(lam) -> None:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Fitting knobs.
+    """What a fit may choose: the ridge penalty or its grid, and the number
+    of cross-validation folds.  The solver's stopping rule is fixed (see the
+    module docstring).
 
     ``ridge_lambda`` may be a single value (no CV), an explicit grid
     (normalized to descending order), or None for the default grid of 50
@@ -217,14 +220,8 @@ class TrainConfig:
 
     ridge_lambda: float | tuple[float, ...] | None = None
     n_folds: int = 5
-    tol: float = 1e-7
-    max_iter: int = 500
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ParameterError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ParameterError("max_iter must be >= 1")
         if self.n_folds < 2:
             raise ParameterError("n_folds must be >= 2")
         lam = self.ridge_lambda
@@ -383,6 +380,7 @@ def _heldout_metrics(beta, X, Y, rows):
 # Solvers
 # --------------------------------------------------------------------------
 
+_FIT_TOL, _FIT_MAX_ITER = 1e-7, 500  # every fit's gradient max-norm bound; its iteration limit
 _NEWTON_STEPS = 3
 _NEWTON_MAX_DIM = 256
 _ARMIJO, _BACKTRACKS = 1e-4, 40
@@ -482,21 +480,21 @@ def minimize(*args, **kwargs):
     return scipy.optimize.minimize(*args, **kwargs)
 
 
-def _minimize(fun_grad, x0: np.ndarray, tol: float, max_iter: int, what: str, step=None,
-              newton=False):
+def _minimize(fun_grad, x0: np.ndarray, max_iter: int, what: str, step=None, newton=False):
     """Minimize ``fun_grad`` (value and gradient of a flat vector) from the
-    flat ``x0`` to gradient max-norm ``tol``, else raise
-    :class:`OptimizationError` naming each stage that ran.
+    flat ``x0`` to gradient max-norm _FIT_TOL in at most ``max_iter``
+    iterations, else raise :class:`OptimizationError` naming each stage
+    that ran.
 
     The solve is damped Newton along ``step`` (:func:`_newton`) when
     ``newton`` is set, else L-BFGS-B.  L-BFGS-B also stops once f no longer
     decreases in floating point ("relative reduction of f"), which can leave
-    the gradient just above ``tol``.  When it stops short for any reason but
-    its iteration or evaluation limit and ``step`` (a :func:`_newton_step`)
-    is given, a second ``minimize`` call runs at most _NEWTON_STEPS
-    iterations of :func:`_newton` from its end point.
+    the gradient just above the tolerance.  When it stops short for any
+    reason but its iteration or evaluation limit and ``step`` (a
+    :func:`_newton_step`) is given, a second ``minimize`` call runs at most
+    _NEWTON_STEPS iterations of :func:`_newton` from its end point.
     """
-    stages = []
+    tol, stages = _FIT_TOL, []
 
     def solve(x, method, **options):
         res = minimize(fun_grad, x, jac=True, method=method, options=options)
@@ -603,7 +601,7 @@ def grouped_fold_assignment(groups: np.ndarray, n_folds: int) -> np.ndarray:
     return index % n_folds
 
 
-def _fit_path(X, Y, lambdas, tol, max_iter, coef=None, rows=None):
+def _fit_path(X, Y, lambdas, coef=None, rows=None):
     """Fit the descending lambda path with warm starts, the first solve
     starting from the flat coefficient ``coef`` (default zero); returns one
     (beta, gradient max-norm) per lambda and the final flat coefficient, the
@@ -651,8 +649,7 @@ def _fit_path(X, Y, lambdas, tol, max_iter, coef=None, rows=None):
         coef, grad_norm = _minimize(
             lambda c: loss_grad(c, X, labels, lam, XT, rows),
             coef,
-            tol,
-            max_iter,
+            _FIT_MAX_ITER,
             f"logistic fit at lambda={lam:.4g}",
             lambda c, g: _newton_step(hessian, by_rows(), lam, gram)(c, g),
             newton=newton and lam > 0.0,
@@ -662,7 +659,7 @@ def _fit_path(X, Y, lambdas, tol, max_iter, coef=None, rows=None):
     return out, coef
 
 
-def _cross_validate(X, Y, groups, lambdas, cfg: TrainConfig):
+def _cross_validate(X, Y, groups, lambdas, n_folds: int):
     """Mean held-out (loss, error) per lambda over grouped folds, as an
     (len(lambdas), 2) array; the rows past the stop are NaN.
 
@@ -674,19 +671,17 @@ def _cross_validate(X, Y, groups, lambdas, cfg: TrainConfig):
     design through its mask; a dense or Newton-sized fold is sliced again
     for every (lambda, fold), one at a time (see :func:`_fit_path`).
     """
-    folds = grouped_fold_assignment(groups, cfg.n_folds)
-    masks = [folds != f for f in range(cfg.n_folds)]
+    folds = grouped_fold_assignment(groups, n_folds)
+    masks = [folds != f for f in range(n_folds)]
     for f, mask in enumerate(masks):
         if len(np.unique(Y[mask])) < int(Y.max()):
             raise DegenerateDataError(f"fold {f} lost a class; use fewer folds")
-    coefs = [None] * cfg.n_folds
-    scores = np.full((len(lambdas), 2, cfg.n_folds), np.nan)
+    coefs = [None] * n_folds
+    scores = np.full((len(lambdas), 2, n_folds), np.nan)
     best, since_best = np.inf, 0
     for j, lam in enumerate(lambdas):
         for f, mask in enumerate(masks):
-            [(beta, _)], coefs[f] = _fit_path(
-                X, Y, (lam,), cfg.tol, cfg.max_iter, coefs[f], rows=mask
-            )
+            [(beta, _)], coefs[f] = _fit_path(X, Y, (lam,), coefs[f], rows=mask)
             scores[j, :, f] = _heldout_metrics(beta, X, Y, ~mask)
         loss = scores[j, 0].mean()
         best, since_best = (loss, 0) if loss < best else (best, since_best + 1)
@@ -698,7 +693,16 @@ def _cross_validate(X, Y, groups, lambdas, cfg: TrainConfig):
 def fit_logistic_detailed(
     pseudo: PseudoBatch, cfg: TrainConfig
 ) -> tuple[LogisticModel, FitReport]:
-    """Fit, with the CV table and convergence diagnostics alongside."""
+    """Ridge-penalized multiclass logistic fit on pseudo-examples: the model
+    and a :class:`FitReport` of what the fit did.
+
+    If the config carries a lambda grid, lambda is chosen by grouped
+    k-fold cross-validation (all copies of one origin share a fold).
+    Raises :class:`OptimizationError` when the gradient max-norm cannot be
+    brought under the fixed tolerance (see the module docstring) and
+    :class:`DegenerateDataError` when the batch is empty or some class has
+    no examples.
+    """
     with single_thread():
         _check_classes(pseudo.y)
         X, Y, groups, feature_map = _design(pseudo)
@@ -712,33 +716,19 @@ def fit_logistic_detailed(
         if len(lambdas) == 1:
             chosen = lambdas[0]
         else:
-            means = _cross_validate(X, Y, groups, lambdas, cfg)
+            means = _cross_validate(X, Y, groups, lambdas, cfg.n_folds)
             cv_table = tuple(
                 (lam, float(l), float(e)) for lam, (l, e) in zip(lambdas, means)
             )
             chosen = lambdas[int(np.nanargmin(means[:, 0]))]
 
-        path, _ = _fit_path(
-            X, Y, [lam for lam in lambdas if lam >= chosen], cfg.tol, cfg.max_iter
-        )
+        path, _ = _fit_path(X, Y, [lam for lam in lambdas if lam >= chosen])
         beta, grad_norm = path[-1]
         model = LogisticModel(beta=center_columns(beta), feature_map=feature_map)
         report = FitReport(
             chosen_lambda=float(chosen), cv_table=cv_table, grad_max_norm=grad_norm
         )
         return model, report
-
-
-def fit_logistic(pseudo: PseudoBatch, cfg: TrainConfig) -> LogisticModel:
-    """Ridge-penalized multiclass logistic fit on pseudo-examples.
-
-    If the config carries a lambda grid, lambda is chosen by grouped
-    k-fold cross-validation (all copies of one origin share a fold).
-    Raises :class:`OptimizationError` when the gradient max-norm cannot be
-    brought under ``cfg.tol`` and :class:`DegenerateDataError` when the
-    batch is empty or some class has no examples.
-    """
-    return fit_logistic_detailed(pseudo, cfg)[0]
 
 
 # --------------------------------------------------------------------------

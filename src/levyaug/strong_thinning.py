@@ -119,7 +119,6 @@ def fit_strong_thinning(
     examples: Examples,
     family: LevyFamily,
     ridge_lambda: float = 0.0,
-    tol: float = 1e-7,
 ) -> LogisticModel:
     """Minimize the summed limit loss (plus an optional ridge term) over
     centered coefficients.  Only the Gaussian and Poisson families have a
@@ -129,9 +128,10 @@ def fit_strong_thinning(
 
     Gaussian is a quadratic whose centered minimizer is the linear solve
     ``((t_total / K) Sigma + lambda I) beta = S - mean_k S_k``, with ``S``
-    the per-class feature sums.  Poisson is solved by L-BFGS to gradient
-    max-norm ``tol`` (in at most 1000 iterations); the objective is
-    divided by the total count, so the argmin is unchanged and ``tol``
+    the per-class feature sums.  Poisson is solved by L-BFGS to the
+    logistic fits' gradient max-norm bound, 1e-7, in at most 1000
+    iterations, else it raises :class:`OptimizationError`; the objective is
+    divided by the total count, so the argmin is unchanged and the bound
     applies at unit scale instead of count scale.
     """
     _check_ridge(ridge_lambda)
@@ -159,9 +159,7 @@ def fit_strong_thinning(
                 grad += ridge_lambda * beta
                 return value / scale, _contract(grad).ravel() / scale
 
-            gamma, _ = _minimize(
-                fun_grad, np.zeros(p * (k - 1)), tol, _MAX_ITER, "strong-thinning fit"
-            )
+            gamma, _ = _minimize(fun_grad, np.zeros(p * (k - 1)), _MAX_ITER, "strong-thinning fit")
             beta = _expand(gamma.reshape(p, k - 1))
     return LogisticModel(beta=center_columns(beta), feature_map=FeatureMap.IDENTITY)
 

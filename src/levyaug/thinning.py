@@ -23,6 +23,7 @@ edge of its support for a draw to stay inside, in floating point, raises
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -184,8 +185,11 @@ def thin(family: LevyFamily, x, *, alpha: float, t: float, rng: np.random.Genera
     against ``family.d`` included.  ``t`` is checked for every family,
     though Poisson draws do not use it.  Copies come back in the type
     ``check_example`` picks for ``x``, as at ``alpha = 1``: a Poisson copy
-    never exceeds its origin, so that type holds it.
+    never exceeds its origin, so that type holds it.  A ``size`` that is
+    not a nonnegative integer raises :class:`ParameterError`.
     """
+    if size is not None and not (isinstance(size, numbers.Integral) and size >= 0):
+        raise ParameterError(f"size must be a nonnegative integer or None, got {size!r}")
     batch = ExampleBatch(x=np.asarray(x)[None], y=1, t=t)
     xs, t = check_example(family, batch), batch.t.item()
     check_alpha(alpha)

@@ -4,7 +4,7 @@ import pytest
 from levyaug import (
     ThinningConfig,
     TrainConfig,
-    fit_logistic,
+    fit_logistic_detailed,
     fit_strong_thinning,
     generate_pseudo_examples,
 )
@@ -54,7 +54,7 @@ def alpha_path_distances(examples, family, alphas, n_pseudo, ridge_lambda, seed)
     out = []
     for j, alpha in enumerate(alphas):
         thin_cfg = ThinningConfig(alpha=alpha, n_pseudo=n_pseudo, seed=seed.substate(j))
-        model = fit_logistic(generate_pseudo_examples(examples, thin_cfg, family), cfg)
+        model = fit_logistic_detailed(generate_pseudo_examples(examples, thin_cfg, family), cfg)[0]
         out.append(float(np.linalg.norm(unit(model.beta) - limit)))
     return out
 

@@ -20,7 +20,7 @@ from levyaug import (
     Example,
     RngState,
     TrainConfig,
-    fit_logistic,
+    fit_logistic_detailed,
     fit_strong_thinning,
     gamma_family,
     gaussian_family,
@@ -397,7 +397,7 @@ def _well_specified_poisson(n, t, g):
 def test_criterion_7_thinned_training_consistency():
     start = time.perf_counter()
     fam = poisson_family(3)
-    cfg = TrainConfig(ridge_lambda=1e-8, max_iter=2000)
+    cfg = TrainConfig(ridge_lambda=1e-8)
     gaps_thin, gaps_orig = [], []
     for seed in range(20):
         g = RngState(3000 + seed).spawn()
@@ -408,13 +408,13 @@ def test_criterion_7_thinned_training_consistency():
         identity = generate_pseudo_examples(
             train, ThinningConfig(1.0, 1, RngState(1)), fam
         )
-        model_orig = fit_logistic(identity, cfg)
+        model_orig = fit_logistic_detailed(identity, cfg)[0]
         gaps_orig.append(float((predict_labels(model_orig, test) != truth).mean()))
 
         thinned = generate_pseudo_examples(
             train, ThinningConfig(0.5, 20, RngState(3100 + seed)), fam
         )
-        model_thin = fit_logistic(thinned, cfg)
+        model_thin = fit_logistic_detailed(thinned, cfg)[0]
         gaps_thin.append(float((predict_labels(model_thin, test) != truth).mean()))
     gap = abs(np.mean(gaps_thin) - np.mean(gaps_orig))
     elapsed = time.perf_counter() - start

@@ -1,5 +1,6 @@
 """The names the benchmark's tracer (perfbench/tracer.py) hooks must exist,
-and the values it records must keep the shape its checks read.
+the values it records must keep the shape its checks read, and the
+settings its checks (perfbench/checks.py) copy must equal the library's.
 
 The tracer wraps levyaug functions by module and attribute name; a rename
 under src/ would otherwise only show up as failed benchmark operations.
@@ -12,7 +13,7 @@ import sys
 
 import numpy as np
 
-from levyaug import Example, RngState, cli, poisson_family
+from levyaug import Example, RngState, cli, logistic, poisson_family, simulation
 from levyaug.dataio import write_dataset
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
@@ -30,6 +31,24 @@ def _traced_names() -> list[tuple[str, str, str]]:
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_TRACED":
             return ast.literal_eval(node.value)
     raise AssertionError("tracer.py defines no _TRACED")
+
+
+def _check_constants() -> dict[str, float]:
+    """The module-level constants of perfbench/checks.py, read from its
+    source: the checks compute their answers apart from levyaug, so they
+    hold their own copies of the library's settings."""
+    source = open(os.path.join(PERFBENCH, "checks.py"), encoding="utf-8").read()
+    return {
+        ast.unparse(node.targets[0]): ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+    }
+
+
+def test_the_benchmark_checks_use_the_library_settings():
+    constants = _check_constants()
+    assert constants["FIT_TOL"] == logistic._FIT_TOL  # the gradient check's bound
+    assert constants["STRONG_RIDGE"] == simulation._STRONG_RIDGE
 
 
 def test_every_traced_name_resolves():

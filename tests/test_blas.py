@@ -14,7 +14,7 @@ from levyaug import (
     PseudoBatch,
     TrainConfig,
     _blas,
-    fit_logistic,
+    fit_logistic_detailed,
     fit_strong_thinning,
     logistic,
     poisson_family,
@@ -110,7 +110,7 @@ def test_fits_run_on_one_thread(openblas_at_two_threads, monkeypatch):
         alpha=1.0,
         t_tilde=1.0,
     )
-    fit_logistic(pseudo, TrainConfig(ridge_lambda=0.1))
+    fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=0.1))
     assert seen and all(counts == {1} for counts in seen)
     assert openblas_at_two_threads() == {2}
 

@@ -20,6 +20,7 @@ from levyaug import (
     fit_strong_thinning,
     load_model,
     poisson_family,
+    strong_thinning,
 )
 from levyaug.cli import build_parser, main
 from levyaug.dataio import read_pseudo_dataset, write_dataset, write_pseudo_dataset
@@ -499,6 +500,19 @@ def test_a_failed_fit_exits_4(poisson_file, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "m.txt").exists()
 
 
+def test_a_poisson_limit_fit_that_does_not_converge_exits_4(poisson_file, tmp_path, capsys,
+                                                            monkeypatch):
+    monkeypatch.setattr(strong_thinning, "_MAX_ITER", 1)
+    out = tmp_path / "m.txt"
+    argv = ["limit", "--originals", str(poisson_file), "--family", "poisson", "--out", str(out)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith(
+        "levyaug: optimization failed: strong-thinning fit did not converge: L-BFGS-B stopped "
+        "after 1 iterations"
+    )
+    assert not out.exists()
+
+
 def test_simulate_reports_a_failed_cell_and_exits_0(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["simulate", "--spec", "gauss", "--out", str(out), "--n-grid", "4",
@@ -801,7 +815,7 @@ SETTABLE_SURFACE = {
                  "--timing", "-B"],
     "limit": ["--family", "--no-calibrate", "--originals", "--out", "--ridge-lambda",
               "--sigma"],
-    "TrainConfig": ["max_iter", "n_folds", "ridge_lambda", "tol"],
+    "TrainConfig": ["n_folds", "ridge_lambda"],
     "ThinningConfig": ["alpha", "n_pseudo", "seed"],
     # in declaration order: a spec holds only what shapes its design's data
     "GaussianSimSpec": ["d", "n_signal", "atoms_per_class", "atom_scale", "t_dof"],
@@ -833,7 +847,7 @@ PUBLIC_API = [
     "LevyAugError", "LevyFamily", "LogisticModel", "OptimizationError", "ParameterError",
     "PoissonSimSpec", "PseudoBatch", "PseudoExample", "RngState", "ShapeError",
     "SupportError", "SweepResult", "SweepRow", "ThinningConfig", "TrainConfig",
-    "calibrate", "check_example", "fit_logistic",
+    "calibrate", "check_example",
     "fit_logistic_detailed", "fit_strong_thinning", "gamma_family", "gaussian_family",
     "gen_gaussian_sim", "gen_poisson_sim", "generate_pseudo_examples",
     "load_model",

@@ -23,7 +23,6 @@ from levyaug.dataio import (
     read_dataset,
     read_matrix,
     read_pseudo_dataset,
-    unpack_symmetric,
     write_dataset,
     write_pseudo_dataset,
 )
@@ -35,7 +34,9 @@ def test_pack_unpack_round_trip(rng):
     m = random_pd_matrix(4, rng)
     packed = pack_symmetric(m)
     assert packed.shape == (10,)
-    assert np.allclose(unpack_symmetric(packed, 4), m)
+    assert np.array_equal(dataio._unpack_into(packed, np.empty((4, 4))), m)
+    stack = np.stack([m, random_pd_matrix(4, rng)])
+    assert np.array_equal(dataio._unpack_into(pack_symmetric(stack), np.empty((2, 4, 4))), stack)
 
 
 def test_vector_dataset_round_trip(tmp_path):

@@ -20,7 +20,6 @@ from levyaug import (
     ShapeError,
     TrainConfig,
     calibrate,
-    fit_logistic,
     fit_logistic_detailed,
     load_model,
     predict,
@@ -170,42 +169,43 @@ def test_fit_separable_toy_beats_coin_flip():
 def test_fit_invariant_to_duplicating_the_dataset(rng):
     pseudo = _random_problem(rng, n=30, p=3, k=3)
     cfg = TrainConfig(ridge_lambda=0.5)
-    b1 = fit_logistic(pseudo, cfg).beta
+    b1 = fit_logistic_detailed(pseudo, cfg)[0].beta
     twice = _batch(
         np.concatenate([pseudo.x_tilde] * 2),
         np.tile(pseudo.y, 2),
         np.tile(pseudo.origin_id, 2),
     )
-    b2 = fit_logistic(twice, cfg).beta
+    b2 = fit_logistic_detailed(twice, cfg)[0].beta
     assert np.allclose(b1, b2, atol=1e-6)
 
 
 def test_fit_requires_every_class():
     for pseudo in (_batch([[1.0], [2.0]], [1, 3]), _batch(np.zeros((0, 1)), [])):
         with pytest.raises(DegenerateDataError):
-            fit_logistic(pseudo, TrainConfig(ridge_lambda=0.1))
+            fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=0.1))
 
 
 def test_nan_gradient_fails_the_convergence_check():
     pseudo = _batch([[1.0], [np.nan], [-0.5], [-1.0]], [1, 1, 2, 2])
     with pytest.raises(OptimizationError), np.errstate(invalid="ignore"):
-        fit_logistic(pseudo, TrainConfig(ridge_lambda=0.1))
+        fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=0.1))
     with pytest.raises(OptimizationError):  # the solve the Poisson limit fit uses too
         logistic._minimize(
-            lambda v: (np.nan, np.full_like(v, np.nan)), np.zeros(2), 1e-7, 10, "NaN objective"
+            lambda v: (np.nan, np.full_like(v, np.nan)), np.zeros(2), 10, "NaN objective"
         )
 
 
-def test_fit_nonconvergence_raises_with_grad_norm(rng):
+def test_fit_nonconvergence_raises_with_grad_norm(rng, monkeypatch):
+    monkeypatch.setattr(logistic, "_FIT_MAX_ITER", 1)
     pseudo = _random_problem(rng, n=60, p=4, k=3)
     with pytest.raises(OptimizationError) as err:
-        fit_logistic(pseudo, TrainConfig(ridge_lambda=1e-4, max_iter=1))
+        fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=1e-4))
     assert err.value.grad_norm is not None and err.value.grad_norm > 1e-7
 
 
 def test_nonconvergence_message_names_the_iterations_run(rng, monkeypatch):
-    # tol=1e-18 is out of floating-point reach: L-BFGS-B stops early on
-    # "relative reduction of f", long before max_iter.
+    # A tolerance of 1e-18 is out of floating-point reach: L-BFGS-B stops
+    # early on "relative reduction of f", long before its 500 iterations.
     results = []
     minimize = logistic.minimize
 
@@ -214,9 +214,10 @@ def test_nonconvergence_message_names_the_iterations_run(rng, monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(logistic, "minimize", recording_minimize)
+    monkeypatch.setattr(logistic, "_FIT_TOL", 1e-18)
     pseudo = _random_problem(rng, n=60, p=4, k=3)
     with pytest.raises(OptimizationError) as err:
-        fit_logistic(pseudo, TrainConfig(ridge_lambda=1e-4, tol=1e-18, max_iter=500))
+        fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=1e-4))
     res = results[-1]
     assert res.nit < 500
     message = str(err.value)
@@ -248,8 +249,8 @@ def _two_class_problem(rng, n=60, p=4):
 
 def test_binary_fit_meets_tol_on_the_multiclass_gradient(rng):
     X, Y = _two_class_problem(rng)
-    lam, tol = 0.03, 1e-7
-    model, report = fit_logistic_detailed(_batch(X, Y), TrainConfig(ridge_lambda=lam, tol=tol))
+    lam, tol = 0.03, logistic._FIT_TOL
+    model, report = fit_logistic_detailed(_batch(X, Y), TrainConfig(ridge_lambda=lam))
     grad = _batch_loss_grad(model.beta, X, Y, lam, X.T)[1]
     assert np.abs(grad).max() <= tol
     assert np.abs(grad).max() == pytest.approx(report.grad_max_norm, abs=1e-15)
@@ -257,19 +258,19 @@ def test_binary_fit_meets_tol_on_the_multiclass_gradient(rng):
 
 def test_binary_fit_matches_a_k_column_solve(rng):
     X, Y = _two_class_problem(rng)
-    lam, tol = 0.03, 1e-7
-    beta = fit_logistic(_batch(X, Y), TrainConfig(ridge_lambda=lam, tol=tol)).beta
+    lam = 0.03
+    beta = fit_logistic_detailed(_batch(X, Y), TrainConfig(ridge_lambda=lam))[0].beta
     full, _ = logistic._minimize(
-        lambda b: _batch_loss_grad(b, X, Y, lam, X.T), np.zeros(8), tol, 500, "K=2"
+        lambda b: _batch_loss_grad(b, X, Y, lam, X.T), np.zeros(8), 500, "K=2"
     )
     full = full.reshape(4, 2)
     assert np.abs(beta - full).max() <= 1e-6 * np.abs(full).max()
 
 
 def _check_newton_finish(rng, monkeypatch, k, hessian, density):
-    # tol=1e-14 is below where L-BFGS-B stops on "relative reduction of f"
-    # (gradient max-norm about 1e-12 here); a second minimize call, of
-    # _newton, must finish.  A two-class design runs L-BFGS-B, and so the
+    # A tolerance of 1e-14 is below where L-BFGS-B stops on "relative
+    # reduction of f" (gradient max-norm about 1e-12 here); a second
+    # minimize call, of _newton, must finish.  A two-class design runs L-BFGS-B, and so the
     # finish, only when min(n, p) is above the Newton path's threshold.
     results, hessians = [], []
     minimize, exact = logistic.minimize, getattr(logistic, hessian)
@@ -284,10 +285,11 @@ def _check_newton_finish(rng, monkeypatch, k, hessian, density):
 
     monkeypatch.setattr(logistic, "minimize", recording_minimize)
     monkeypatch.setattr(logistic, hessian, recording_hessian)
+    monkeypatch.setattr(logistic, "_FIT_TOL", 1e-14)
     wide = logistic._NEWTON_MAX_DIM + 1
     n, p = (2 * wide, wide) if k == 2 else (60, 4)
     pseudo = _random_problem(rng, n=n, p=p, k=k, density=density)
-    report = fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=0.03, tol=1e-14))[1]
+    report = fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=0.03))[1]
     assert [method for method, _ in results] == ["L-BFGS-B", logistic._newton]
     assert np.abs(results[0][1].jac).max() > 1e-14
     assert hessians and report.grad_max_norm <= 1e-14
@@ -329,12 +331,12 @@ def test_woodbury_step_matches_the_dense_hessian_step(rng):
 @pytest.mark.parametrize("n, p", [(20, 60), (80, 6)])
 def test_newton_and_lbfgs_fits_agree_to_tolerance(rng, monkeypatch, n, p):
     X, Y = _two_class_problem(rng, n=n, p=p)
-    lam, tol = 0.1, 1e-7
-    cfg = TrainConfig(ridge_lambda=lam, tol=tol)
+    lam, tol = 0.1, logistic._FIT_TOL
+    cfg = TrainConfig(ridge_lambda=lam)
     methods = _recording_solver_methods(monkeypatch)
-    newton = fit_logistic(_batch(X, Y), cfg).beta
+    newton = fit_logistic_detailed(_batch(X, Y), cfg)[0].beta
     monkeypatch.setattr(logistic, "_NEWTON_MAX_DIM", 0)
-    lbfgs = fit_logistic(_batch(X, Y), cfg).beta
+    lbfgs = fit_logistic_detailed(_batch(X, Y), cfg)[0].beta
     assert methods == [logistic._newton, "L-BFGS-B"]
     # Both gradients are within tol in max-norm and the objective is
     # lam/2-strongly convex in w = 2 beta_2.
@@ -342,17 +344,18 @@ def test_newton_and_lbfgs_fits_agree_to_tolerance(rng, monkeypatch, n, p):
     assert np.linalg.norm(2 * (newton - lbfgs)[:, 1]) <= bound
 
 
-def test_newton_iteration_limit_names_the_newton_iterations(rng):
+def test_newton_iteration_limit_names_the_newton_iterations(rng, monkeypatch):
+    monkeypatch.setattr(logistic, "_FIT_MAX_ITER", 1)
     X, Y = _two_class_problem(rng, n=20, p=60)
     with pytest.raises(OptimizationError) as err:
-        fit_logistic(_batch(X, Y), TrainConfig(ridge_lambda=0.01, max_iter=1))
+        fit_logistic_detailed(_batch(X, Y), TrainConfig(ridge_lambda=0.01))
     assert "Newton stopped after 1 iterations (iteration limit reached)" in str(err.value)
     assert err.value.grad_norm > 1e-7
 
 
 def test_newton_halves_an_overshooting_step_and_stops_on_an_ascent_step(rng, monkeypatch):
     X, Y = _two_class_problem(rng, n=20, p=60)
-    sign, lam, tol = 2.0 * Y - 3.0, 0.1, 1e-7
+    sign, lam, tol = 2.0 * Y - 3.0, 0.1, logistic._FIT_TOL
     exact = logistic._newton_step(logistic._binary_hessian, X, lam, X @ X.T)
 
     def solve(step):
@@ -378,7 +381,7 @@ def test_newton_halves_an_overshooting_step_and_stops_on_an_ascent_step(rng, mon
         logistic, "_newton_step", lambda *args: lambda c, g: -newton_step(*args)(c, g)
     )
     with pytest.raises(OptimizationError, match="line search found no decrease"):
-        fit_logistic(_batch(X, Y), TrainConfig(ridge_lambda=lam, tol=tol))
+        fit_logistic_detailed(_batch(X, Y), TrainConfig(ridge_lambda=lam))
 
 
 def test_unpenalized_fit_with_an_all_zero_column_meets_tol(rng):
@@ -406,7 +409,7 @@ def test_newton_path_fails_on_a_nan_design(rng, monkeypatch, n, p):
     X[3, 2] = np.nan
     methods = _recording_solver_methods(monkeypatch)
     with pytest.raises(OptimizationError), np.errstate(invalid="ignore"):
-        fit_logistic(_batch(X, Y), TrainConfig(ridge_lambda=0.1))
+        fit_logistic_detailed(_batch(X, Y), TrainConfig(ridge_lambda=0.1))
     assert methods == [logistic._newton]
 
 
@@ -518,9 +521,9 @@ def _fits_by_format(monkeypatch, pseudo, cfg):
         return fit_path(X, *args)
 
     monkeypatch.setattr(logistic, "_fit_path", recording_fit_path)
-    csr = fit_logistic(pseudo, cfg).beta
+    csr = fit_logistic_detailed(pseudo, cfg)[0].beta
     monkeypatch.setattr(logistic, "_CSR_MAX_DENSITY", 0.0)
-    dense = fit_logistic(pseudo, cfg).beta
+    dense = fit_logistic_detailed(pseudo, cfg)[0].beta
     assert formats == [True, False]
     return csr, dense
 
@@ -529,10 +532,10 @@ def _fits_by_format(monkeypatch, pseudo, cfg):
 def test_csr_and_dense_fits_agree_to_tolerance(rng, monkeypatch, n, p, k):
     # (600, 300) runs L-BFGS-B, (40, 120) Newton through the Woodbury
     # identity, (90, 12) the K-column L-BFGS-B path.
-    lam, tol = 0.1, 1e-7
+    lam, tol = 0.1, logistic._FIT_TOL
     pseudo = _random_problem(rng, n=n, p=p, k=k, density=0.2)
     methods = _recording_solver_methods(monkeypatch)
-    csr, dense = _fits_by_format(monkeypatch, pseudo, TrainConfig(ridge_lambda=lam, tol=tol))
+    csr, dense = _fits_by_format(monkeypatch, pseudo, TrainConfig(ridge_lambda=lam))
     newton = k == 2 and min(n, p) <= logistic._NEWTON_MAX_DIM
     assert methods == 2 * [logistic._newton if newton else "L-BFGS-B"]
     # Both gradients are within tol in max-norm.  The objective is
@@ -620,7 +623,7 @@ def _full_grid_cv(pseudo, cfg):
     scores = np.zeros((len(cfg.ridge_lambda), 2, cfg.n_folds))
     for f in range(cfg.n_folds):
         fit, held = folds != f, folds == f
-        path, _ = logistic._fit_path(X[fit], Y[fit], cfg.ridge_lambda, cfg.tol, cfg.max_iter)
+        path, _ = logistic._fit_path(X[fit], Y[fit], cfg.ridge_lambda)
         every = np.ones(np.count_nonzero(held), dtype=bool)
         for j, (beta, _) in enumerate(path):
             scores[j, :, f] = logistic._heldout_metrics(beta, X[held], Y[held], every)
@@ -642,7 +645,7 @@ def _counting_solves(monkeypatch):
     solves, minimize = [], logistic._minimize
 
     def counting_minimize(*args, **kwargs):
-        solves.append(args[4])
+        solves.append(args[3])
         return minimize(*args, **kwargs)
 
     monkeypatch.setattr(logistic, "_minimize", counting_minimize)
@@ -725,9 +728,7 @@ def test_sparse_cv_equals_the_sliced_reference_bit_for_bit(rng, monkeypatch, n, 
     assert report.chosen_lambda == chosen
     X, Y, _, _ = logistic._design(pseudo)
     assert X.format == "csc"
-    path, _ = logistic._fit_path(
-        csr_array(X), Y, [lam for lam in grid if lam >= chosen], cfg.tol, cfg.max_iter
-    )
+    path, _ = logistic._fit_path(csr_array(X), Y, [lam for lam in grid if lam >= chosen])
     assert np.array_equal(model.beta, center_columns(path[-1][0]))
 
 
@@ -793,7 +794,7 @@ def test_calibration_self_consistency_slope_near_one():
     probs = np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
     Y = 1 + (g.random(n) < probs[:, 1]).astype(int)
     pseudo = _batch(X, Y)
-    model = fit_logistic(pseudo, TrainConfig(ridge_lambda=1e-4))
+    model = fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=1e-4))[0]
     originals = [Example(x=x, y=int(y), t=1.0) for x, y in zip(X, Y)]
     calibrated = calibrate(model, originals)
     assert abs(calibrated.calib_scale - 1.0) < 0.1
@@ -823,7 +824,7 @@ def test_calibration_symmetric_data_zero_intercept():
                         -m + g.standard_normal((n // 2, 2))])
     Y = np.concatenate([np.ones(n // 2, dtype=int), np.full(n // 2, 2, dtype=int)])
     pseudo = _batch(X, Y)
-    model = fit_logistic(pseudo, TrainConfig(ridge_lambda=1e-3))
+    model = fit_logistic_detailed(pseudo, TrainConfig(ridge_lambda=1e-3))[0]
     originals = [Example(x=x, y=int(y), t=1.0) for x, y in zip(X, Y)]
     calibrated = calibrate(model, originals)
     c_gap = calibrated.calib_c[1] - calibrated.calib_c[0]
@@ -937,9 +938,8 @@ def test_model_rejects_non_finite_coefficients(value):
 
 @pytest.mark.parametrize(
     "setting",
-    [dict(tol=0.0), dict(tol=-1e-7), dict(max_iter=0), dict(n_folds=1),
-     dict(ridge_lambda=-0.1), dict(ridge_lambda=(1.0, -0.1)), dict(ridge_lambda=()),
-     dict(ridge_lambda=float("nan")), dict(ridge_lambda=float("inf")),
+    [dict(n_folds=1), dict(ridge_lambda=-0.1), dict(ridge_lambda=(1.0, -0.1)),
+     dict(ridge_lambda=()), dict(ridge_lambda=float("nan")), dict(ridge_lambda=float("inf")),
      dict(ridge_lambda=(1.0, float("nan")))],
 )
 def test_train_config_rejects_a_bad_setting(setting):

@@ -5,6 +5,7 @@ from levyaug import (
     DegenerateDataError,
     Example,
     ExampleBatch,
+    OptimizationError,
     ParameterError,
     SupportError,
     RngState,
@@ -16,6 +17,7 @@ from levyaug import (
     predict,
     wishart_family,
 )
+from levyaug import logistic, strong_thinning
 from levyaug.logistic import _batch_loss_grad, center_columns
 from levyaug.strong_thinning import _limit_objective
 
@@ -205,7 +207,7 @@ def test_poisson_class_sums_do_not_wrap_in_compact_counts():
     assert bayes[1].rates[0, 0] == pytest.approx(80_000 / 12.0, rel=1e-3)
 
 
-def test_fit_strong_thinning_poisson_saturates_per_word():
+def test_fit_strong_thinning_poisson_saturates_per_word(monkeypatch):
     # with balanced labels the fitted single-word class probabilities
     # reproduce the empirical class split of each word's occurrences
     x1 = np.array([6, 2, 4])
@@ -215,11 +217,21 @@ def test_fit_strong_thinning_poisson_saturates_per_word():
         Example(x=x2, y=2, t=12.0),
     ]
     fam = poisson_family(3)
-    model = fit_strong_thinning(examples, fam, ridge_lambda=0.0, tol=1e-9)
+    monkeypatch.setattr(logistic, "_FIT_TOL", 1e-9)
+    model = fit_strong_thinning(examples, fam, ridge_lambda=0.0)
     counts = np.stack([x1, x2]).T  # (word, class)
     for j in range(3):
         _, probs = predict(model, np.eye(3)[j])
         assert np.allclose(probs, counts[j] / counts[j].sum(), atol=1e-7)
+
+
+def test_poisson_limit_fit_that_hits_its_iteration_limit_raises(monkeypatch):
+    examples = [Example(x=np.array([6, 2, 4]), y=1, t=12.0),
+                Example(x=np.array([2, 6, 4]), y=2, t=12.0)]
+    monkeypatch.setattr(strong_thinning, "_MAX_ITER", 1)
+    with pytest.raises(OptimizationError, match="strong-thinning fit did not converge") as err:
+        fit_strong_thinning(examples, poisson_family(3))
+    assert err.value.grad_norm > logistic._FIT_TOL
 
 
 def test_fit_strong_thinning_rejects_underived_families(rng):

@@ -60,6 +60,18 @@ def test_thin_poisson_domination_property(counts, alpha, seed):
     assert np.all(out >= 0) and np.all(out <= x)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_thin_rejects_a_size_that_is_not_a_nonnegative_integer(alpha):
+    fam, x, g = poisson_family(2), np.array([3, 4]), RngState(2).spawn()
+    state = g.bit_generator.state
+    for size in (-1, 2.5):
+        with pytest.raises(ParameterError, match="size must be a nonnegative integer"):
+            thin(fam, x, alpha=alpha, t=1.0, rng=g, size=size)
+    assert g.bit_generator.state == state  # rejected before any draw
+    for size in (0, np.int64(2)):
+        assert thin(fam, x, alpha=alpha, t=1.0, rng=g, size=size).shape == (size, 2)
+
+
 def test_thin_gaussian_alpha_one_exact():
     x = np.array([1.0, -2.0])
     out = thin(gaussian_family(2), x, alpha=1.0, t=3.0, rng=RngState(0).spawn())
