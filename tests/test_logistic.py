@@ -940,7 +940,8 @@ def test_model_rejects_non_finite_coefficients(value):
     "setting",
     [dict(n_folds=1), dict(ridge_lambda=-0.1), dict(ridge_lambda=(1.0, -0.1)),
      dict(ridge_lambda=()), dict(ridge_lambda=float("nan")), dict(ridge_lambda=float("inf")),
-     dict(ridge_lambda=(1.0, float("nan")))],
+     dict(ridge_lambda=(1.0, float("nan"))), dict(n_folds=0),
+     dict(ridge_lambda=float("-inf")), dict(ridge_lambda=(float("inf"), 1.0))],
 )
 def test_train_config_rejects_a_bad_setting(setting):
     with pytest.raises(ParameterError):
